@@ -1,17 +1,15 @@
 // micro_engine — datacenter-scale event-engine gate.
 //
-// Part 1 (scheduler microbenchmark): a deep, constantly-churning event
-// queue (50k pending events, millions processed) timed under the binary
-// heap and the calendar queue. The calendar queue's O(1) amortized
-// schedule/pop must hold: it may not fall below 0.9x the heap's
-// events/sec, and usually beats it outright at this depth.
+// Part 1 (scheduler microbenchmark, informational): a deep,
+// constantly-churning event queue (50k pending events, millions
+// processed), reported as events/sec.
 //
 // Part 2 (scale gate): every rank runs the same program (create, a few
 // 1 MiB writes, fsync, close) on
-//   1x   — 500 OSTs /  5,000 ranks, monolithic heap engine (the old
+//   1x   — 500 OSTs /  5,000 ranks, one monolithic engine (the old
 //          engine's world), and
 //   10x  — 5,000 OSTs / 50,000 ranks across 1,000 federated cells on the
-//          sharded calendar engine.
+//          sharded engine.
 // The 10x point processes 10x the events, so raw wall time is machine-
 // bound: on a single-core box it cannot beat 10x no matter how good the
 // engine is. The machine-independent gate is therefore per-event wall
@@ -27,10 +25,10 @@
 //
 // Flags:
 //   --quick           fewer repeats and skip the 100x point (CI)
-//   --baseline=FILE   compare ratio metrics against a previous
+//   --baseline=FILE   compare the per-event cost ratio against a previous
 //                     BENCH_engine.json; fail on a clear regression
 //                     (wide relative tolerance + absolute floor, see
-//                     checkBaseline — the ratios are noisy run to run)
+//                     checkBaseline — the ratio is noisy run to run)
 //
 // Emits BENCH_engine.json (rows: name, metric, value) in the current
 // directory — run from the repo root to refresh the checked-in copy.
@@ -63,8 +61,7 @@ double secondsSince(Clock::time_point start) {
 // ------------------------------------------------- scheduler microbench --
 
 // A self-rescheduling event: the queue depth stays constant while events
-// churn through it, which is the regime that separates O(log n) heap pops
-// from the calendar queue's O(1) buckets.
+// churn through it, so every pop sifts through a 50k-deep heap.
 struct Churn {
   sim::SimEngine& engine;
   util::Rng rng;
@@ -79,8 +76,8 @@ struct Churn {
   }
 };
 
-double schedulerEventsPerSec(sim::SchedulerKind kind, std::uint64_t rounds) {
-  sim::SimEngine engine{sim::EngineOptions{.seed = 7, .scheduler = kind}};
+double deepQueueEventsPerSec(std::uint64_t rounds) {
+  sim::SimEngine engine{sim::EngineOptions{.seed = 7}};
   constexpr std::uint64_t kPending = 50'000;
   std::vector<std::unique_ptr<Churn>> churners;
   churners.reserve(kPending);
@@ -166,8 +163,7 @@ ScalePoint runScalePoint(const std::string& label, pfs::ClusterSpec cluster,
 
 // Regression check against a committed BENCH_engine.json: ratio metrics
 // are machine-independent enough to gate on (absolute events/sec is not).
-bool checkBaseline(const std::string& path, double perEventRatio,
-                   double calendarOverHeap) {
+bool checkBaseline(const std::string& path, double perEventRatio) {
   util::Json doc;
   try {
     doc = util::Json::parse(util::readFile(path));
@@ -175,12 +171,10 @@ bool checkBaseline(const std::string& path, double perEventRatio,
     std::printf("FAIL: cannot read baseline %s: %s\n", path.c_str(), e.what());
     return false;
   }
-  // Both ratios swing up to ~50% run to run (shared-machine load, and quick
-  // mode measures the deep-queue arms with fewer rounds than the full run
-  // that produced the committed baseline), so each threshold pairs a wide
-  // relative tolerance with an absolute floor/ceiling. The regressions this
-  // is meant to catch are not subtle: the calendar-queue linear-scan
-  // degeneracy was ~30x, losing shard cache locality ~3-4x.
+  // The ratio swings up to ~50% run to run (shared-machine load), so the
+  // threshold pairs a wide relative tolerance with an absolute floor. The
+  // regression this is meant to catch is not subtle: losing shard cache
+  // locality cost ~3-4x.
   bool ok = true;
   for (const util::Json& row : doc.asArray()) {
     const std::string metric = row.at("metric").asString();
@@ -190,13 +184,6 @@ bool checkBaseline(const std::string& path, double perEventRatio,
       std::printf("FAIL: scale10x_per_event_ratio regressed: %.3f -> %.3f "
                   "(limit max(1.5x baseline, 1.2))\n",
                   value, perEventRatio);
-      ok = false;
-    }
-    if (metric == "calendar_over_heap_deep_queue" &&
-        calendarOverHeap < std::min(value * 0.70, 0.95)) {
-      std::printf("FAIL: calendar_over_heap_deep_queue regressed: "
-                  "%.3f -> %.3f (limit min(0.7x baseline, 0.95))\n",
-                  value, calendarOverHeap);
       ok = false;
     }
   }
@@ -219,7 +206,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("micro_engine: calendar-queue + sharded-engine scale gate%s\n",
+  std::printf("micro_engine: event-engine + sharded-engine scale gate%s\n",
               quick ? " (quick)" : "");
   bool ok = true;
 
@@ -227,17 +214,8 @@ int main(int argc, char** argv) {
   const std::uint64_t rounds = quick ? 20 : 40;
   std::printf("deep-queue scheduler microbench (50k pending, %lluk events):\n",
               static_cast<unsigned long long>(50 * (rounds + 1)));
-  const double heapEps = schedulerEventsPerSec(sim::SchedulerKind::Heap, rounds);
-  const double calendarEps =
-      schedulerEventsPerSec(sim::SchedulerKind::Calendar, rounds);
-  const double calendarOverHeap = calendarEps / heapEps;
-  std::printf("  heap     %6.2f Mev/s\n  calendar %6.2f Mev/s  (%.2fx heap)\n",
-              heapEps / 1e6, calendarEps / 1e6, calendarOverHeap);
-  if (calendarOverHeap < 0.9) {
-    std::printf("FAIL: calendar queue below 0.9x heap throughput (%.2fx)\n",
-                calendarOverHeap);
-    ok = false;
-  }
+  const double heapEps = deepQueueEventsPerSec(rounds);
+  std::printf("  heap %6.2f Mev/s\n", heapEps / 1e6);
 
   // Part 2: the 10x-cluster-size gate (see file header for why the gated
   // quantity is per-event wall cost rather than raw wall time).
@@ -254,15 +232,10 @@ int main(int argc, char** argv) {
   pfs::ClusterSpec mono = pfs::scaledCluster(100);
   mono.cells = 1;  // the old engine's world: one monolithic event queue
   const ScalePoint base =
-      runScalePoint("1x", std::move(mono),
-                    sim::EngineOptions{.scheduler = sim::SchedulerKind::Heap},
-                    chunks, repeats1x);
+      runScalePoint("1x", std::move(mono), sim::EngineOptions{}, chunks, repeats1x);
   const ScalePoint big = runScalePoint(
       "10x", pfs::scaledCluster(1000),
-      sim::EngineOptions{.scheduler = sim::SchedulerKind::Calendar,
-                         .arenaBytes = 8 * 1024,
-                         .shards = 1000},
-      chunks, repeats10x);
+      sim::EngineOptions{.arenaBytes = 8 * 1024, .shards = 1000}, chunks, repeats10x);
 
   const double perEventRatio = big.usPerEvent / base.usPerEvent;
   const double wallRatio = big.wallSeconds / base.wallSeconds;
@@ -292,14 +265,11 @@ int main(int argc, char** argv) {
   if (!quick) {
     const ScalePoint huge = runScalePoint(
         "100x", pfs::scaledCluster(10000),
-        sim::EngineOptions{.scheduler = sim::SchedulerKind::Calendar,
-                           .arenaBytes = 8 * 1024,
-                           .shards = 10000},
-        chunks, 1);
+        sim::EngineOptions{.arenaBytes = 8 * 1024, .shards = 10000}, chunks, 1);
     usPerEvent100x = huge.usPerEvent;
   }
 
-  if (!baseline.empty() && !checkBaseline(baseline, perEventRatio, calendarOverHeap)) {
+  if (!baseline.empty() && !checkBaseline(baseline, perEventRatio)) {
     ok = false;
   }
 
@@ -312,8 +282,6 @@ int main(int argc, char** argv) {
     doc.push(std::move(r));
   };
   row("heap_deep_queue_events_per_sec", heapEps);
-  row("calendar_deep_queue_events_per_sec", calendarEps);
-  row("calendar_over_heap_deep_queue", calendarOverHeap);
   row("scale1x_wall_seconds", base.wallSeconds);
   row("scale1x_events", static_cast<double>(base.events));
   row("scale1x_us_per_event", base.usPerEvent);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 
 #include "util/file.hpp"
 #include "util/log.hpp"
@@ -289,6 +290,13 @@ void ExperienceStore::compact(const CompactionHooks& hooks) {
       live.push_back(std::move(rec));
     }
   }
+  // Canonical (tenant, id) order: the compacted generation and records()
+  // are then a function of the record set alone, not of how appends were
+  // batched into commits or of the order concurrent writers reached them.
+  std::sort(live.begin(), live.end(),
+            [](const ExperienceRecord& a, const ExperienceRecord& b) {
+              return std::tie(a.tenant, a.id) < std::tie(b.tenant, b.id);
+            });
   records_ = std::move(live);
   noteCounter("exp.store.compactions");
   if (path_.empty()) {

@@ -127,8 +127,9 @@ class ExperienceStore final : public core::WarmStartProvider {
   };
 
   /// Atomically rewrites the file as pure record lines (journal folded
-  /// in), dropping stale records. No-op for memory-only stores beyond the
-  /// in-memory eviction.
+  /// in), dropping stale records and putting the rest in canonical
+  /// (tenant, id) order. Memory-only stores get the eviction and the order
+  /// but write nothing.
   void compact() { compact(CompactionHooks{}); }
   void compact(const CompactionHooks& hooks);
 

@@ -21,12 +21,6 @@ constexpr std::size_t kMaxScanLength = 1 << 20;
 /// Stream tag for the per-node extent-conflict RNGs.
 constexpr std::uint64_t kNodeRngTag = 0xC11E27ULL;
 
-using DoneFn = std::shared_ptr<std::function<void()>>;
-
-DoneFn wrap(std::function<void()> fn) {
-  return std::make_shared<std::function<void()>>(std::move(fn));
-}
-
 }  // namespace
 
 ClientRuntime::ClientRuntime(sim::SimEngine& engine, const ClusterSpec& cluster,
@@ -303,7 +297,8 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
     case OpKind::Mkdir: {
       blockRank(r, OpKind::Mkdir);
       r.pendingWaits = 1;
-      submitMeta(r.node, MetaOpKind::Mkdir, 1, true, [this, &r] { completeOneWait(r); });
+      submitMeta(r.node, MetaOpKind::Mkdir, 1, true,
+                 sim::Callback{engine_.arena(), [this, &r] { completeOneWait(r); }});
       return false;
     }
     case OpKind::Create: {
@@ -315,14 +310,14 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       blockRank(r, OpKind::Create);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Create, f.layout.stripeCount, true,
-                 [this, &r, &f, file = op.file] {
+                 sim::Callback{engine_.arena(), [this, &r, &f, file = op.file] {
                    f.exists = true;
                    cacheLock(ranks_[r.id].node, file);
                    NodeState& n = nodes_[r.node];
                    ++n.openCount[file];
                    r.fds[file].open = true;
                    completeOneWait(r);
-                 });
+                 }});
       return false;
     }
     case OpKind::Open: {
@@ -339,13 +334,14 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       blockRank(r, OpKind::Open);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Open, 1, false,
-                 [this, &r, file = op.file, waitStart = engine_.now()] {
-        noteLockWait(engine_.now() - waitStart);
-        cacheLock(r.node, file);
-        ++nodes_[r.node].openCount[file];
-        r.fds[file].open = true;
-        completeOneWait(r);
-      });
+                 sim::Callback{engine_.arena(),
+                               [this, &r, file = op.file, waitStart = engine_.now()] {
+                                 noteLockWait(engine_.now() - waitStart);
+                                 cacheLock(r.node, file);
+                                 ++nodes_[r.node].openCount[file];
+                                 r.fds[file].open = true;
+                                 completeOneWait(r);
+                               }});
       return false;
     }
     case OpKind::Unlink: {
@@ -353,37 +349,37 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       FileStats& fs = fileStats_[op.file];
       ++fs.unlinks;
       fs.rankMask |= 1ULL << (r.id % 64);
-      // Discard this node's pending dirty segments for the file.
-      for (std::uint32_t ost = 0; ost < totalOsts_; ++ost) {
+      // Discard this node's pending dirty segments for the file. They
+      // only ever land on the file's layout lanes.
+      f.layout.forEachOst([&](std::uint32_t ost) {
         const std::size_t l = lane(r.node, ost);
         const std::uint64_t discarded = writeback_.discardFile(l, op.file);
         if (discarded > 0) {
           dirty_.release(l, discarded);
           counters_.dirtyDiscardedBytes += discarded;
         }
-      }
-      for (auto& waiter : node.readahead.dropFile(op.file)) {
-        engine_.scheduleAfter(0.0, [w = std::move(waiter)]() mutable { w(); });
+      });
+      for (sim::Callback& waiter : node.readahead.dropFile(op.file)) {
+        engine_.scheduleAfter(0.0, std::move(waiter));
       }
       node.locks.erase(op.file);
       node.pageValid.erase(op.file);
       blockRank(r, OpKind::Unlink);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Unlink, f.layout.stripeCount, true,
-                 [this, &r, &f] {
+                 sim::Callback{engine_.arena(), [this, &r, &f] {
                    f.exists = false;
                    f.size = 0;
                    f.writerNodeMask = 0;
                    completeOneWait(r);
-                 });
+                 }});
       return false;
     }
     case OpKind::Fsync: {
       FileStats& fs = fileStats_[op.file];
       ++fs.fsyncs;
-      for (std::uint32_t ost = 0; ost < totalOsts_; ++ost) {
-        flushPending(r.node, ost, op.file);
-      }
+      files_[op.file].layout.forEachOst(
+          [&](std::uint32_t ost) { flushPending(r.node, ost, op.file); });
       const auto it = node.flushInFlight.find(op.file);
       if (it == node.flushInFlight.end() || it->second == 0) {
         r.accrued += syscall;
@@ -391,7 +387,8 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       }
       blockRank(r, OpKind::Fsync);
       r.pendingWaits = 1;
-      node.fsyncWaiters[op.file].push_back([this, &r] { completeOneWait(r); });
+      node.fsyncWaiters[op.file].emplace_back(engine_.arena(),
+                                              [this, &r] { completeOneWait(r); });
       return false;
     }
     default:
@@ -453,11 +450,12 @@ bool ClientRuntime::execStat(RankState& r, const IoOp& op) {
   r.pendingWaits = 1;
   (void)node;
   submitMeta(r.node, MetaOpKind::Stat, 1, false,
-             [this, &r, file = op.file, waitStart = engine_.now()] {
-    noteLockWait(engine_.now() - waitStart);
-    cacheLock(r.node, file);
-    completeOneWait(r);
-  });
+             sim::Callback{engine_.arena(),
+                           [this, &r, file = op.file, waitStart = engine_.now()] {
+                             noteLockWait(engine_.now() - waitStart);
+                             cacheLock(r.node, file);
+                             completeOneWait(r);
+                           }});
   return false;
 }
 
@@ -496,7 +494,8 @@ void ClientRuntime::pumpStatahead(RankState& r) {
     ++counters_.lockMisses;
     r.statEntries[idx] = false;
     ++scan.inFlight;
-    submitMeta(r.node, MetaOpKind::Stat, 1, false, [this, &r, idx, file] {
+    submitMeta(r.node, MetaOpKind::Stat, 1, false,
+               sim::Callback{engine_.arena(), [this, &r, idx, file] {
       cacheLock(r.node, file);
       auto it = r.statEntries.find(idx);
       if (it != r.statEntries.end()) {
@@ -517,7 +516,7 @@ void ClientRuntime::pumpStatahead(RankState& r) {
         r.statEntries.erase(idx);
         resumeRank(r);
       }
-    });
+    }});
   }
   if (r.scan && scan.nextToIssue >= scan.endIndex && scan.inFlight == 0) {
     r.scan.reset();
@@ -535,10 +534,10 @@ void ClientRuntime::failRun(std::string reason) {
 
 void ClientRuntime::deliverRpc(RpcDelivery d) {
   // Fast path: no fault plan attached. Degenerates to the pre-fault event
-  // chain (deliver invokes complete directly), so runs without faults are
-  // bit-identical to the fault-layer-free simulator.
+  // chain (the launch is served straight into complete), so runs without
+  // faults are bit-identical to the fault-layer-free simulator.
   if (faults_ == nullptr) {
-    d.deliver(std::move(d.complete));
+    launchRpc(d, std::move(d.complete));
     return;
   }
   const bool down =
@@ -546,11 +545,11 @@ void ClientRuntime::deliverRpc(RpcDelivery d) {
   if (!down && !faults_->sampleRpcDrop()) {
     const double stall = faults_->rpcStallSeconds();
     if (stall <= 0.0) {
-      d.deliver(std::move(d.complete));
+      launchRpc(d, std::move(d.complete));
     } else {
       // Stall windows delay the delivery launch (slow wire, not loss).
-      engine_.scheduleAfter(stall, [d = std::move(d)]() mutable {
-        d.deliver(std::move(d.complete));
+      engine_.scheduleAfter(stall, [this, d = std::move(d)]() mutable {
+        launchRpc(d, std::move(d.complete));
       });
     }
     return;
@@ -591,44 +590,79 @@ void ClientRuntime::deliverRpc(RpcDelivery d) {
   });
 }
 
+void ClientRuntime::launchRpc(const RpcDelivery& d, sim::Callback served) {
+  const double latency = cluster_.network.messageLatency;
+  if (d.ost < 0) {
+    engine_.scheduleAfter(latency, [this, kind = d.metaKind, stripeCount = d.stripeCount,
+                                    latency, served = std::move(served)]() mutable {
+      mds_.submit(kind, stripeCount,
+                  [this, latency, served = std::move(served)]() mutable {
+                    engine_.scheduleAfter(latency, std::move(served));
+                  });
+    });
+    return;
+  }
+  NodeState& node = nodes_[d.node];
+  const double wireTime = static_cast<double>(d.bytes) / cluster_.network.nicBandwidth;
+  if (d.isWrite) {
+    // Client NIC, request trip, OST bulk service, reply trip.
+    node.nic->submit(wireTime, [this, ost = d.localOst, file = d.file,
+                                objectOffset = d.objectOffset, bytes = d.bytes, latency,
+                                served = std::move(served)]() mutable {
+      engine_.scheduleAfter(latency, [this, ost, file, objectOffset, bytes, latency,
+                                      served = std::move(served)]() mutable {
+        osts_.submitBulk(ost, file, objectOffset, bytes, /*isWrite=*/true,
+                         [this, latency, served = std::move(served)]() mutable {
+          engine_.scheduleAfter(latency, std::move(served));
+        });
+      });
+    });
+    return;
+  }
+  // Request trip, OST bulk service, then the response data crosses the
+  // client NIC before the reply trip.
+  engine_.scheduleAfter(latency, [this, &node, ost = d.localOst, file = d.file,
+                                  objectOffset = d.objectOffset, bytes = d.bytes, latency,
+                                  wireTime, served = std::move(served)]() mutable {
+    osts_.submitBulk(ost, file, objectOffset, bytes, /*isWrite=*/false,
+                     [this, &node, wireTime, latency,
+                      served = std::move(served)]() mutable {
+      node.nic->submit(wireTime, [this, latency, served = std::move(served)]() mutable {
+        engine_.scheduleAfter(latency, std::move(served));
+      });
+    });
+  });
+}
+
 void ClientRuntime::submitMeta(std::uint32_t nodeIdx, MetaOpKind kind,
                                std::uint32_t stripeCount, bool modifying,
-                               std::function<void()> onDone) {
+                               sim::Callback onDone) {
   ++counters_.metaRpcs;
   if (traceOn_) {
     tracer_->instant("rpc", std::string("meta:") + metaOpName(kind),
                      {{"sim_time", util::Json(engine_.now())}});
   }
   NodeState& node = nodes_[nodeIdx];
-  const double latency = cluster_.network.messageLatency;
-  const DoneFn done = wrap(std::move(onDone));
-
-  const auto issue = [this, &node, kind, stripeCount, modifying, latency, done] {
-    node.mdcLimiter->acquire([this, &node, kind, stripeCount, modifying, latency, done] {
-      RpcDelivery d;
-      d.ost = -1;  // MDS target
-      d.deliver = [this, kind, stripeCount, latency](sim::Callback served) {
-        engine_.scheduleAfter(latency, [this, kind, stripeCount, latency,
-                                        served = std::move(served)]() mutable {
-          mds_.submit(kind, stripeCount,
-                      [this, latency, served = std::move(served)]() mutable {
-            engine_.scheduleAfter(latency, std::move(served));
-          });
-        });
-      };
-      d.complete = sim::Callback{engine_.arena(), [&node, modifying, done] {
-        node.mdcLimiter->release();
-        if (modifying) {
-          node.modLimiter->release();
-        }
-        (*done)();
-      }};
-      deliverRpc(std::move(d));
-    });
+  RpcDelivery d{
+      .ost = -1,
+      .node = nodeIdx,
+      .metaKind = kind,
+      .stripeCount = stripeCount,
+      .complete = sim::Callback{engine_.arena(),
+                                [&node, modifying, onDone = std::move(onDone)]() mutable {
+                                  node.mdcLimiter->release();
+                                  if (modifying) {
+                                    node.modLimiter->release();
+                                  }
+                                  onDone();
+                                }},
   };
-
+  auto issue = [this, &node, d = std::move(d)]() mutable {
+    node.mdcLimiter->acquire(
+        [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
+  };
   if (modifying) {
-    node.modLimiter->acquire(issue);
+    node.modLimiter->acquire(std::move(issue));
   } else {
     issue();
   }
@@ -710,12 +744,12 @@ bool ClientRuntime::execWrite(RankState& r, const IoOp& op) {
     // No dirty budget: push current pending data out and wait for space.
     flushPending(r.node, seg.ost);
     blockRank(r, OpKind::Write);
-    dirty_.waitForSpace(l, seg.length, [this, &r] {
+    dirty_.waitForSpace(l, seg.length, sim::Callback{engine_.arena(), [this, &r] {
       // The waiter's reservation is already charged; mark it so the
       // re-entered execWrite records the segment without re-reserving.
       r.reservedSegment = true;
       engine_.scheduleAfter(0.0, [this, &r] { resumeRank(r); });
-    });
+    }});
     return false;
   }
 
@@ -755,53 +789,39 @@ void ClientRuntime::issueWriteRpc(std::uint32_t nodeIdx, std::uint32_t ost, File
   NodeState& node = nodes_[nodeIdx];
   ++node.flushInFlight[file];
   const std::size_t l = lane(nodeIdx, ost);
-  const double latency = cluster_.network.messageLatency;
-  const double wireTime = static_cast<double>(bytes) / cluster_.network.nicBandwidth;
-
-  oscFlow_.acquire(l, [this, &node, l, globalOst, ost, file, objectOffset, bytes, latency,
-                       wireTime] {
-    RpcDelivery d;
-    d.ost = static_cast<std::int32_t>(globalOst);
-    // One delivery attempt: client NIC, request trip, OST bulk service,
-    // reply trip. `served` is the completion below (or a retry shim).
-    d.deliver = [this, &node, ost, file, objectOffset, bytes, latency,
-                 wireTime](sim::Callback served) {
-      node.nic->submit(wireTime, [this, ost, file, objectOffset, bytes, latency,
-                                  served = std::move(served)]() mutable {
-        engine_.scheduleAfter(latency, [this, ost, file, objectOffset, bytes, latency,
-                                        served = std::move(served)]() mutable {
-          osts_.submitBulk(ost, file, objectOffset, bytes, /*isWrite=*/true,
-                           [this, latency, served = std::move(served)]() mutable {
-            engine_.scheduleAfter(latency, std::move(served));
-          });
-        });
-      });
-    };
-    d.complete = sim::Callback{engine_.arena(), [this, &node, l, file, bytes] {
-      oscFlow_.release(l);
-      dirty_.release(l, bytes);
-      auto it = node.flushInFlight.find(file);
-      if (it != node.flushInFlight.end() && it->second > 0) {
-        --it->second;
-        if (it->second == 0) {
-          auto wit = node.fsyncWaiters.find(file);
-          if (wit != node.fsyncWaiters.end()) {
-            auto waiters = std::move(wit->second);
-            node.fsyncWaiters.erase(wit);
-            for (auto& w : waiters) {
-              w();
+  RpcDelivery d{
+      .ost = static_cast<std::int32_t>(globalOst),
+      .node = nodeIdx,
+      .localOst = ost,
+      .isWrite = true,
+      .file = file,
+      .objectOffset = objectOffset,
+      .bytes = bytes,
+      .complete = sim::Callback{engine_.arena(), [this, &node, l, file, bytes] {
+        oscFlow_.release(l);
+        dirty_.release(l, bytes);
+        auto it = node.flushInFlight.find(file);
+        if (it != node.flushInFlight.end() && it->second > 0) {
+          --it->second;
+          if (it->second == 0) {
+            auto wit = node.fsyncWaiters.find(file);
+            if (wit != node.fsyncWaiters.end()) {
+              std::vector<sim::Callback> waiters = std::move(wit->second);
+              node.fsyncWaiters.erase(wit);
+              for (sim::Callback& w : waiters) {
+                w();
+              }
             }
           }
         }
-      }
-    }};
-    deliverRpc(std::move(d));
-  });
+      }},
+  };
+  oscFlow_.acquire(l, [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
 }
 
 void ClientRuntime::issueReadRpc(std::uint32_t nodeIdx, std::uint32_t ost, FileId file,
                                  std::uint64_t objectOffset, std::uint64_t bytes,
-                                 std::function<void()> onDone) {
+                                 sim::Callback onDone) {
   ++counters_.dataRpcs;
   counters_.readRpcBytes += bytes;
   const std::uint32_t globalOst = osts_.globalIndex(ost);
@@ -811,37 +831,21 @@ void ClientRuntime::issueReadRpc(std::uint32_t nodeIdx, std::uint32_t ost, FileI
                       {"bytes", util::Json(static_cast<std::int64_t>(bytes))},
                       {"sim_time", util::Json(engine_.now())}});
   }
-  NodeState& node = nodes_[nodeIdx];
   const std::size_t l = lane(nodeIdx, ost);
-  const double latency = cluster_.network.messageLatency;
-  const double wireTime = static_cast<double>(bytes) / cluster_.network.nicBandwidth;
-  const DoneFn done = wrap(std::move(onDone));
-
-  oscFlow_.acquire(l, [this, &node, l, globalOst, ost, file, objectOffset, bytes, latency,
-                       wireTime, done] {
-    RpcDelivery d;
-    d.ost = static_cast<std::int32_t>(globalOst);
-    d.deliver = [this, &node, ost, file, objectOffset, bytes, latency,
-                 wireTime](sim::Callback served) {
-      engine_.scheduleAfter(latency, [this, &node, ost, file, objectOffset, bytes,
-                                      latency, wireTime,
-                                      served = std::move(served)]() mutable {
-        osts_.submitBulk(ost, file, objectOffset, bytes, /*isWrite=*/false,
-                         [this, &node, wireTime, latency,
-                          served = std::move(served)]() mutable {
-          // Response data crosses the client NIC too.
-          node.nic->submit(wireTime, [this, latency, served = std::move(served)]() mutable {
-            engine_.scheduleAfter(latency, std::move(served));
-          });
-        });
-      });
-    };
-    d.complete = sim::Callback{engine_.arena(), [this, l, done] {
-      oscFlow_.release(l);
-      (*done)();
-    }};
-    deliverRpc(std::move(d));
-  });
+  RpcDelivery d{
+      .ost = static_cast<std::int32_t>(globalOst),
+      .node = nodeIdx,
+      .localOst = ost,
+      .file = file,
+      .objectOffset = objectOffset,
+      .bytes = bytes,
+      .complete = sim::Callback{engine_.arena(),
+                                [this, l, onDone = std::move(onDone)]() mutable {
+                                  oscFlow_.release(l);
+                                  onDone();
+                                }},
+  };
+  oscFlow_.acquire(l, [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
 }
 
 bool ClientRuntime::execRead(RankState& r, const IoOp& op) {
@@ -923,14 +927,14 @@ bool ClientRuntime::execRead(RankState& r, const IoOp& op) {
         const std::uint64_t len = std::min(rpcBytes(), piece.length - pos);
         ++waits;
         issueReadRpc(r.node, piece.ost, op.file, piece.objectOffset + pos, len,
-                     [this, &r] { completeOneWait(r); });
+                     sim::Callback{engine_.arena(), [this, &r] { completeOneWait(r); }});
         pos += len;
       }
     }
   }
   for (CacheChunk* chunk : cov.pending) {
     ++waits;
-    chunk->waiters.push_back([this, &r] { completeOneWait(r); });
+    chunk->waiters.emplace_back(engine_.arena(), [this, &r] { completeOneWait(r); });
   }
 
   if (waits == 0) {
@@ -963,19 +967,20 @@ void ClientRuntime::prefetchRange(RankState& r, FileId file, std::uint64_t begin
         const std::uint64_t chunkBegin = piece.fileOffset + pos;
         (void)node.readahead.insertPending(file, chunkBegin, chunkBegin + len);
         issueReadRpc(r.node, piece.ost, file, piece.objectOffset + pos, len,
-                     [this, nodeIdx = r.node, file, chunkBegin] {
+                     sim::Callback{engine_.arena(), [this, nodeIdx = r.node, file,
+                                                     chunkBegin] {
                        NodeState& n = nodes_[nodeIdx];
                        CacheChunk* chunk = n.readahead.find(file, chunkBegin);
                        if (chunk == nullptr) {
                          return;  // dropped (close/unlink) while in flight
                        }
                        n.readahead.markReady(chunk);
-                       auto waiters = std::move(chunk->waiters);
+                       std::vector<sim::Callback> waiters = std::move(chunk->waiters);
                        chunk->waiters.clear();
-                       for (auto& w : waiters) {
+                       for (sim::Callback& w : waiters) {
                          w();
                        }
-                     });
+                     }});
         pos += len;
       }
     }
@@ -998,8 +1003,8 @@ void ClientRuntime::execCloseLocal(RankState& r, const IoOp& op) {
   if (it != node.openCount.end() && it->second > 0) {
     --it->second;
     if (it->second == 0) {
-      for (auto& waiter : node.readahead.dropFile(op.file)) {
-        engine_.scheduleAfter(0.0, [w = std::move(waiter)]() mutable { w(); });
+      for (sim::Callback& waiter : node.readahead.dropFile(op.file)) {
+        engine_.scheduleAfter(0.0, std::move(waiter));
       }
     }
   }

@@ -30,7 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -306,7 +305,7 @@ class ClientRuntime {
     /// must visit files in FileId order for bit-identical replay
     /// (stellar-lint DET-UNORDERED-ITER; pinned by the ML-DET law).
     std::map<FileId, std::uint32_t> flushInFlight;
-    std::map<FileId, std::vector<std::function<void()>>> fsyncWaiters;
+    std::map<FileId, std::vector<sim::Callback>> fsyncWaiters;
     std::unordered_map<FileId, std::uint32_t> openCount;  // open FDs on node
     /// Files whose written pages are still cached on this node. Set on
     /// write; cleared when the protecting DLM lock leaves the LRU (via
@@ -347,25 +346,36 @@ class ClientRuntime {
 
   // metadata plumbing
   void submitMeta(std::uint32_t node, MetaOpKind kind, std::uint32_t stripeCount,
-                  bool modifying, std::function<void()> onDone);
+                  bool modifying, sim::Callback onDone);
 
   // ---- fault-aware RPC delivery ------------------------------------------
-  /// One retryable RPC: `deliver` performs a single delivery attempt
-  /// (request trip + service + reply trip) and must invoke its argument
-  /// when served; `complete` releases client-side resources and resumes
-  /// waiters. With no injector attached, deliverRpc degenerates to
-  /// deliver(complete) — same event sequence as the pre-fault code.
+  /// One retryable RPC, described by value so a retry or a stall window
+  /// can relaunch it: an MDS op (ost < 0) or a bulk transfer to an OST.
+  /// `complete` releases client-side resources and resumes waiters.
   struct RpcDelivery {
     std::int32_t ost = -1;  ///< target *global* OST id, or -1 for the MDS
+    std::uint32_t node = 0;  ///< issuing client node
+    MetaOpKind metaKind = MetaOpKind::Stat;
+    std::uint32_t stripeCount = 0;  ///< MDS op: layout width to allocate
+    std::uint32_t localOst = 0;     ///< bulk: runtime-local OST index
+    bool isWrite = false;
+    FileId file = 0;
+    std::uint64_t objectOffset = 0;
+    std::uint64_t bytes = 0;
     std::uint32_t attempt = 0;
-    std::function<void(sim::Callback)> deliver;
     sim::Callback complete;
   };
   /// Iterative retry loop: lost attempts (outage window or sampled drop)
   /// wait rpcTimeout plus exponential backoff and redeliver; after
   /// rpcMaxRetries the run fails but `complete` still runs so the
-  /// simulation drains instead of deadlocking.
+  /// simulation drains instead of deadlocking. With no injector attached
+  /// it is launchRpc(d, complete), the event sequence of the pre-fault
+  /// code.
   void deliverRpc(RpcDelivery d);
+  /// One delivery attempt of `d`: request trip, MDS or OST service, reply
+  /// trip (bulk data also crosses the client NIC); `served` runs when the
+  /// reply arrives.
+  void launchRpc(const RpcDelivery& d, sim::Callback served);
   void failRun(std::string reason);
 
   // data plumbing
@@ -377,7 +387,7 @@ class ClientRuntime {
                      std::uint64_t objectOffset, std::uint64_t bytes);
   void issueReadRpc(std::uint32_t node, std::uint32_t ost, FileId file,
                     std::uint64_t objectOffset, std::uint64_t bytes,
-                    std::function<void()> onDone);
+                    sim::Callback onDone);
 
   // readahead
   void prefetchRange(RankState& rank, FileId file, std::uint64_t begin, std::uint64_t end);

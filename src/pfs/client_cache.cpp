@@ -26,7 +26,7 @@ bool DirtyTracker::tryReserve(std::uint64_t bytes) {
   return false;
 }
 
-void DirtyTracker::waitForSpace(std::uint64_t bytes, std::function<void()> onSpace) {
+void DirtyTracker::waitForSpace(std::uint64_t bytes, sim::Callback onSpace) {
   waiters_.push_back(Waiter{bytes, std::move(onSpace)});
 }
 
@@ -87,7 +87,7 @@ bool DirtyBank::tryReserve(std::size_t lane, std::uint64_t bytes) {
 }
 
 void DirtyBank::waitForSpace(std::size_t lane, std::uint64_t bytes,
-                             std::function<void()> onSpace) {
+                             sim::Callback onSpace) {
   waiters_[lane].push_back(Waiter{bytes, std::move(onSpace)});
 }
 
@@ -209,8 +209,8 @@ void ReadAheadCache::consume(FileId file, std::uint64_t begin, std::uint64_t end
   }
 }
 
-std::vector<std::function<void()>> ReadAheadCache::dropFile(FileId file) {
-  std::vector<std::function<void()>> orphans;
+std::vector<sim::Callback> ReadAheadCache::dropFile(FileId file) {
+  std::vector<sim::Callback> orphans;
   auto fileIt = files_.find(file);
   if (fileIt == files_.end()) {
     return orphans;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "pfs/job.hpp"
+#include "sim/callback.hpp"
 
 namespace stellar::pfs {
 
@@ -42,7 +43,7 @@ class DirtyTracker {
 
   /// Queues a waiter needing `bytes`; owner must call `admitWaiters` after
   /// every `release` (done internally) — the callback fires at most once.
-  void waitForSpace(std::uint64_t bytes, std::function<void()> onSpace);
+  void waitForSpace(std::uint64_t bytes, sim::Callback onSpace);
 
   /// Returns `bytes` of budget (flush RPC completed) and admits waiters
   /// FIFO while their reservations fit.
@@ -64,7 +65,7 @@ class DirtyTracker {
  private:
   struct Waiter {
     std::uint64_t bytes;
-    std::function<void()> onSpace;
+    sim::Callback onSpace;
   };
 
   void admitWaiters();
@@ -109,13 +110,13 @@ class DirtyBank {
   [[nodiscard]] std::size_t waiterCount(std::size_t lane) const;
 
   [[nodiscard]] bool tryReserve(std::size_t lane, std::uint64_t bytes);
-  void waitForSpace(std::size_t lane, std::uint64_t bytes, std::function<void()> onSpace);
+  void waitForSpace(std::size_t lane, std::uint64_t bytes, sim::Callback onSpace);
   void release(std::size_t lane, std::uint64_t bytes);
 
  private:
   struct Waiter {
     std::uint64_t bytes;
-    std::function<void()> onSpace;
+    sim::Callback onSpace;
   };
 
   void admitWaiters(std::size_t lane);
@@ -142,7 +143,7 @@ struct CacheChunk {
   std::uint64_t end = 0;        ///< exclusive
   std::uint64_t consumed = 0;   ///< bytes of [begin,end) already read back
   bool ready = false;           ///< RPC completed, data present
-  std::vector<std::function<void()>> waiters;
+  std::vector<sim::Callback> waiters;
 };
 
 /// Result of a coverage query for a wanted range.
@@ -201,7 +202,7 @@ class ReadAheadCache {
   /// bytes. Returns any waiters that were attached to dropped in-flight
   /// chunks so the owner can fire them (treating the data as unavailable
   /// but the waiter as unblocked).
-  [[nodiscard]] std::vector<std::function<void()>> dropFile(FileId file);
+  [[nodiscard]] std::vector<sim::Callback> dropFile(FileId file);
 
   /// Looks up the chunk starting exactly at `begin`, or nullptr. RPC
   /// completions resolve their chunk through this instead of holding a

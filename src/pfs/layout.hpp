@@ -4,6 +4,7 @@
 // LOV layer performs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,20 @@ struct FileLayout {
   /// The OST serving stripe index `stripe` of this file.
   [[nodiscard]] std::uint32_t ostForStripe(std::uint64_t stripe) const noexcept {
     return (firstOst + static_cast<std::uint32_t>(stripe % stripeCount)) % totalOsts;
+  }
+
+  /// Calls fn(ost) once for every OST this file stripes over, in ascending
+  /// OST order. The stripe set [firstOst, firstOst + stripeCount) may wrap
+  /// past the last OST; the wrapped OSTs come first.
+  template <typename Fn>
+  void forEachOst(Fn&& fn) const {
+    const std::uint32_t end = firstOst + std::min(stripeCount, totalOsts);
+    for (std::uint32_t ost = 0; ost + totalOsts < end; ++ost) {
+      fn(ost);
+    }
+    for (std::uint32_t ost = firstOst; ost < std::min(end, totalOsts); ++ost) {
+      fn(ost);
+    }
   }
 };
 

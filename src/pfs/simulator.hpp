@@ -84,11 +84,11 @@ struct SimulatorOptions {
   /// must outlive the simulator). Null or empty = fault-free: runs are
   /// bit-identical to a simulator without the faults layer.
   const faults::FaultPlan* faults = nullptr;
-  /// Event-engine construction knobs: scheduler backend, arena sizing, and
-  /// shard fan-out for federated clusters (cluster.cells > 1). The `seed`
-  /// field is ignored — each run seeds its engines from the run seed.
-  /// Results are bit-identical across scheduler backends and shard counts;
-  /// only wall-clock performance changes.
+  /// Event-engine construction knobs: arena sizing and shard fan-out for
+  /// federated clusters (cluster.cells > 1). The `seed` field is ignored —
+  /// each run seeds its engines from the run seed. Results are
+  /// bit-identical across shard counts; only wall-clock performance
+  /// changes.
   sim::EngineOptions engine{};
 };
 

@@ -75,11 +75,11 @@ std::size_t FleetStore::commit() {
       const util::MutexLock lock{mutex_};
       pending.swap(pending_);
     }
-    for (auto& [tenant, records] : pending) {  // std::map: tenant-sorted
-      std::sort(records.begin(), records.end(),
-                [](const exp::ExperienceRecord& a, const exp::ExperienceRecord& b) {
-                  return a.id < b.id;
-                });
+    // Tenant order, then append order within a tenant: the order a
+    // file-mode commit absorbs the tenants' shard journals in, so a re-run
+    // of a cell wins the same way in both modes. Compaction then puts the
+    // records in canonical (tenant, id) order.
+    for (auto& [tenant, records] : pending) {
       for (exp::ExperienceRecord& record : records) {
         (void)base_.append(std::move(record));
         ++absorbed;

@@ -18,7 +18,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -83,14 +82,11 @@ class EventArena {
 class Callback;
 
 /// Callables the scheduling templates accept: anything invocable with no
-/// arguments except Callback itself (which has dedicated overloads) and
-/// std::function<void()> (which must route to the deprecated overloads so
-/// legacy call sites get their compile-time nudge).
+/// arguments except Callback itself (which has dedicated overloads).
 template <typename F>
 concept EventCallable =
     std::invocable<std::remove_cvref_t<F>&> &&
-    !std::same_as<std::remove_cvref_t<F>, Callback> &&
-    !std::same_as<std::remove_cvref_t<F>, std::function<void()>>;
+    !std::same_as<std::remove_cvref_t<F>, Callback>;
 
 /// Move-only type-erased void() callable with small-buffer + arena storage.
 class Callback {
@@ -127,6 +123,17 @@ class Callback {
   Callback& operator=(const Callback&) = delete;
 
   ~Callback() { destroy(); }
+
+  /// Replaces the held callable with `fn`, constructed in place (spilling
+  /// into `arena`), which saves the relocation of construct-then-move.
+  template <EventCallable F>
+  void assign(EventArena& arena, F&& fn) {
+    destroy();
+    emplace<std::decay_t<F>>(&arena, std::forward<F>(fn));
+  }
+
+  /// Destroys the held callable, leaving the callback empty.
+  void reset() noexcept { destroy(); }
 
   [[nodiscard]] explicit operator bool() const noexcept { return vt_ != nullptr; }
 

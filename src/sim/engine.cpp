@@ -1,84 +1,21 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace stellar::sim {
 
-const char* schedulerKindName(SchedulerKind kind) noexcept {
-  switch (kind) {
-    case SchedulerKind::Heap:
-      return "heap";
-    case SchedulerKind::Calendar:
-      return "calendar";
-  }
-  return "unknown";
-}
-
 SimEngine::SimEngine(EngineOptions options)
     : options_(options), arena_(options.arenaBytes), rng_(options.seed) {}
 
-void SimEngine::pushEvent(SimTime at, Callback cb) {
-  if (at < now_) {
-    at = now_;
-  }
-  Event event{at, nextSeq_++, std::move(cb)};
-  if (options_.scheduler == SchedulerKind::Heap) {
-    heap_.push(std::move(event));
-  } else {
-    calendar_.push(std::move(event));
-  }
-}
-
-const Event* SimEngine::peekEvent() {
-  if (options_.scheduler == SchedulerKind::Heap) {
-    return heap_.empty() ? nullptr : &heap_.top();
-  }
-  return calendar_.peek();
-}
-
-Event SimEngine::popEvent() {
-  if (options_.scheduler == SchedulerKind::Heap) {
-    return heap_.pop();
-  }
-  return calendar_.pop();
-}
-
-bool SimEngine::empty() const noexcept {
-  return heap_.empty() && calendar_.empty();
-}
-
-std::size_t SimEngine::queueDepth() const noexcept {
-  return heap_.size() + calendar_.size();
-}
-
 void SimEngine::scheduleAt(SimTime at, Callback cb) {
-  pushEvent(at, std::move(cb));
+  const std::uint32_t slot = acquireSlot();
+  slotAt(slot) = std::move(cb);
+  pushKey(at, slot);
 }
 
 void SimEngine::scheduleAfter(SimTime delay, Callback cb) {
-  if (delay < 0.0) {
-    delay = 0.0;
-  }
-  pushEvent(now_ + delay, std::move(cb));
-}
-
-void SimEngine::scheduleAt(SimTime at, std::function<void()> fn) {
-  pushEvent(at, Callback{arena_, [fn = std::move(fn)] {
-              if (fn) {
-                fn();
-              }
-            }});
-}
-
-void SimEngine::scheduleAfter(SimTime delay, std::function<void()> fn) {
-  if (delay < 0.0) {
-    delay = 0.0;
-  }
-  pushEvent(now_ + delay, Callback{arena_, [fn = std::move(fn)] {
-              if (fn) {
-                fn();
-              }
-            }});
+  scheduleAt(now_ + std::max(delay, 0.0), std::move(cb));
 }
 
 void SimEngine::scheduleWindow(SimTime begin, SimTime end, Callback onOpen,
@@ -89,14 +26,14 @@ void SimEngine::scheduleWindow(SimTime begin, SimTime end, Callback onOpen,
   windows_.push_back(std::make_unique<WindowRecord>());
   WindowRecord* record = windows_.back().get();
   record->onClose = std::move(onClose);
-  pushEvent(begin, Callback{arena_, [this, record, fn = std::move(onOpen)]() mutable {
-              record->opened = true;
-              ++openWindows_;
-              if (fn) {
-                fn();
-              }
-            }});
-  pushEvent(end, Callback{arena_, [this, record] { closeWindow(*record); }});
+  scheduleAt(begin, [this, record, fn = std::move(onOpen)]() mutable {
+    record->opened = true;
+    ++openWindows_;
+    if (fn) {
+      fn();
+    }
+  });
+  scheduleAt(end, [this, record] { closeWindow(*record); });
 }
 
 void SimEngine::closeWindow(WindowRecord& record) {
@@ -118,12 +55,24 @@ void SimEngine::cancelOpenWindows() {
   }
 }
 
-std::optional<SimTime> SimEngine::nextEventTime() {
-  const Event* next = peekEvent();
-  if (next == nullptr) {
+std::optional<SimTime> SimEngine::nextEventTime() const {
+  if (queue_.empty()) {
     return std::nullopt;
   }
-  return next->at;
+  return queue_.top().at;
+}
+
+void SimEngine::dispatchNext() {
+  const EventKey key = queue_.pop();
+  now_ = key.at;
+  ++processed_;
+  noteDispatch();
+  Callback& cb = slotAt(key.slot);
+  if (cb) {
+    cb();
+  }
+  cb.reset();
+  freeSlots_.push_back(key.slot);
 }
 
 void SimEngine::noteDispatch() {
@@ -157,13 +106,7 @@ SimTime SimEngine::run() {
   obs::Tracer::Span span = obs::beginSpan(tracer_, "sim", "event-loop");
   const std::uint64_t before = processed_;
   while (!empty()) {
-    Event event = popEvent();
-    now_ = event.at;
-    ++processed_;
-    noteDispatch();
-    if (event.cb) {
-      event.cb();
-    }
+    dispatchNext();
   }
   finishDrain(span, processed_ - before);
   return now_;
@@ -172,18 +115,8 @@ SimTime SimEngine::run() {
 SimTime SimEngine::runUntil(SimTime limit) {
   obs::Tracer::Span span = obs::beginSpan(tracer_, "sim", "event-loop-until");
   const std::uint64_t before = processed_;
-  while (true) {
-    const Event* next = peekEvent();
-    if (next == nullptr || next->at > limit) {
-      break;
-    }
-    Event event = popEvent();
-    now_ = event.at;
-    ++processed_;
-    noteDispatch();
-    if (event.cb) {
-      event.cb();
-    }
+  while (!empty() && queue_.top().at <= limit) {
+    dispatchNext();
   }
   if (now_ < limit && empty()) {
     now_ = limit;
@@ -194,18 +127,8 @@ SimTime SimEngine::runUntil(SimTime limit) {
 
 SimTime SimEngine::drainUntil(SimTime limit) {
   const std::uint64_t before = processed_;
-  while (true) {
-    const Event* next = peekEvent();
-    if (next == nullptr || next->at > limit) {
-      break;
-    }
-    Event event = popEvent();
-    now_ = event.at;
-    ++processed_;
-    noteDispatch();
-    if (event.cb) {
-      event.cb();
-    }
+  while (!empty() && queue_.top().at <= limit) {
+    dispatchNext();
   }
   if (counters_ != nullptr && processed_ != before) {
     counters_->counter("sim.events_dispatched").add(static_cast<double>(processed_ - before));

@@ -2,19 +2,20 @@
 //
 // Single-threaded and fully deterministic: events firing at equal
 // timestamps are ordered by insertion sequence, so a given (workload,
-// config, seed) triple always produces the identical event trace — with
-// either scheduler backend, since both implement the same strict
-// (timestamp, seq) dispatch order. The PFS model in src/pfs builds
-// client/server state machines on top of this; sim::ShardedEngine runs
-// several independent engines side by side for federated clusters.
+// config, seed) triple always produces the identical event trace. The
+// pending-event queue is a binary heap of slim (timestamp, seq, slot) keys;
+// each pending event's callback lives in an engine-owned slot store and
+// runs in place when its key reaches the front. The PFS model in src/pfs
+// builds client/server state machines on top of this; sim::ShardedEngine
+// runs several independent engines side by side for federated clusters.
 //
 // Construction goes through sim::EngineOptions — the options struct is the
 // only public constructor, mirroring pfs::SimulatorOptions.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -28,20 +29,12 @@
 
 namespace stellar::sim {
 
-/// Pending-event scheduler backend. Both implement the identical dispatch
-/// order; Calendar is O(1) amortized and the default, Heap is the simple
-/// reference baseline.
-enum class SchedulerKind : std::uint8_t { Heap, Calendar };
-
-[[nodiscard]] const char* schedulerKindName(SchedulerKind kind) noexcept;
-
 /// The single way to build an engine (and, via ShardedEngine, a shard
 /// fleet). Aggregate-initialize with designated fields:
-///   SimEngine engine{{.seed = 42, .scheduler = SchedulerKind::Calendar}};
+///   SimEngine engine{{.seed = 42, .arenaBytes = 8 * 1024}};
 struct EngineOptions {
   /// Seed for the engine's random stream.
   std::uint64_t seed = 1;
-  SchedulerKind scheduler = SchedulerKind::Calendar;
   /// First arena block size for event closures; the arena doubles from
   /// here on demand.
   std::size_t arenaBytes = 64 * 1024;
@@ -70,24 +63,19 @@ class SimEngine {
   /// Schedules `cb` after `delay` seconds (clamped to non-negative).
   void scheduleAfter(SimTime delay, Callback cb);
 
-  /// Convenience: wraps any callable in an arena-backed Callback.
+  /// Convenience: builds an arena-backed Callback for any callable,
+  /// directly in its slot.
   template <EventCallable F>
   void scheduleAt(SimTime at, F&& fn) {
-    scheduleAt(at, Callback{arena_, std::forward<F>(fn)});
+    const std::uint32_t slot = acquireSlot();
+    slotAt(slot).assign(arena_, std::forward<F>(fn));
+    pushKey(at, slot);
   }
 
   template <EventCallable F>
   void scheduleAfter(SimTime delay, F&& fn) {
-    scheduleAfter(delay, Callback{arena_, std::forward<F>(fn)});
+    scheduleAt(now_ + std::max(delay, 0.0), std::forward<F>(fn));
   }
-
-  [[deprecated("pass a sim::Callback (or any callable); the std::function "
-               "overload will be removed next release")]] void
-  scheduleAt(SimTime at, std::function<void()> fn);
-
-  [[deprecated("pass a sim::Callback (or any callable); the std::function "
-               "overload will be removed next release")]] void
-  scheduleAfter(SimTime delay, std::function<void()> fn);
 
   /// Schedules a [begin, end) time window: `onOpen` fires at begin and
   /// `onClose` at end, both dispatched through the ordinary event queue so
@@ -126,10 +114,10 @@ class SimEngine {
   SimTime drainUntil(SimTime limit);
 
   /// Timestamp of the next pending event, if any.
-  [[nodiscard]] std::optional<SimTime> nextEventTime();
+  [[nodiscard]] std::optional<SimTime> nextEventTime() const;
 
-  [[nodiscard]] bool empty() const noexcept;
-  [[nodiscard]] std::size_t queueDepth() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+  [[nodiscard]] std::size_t queueDepth() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept { return processed_; }
 
   /// Deterministic per-engine random stream. The PFS hot paths use
@@ -164,19 +152,54 @@ class SimEngine {
     bool closed = false;
   };
 
-  void pushEvent(SimTime at, Callback cb);
-  [[nodiscard]] const Event* peekEvent();
-  Event popEvent();
+  static constexpr std::uint32_t kSlotChunkBits = 10;
+  static constexpr std::uint32_t kSlotChunkSize = 1U << kSlotChunkBits;
+
+  [[nodiscard]] Callback& slotAt(std::uint32_t slot) noexcept {
+    return slotChunks_[slot >> kSlotChunkBits][slot & (kSlotChunkSize - 1)];
+  }
+
+  /// A free callback slot: the most recently released one, else a fresh
+  /// slot (adding a chunk when the last one is full).
+  std::uint32_t acquireSlot() {
+    if (!freeSlots_.empty()) {
+      const std::uint32_t slot = freeSlots_.back();
+      freeSlots_.pop_back();
+      return slot;
+    }
+    if ((slotsUsed_ & (kSlotChunkSize - 1)) == 0) {
+      slotChunks_.push_back(std::make_unique<Callback[]>(kSlotChunkSize));
+    }
+    return slotsUsed_++;
+  }
+
+  /// Queues the event in `slot` at `at` (clamped to now).
+  void pushKey(SimTime at, std::uint32_t slot) {
+    if (at < now_) {
+      at = now_;
+    }
+    queue_.push(EventKey{at, nextSeq_++, slot});
+  }
+
+  /// Pops the next event, advances the clock, runs its callback in place
+  /// and recycles its slot.
+  void dispatchNext();
   void closeWindow(WindowRecord& record);
   void noteDispatch();
   void finishDrain(obs::Tracer::Span& span, std::uint64_t dispatched);
 
   EngineOptions options_;
-  // The arena must outlive every queued Callback: declared before the
-  // schedulers and window records so it is destroyed last.
+  // The arena must outlive every pending Callback: declared before the
+  // slot store and window records so it is destroyed last.
   EventArena arena_;
-  HeapScheduler heap_;
-  CalendarScheduler calendar_;
+  HeapScheduler queue_;
+  /// Callbacks of pending events, in fixed-size chunks that never move: a
+  /// dispatched callback runs in place even when it schedules enough
+  /// events to grow the store. The slot is released after the callback
+  /// returns, so it cannot be reused while it runs.
+  std::vector<std::unique_ptr<Callback[]>> slotChunks_;
+  std::vector<std::uint32_t> freeSlots_;
+  std::uint32_t slotsUsed_ = 0;  ///< slots ever handed out
   std::vector<std::unique_ptr<WindowRecord>> windows_;
   SimTime now_ = 0.0;
   std::uint64_t openWindows_ = 0;

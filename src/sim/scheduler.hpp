@@ -1,115 +1,71 @@
-// Pending-event schedulers for the discrete-event engine.
+// Pending-event queue for the discrete-event engine.
 //
-// Both schedulers order events by the strict total order (timestamp,
-// insertion sequence) — same-timestamp events dispatch FIFO. Because the
-// order is identical, a run produces bit-identical results regardless of
-// which scheduler backs the engine; the calendar queue is purely a
-// complexity/locality upgrade for datacenter-scale clusters.
-//
-// HeapScheduler: classic binary heap, O(log n) push/pop. Kept as the
-// reference implementation and the baseline for bench/micro_engine.
-//
-// CalendarScheduler: calendar queue (Brown 1988). Events hash into
-// bucket = day % bucketCount with day = floor(at / width); pop scans
-// forward from the current day, picking the (at, seq)-minimum entry among
-// those due in the first non-empty day window. Each bucket is kept as a
-// binary min-heap in dispatch order — day is a monotone function of the
-// timestamp, so the heap front is also the bucket's earliest-day entry.
-// That makes the due-day probe O(1) per day and pop O(log bucket), which
-// keeps clustered timestamps (thousands of federation cells doing the
-// same thing at the same sim time) from degrading pops to linear scans.
-// Amortized O(1) push/pop while the bucket width tracks the mean event
-// spacing; the table resizes (and re-derives width from the live min/max
-// span) as occupancy drifts. Days with no due event within a full
-// rotation fall back to comparing every bucket's front — correct on
-// sparse "overflow days", just slower.
+// Events dispatch in the strict total order (timestamp, insertion
+// sequence): same-timestamp events run FIFO, so a run is a pure function of
+// its inputs. The queue sorts only trivially copyable keys. The engine keeps
+// each pending event's callback in a slot store and the key names the slot,
+// so a heap sift copies 24 bytes and never relocates a closure.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "sim/callback.hpp"
 
 namespace stellar::sim {
 
 using SimTime = double;
 
-struct Event {
+/// One pending event: when it fires, its insertion sequence (the FIFO
+/// tie-break) and the engine slot that holds its callback.
+struct EventKey {
   SimTime at = 0.0;
   std::uint64_t seq = 0;
-  Callback cb;
+  std::uint32_t slot = 0;
 };
 
 /// Strict dispatch order: earlier timestamp first, insertion order breaking
-/// ties. This is the determinism contract both schedulers implement.
-[[nodiscard]] inline bool dispatchesBefore(const Event& a, const Event& b) noexcept {
+/// ties. This is the engine's determinism contract.
+[[nodiscard]] inline bool dispatchesBefore(const EventKey& a,
+                                           const EventKey& b) noexcept {
   if (a.at != b.at) {
     return a.at < b.at;
   }
   return a.seq < b.seq;
 }
 
+/// Binary min-heap of event keys in dispatch order; O(log n) push and pop.
 class HeapScheduler {
  public:
-  void push(Event event);
+  void push(const EventKey& key) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), DispatchesAfter{});
+  }
+
+  /// Removes and returns the next key in dispatch order; requires !empty().
+  EventKey pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), DispatchesAfter{});
+    const EventKey key = heap_.back();
+    heap_.pop_back();
+    return key;
+  }
+
+  /// Next key in dispatch order; requires !empty().
+  [[nodiscard]] const EventKey& top() const noexcept { return heap_.front(); }
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-  /// Next event in dispatch order; requires !empty().
-  [[nodiscard]] const Event& top() const noexcept { return heap_.front(); }
-  Event pop();
 
  private:
-  std::vector<Event> heap_;
-};
-
-class CalendarScheduler {
- public:
-  explicit CalendarScheduler(std::size_t initialBuckets = 64,
-                             SimTime initialWidth = 1e-4);
-
-  void push(Event event);
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Next event in dispatch order, or nullptr when empty. Non-const: the
-  /// located position is cached until the next push/pop invalidates it.
-  [[nodiscard]] const Event* peek();
-  Event pop();
-
-  [[nodiscard]] std::size_t bucketCount() const noexcept { return buckets_.size(); }
-  [[nodiscard]] SimTime bucketWidth() const noexcept { return width_; }
-  /// Pops that required the full-table fallback scan (telemetry).
-  [[nodiscard]] std::uint64_t overflowScans() const noexcept { return overflowScans_; }
-
- private:
-  struct Entry {
-    std::uint64_t day = 0;
-    Event event;
+  /// std::push_heap keeps the "largest" element at the front, so "larger"
+  /// must mean "dispatches later". A function object rather than a function
+  /// pointer, so the sift loops inline the comparison.
+  struct DispatchesAfter {
+    bool operator()(const EventKey& a, const EventKey& b) const noexcept {
+      return dispatchesBefore(b, a);
+    }
   };
 
-  /// Bucket-heap comparator ("dispatches later" = heap-larger). Day is
-  /// monotone in the timestamp, so ordering by (at, seq) alone also orders
-  /// by (day, at, seq): the heap front is both the dispatch-order minimum
-  /// and the earliest-day entry of its bucket.
-  [[nodiscard]] static bool entryAfter(const Entry& a, const Entry& b) noexcept;
-
-  [[nodiscard]] std::uint64_t dayOf(SimTime at) const noexcept;
-  /// Finds the dispatch-order minimum (always its bucket's heap front) and
-  /// caches the bucket index. Returns false when the queue is empty.
-  bool locate();
-  void rehash(std::size_t newBucketCount);
-
-  /// Each bucket is a dispatch-order min-heap (std::push_heap/pop_heap).
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t size_ = 0;
-  SimTime width_;
-  /// Timestamp of the last popped event: the monotone lower bound for every
-  /// live entry (the engine never schedules into the past). The forward
-  /// scan starts at its day.
-  SimTime floor_ = 0.0;
-  std::uint64_t overflowScans_ = 0;
-  bool cacheValid_ = false;
-  std::size_t cacheBucket_ = 0;
+  std::vector<EventKey> heap_;
 };
 
 }  // namespace stellar::sim

@@ -35,19 +35,6 @@ std::vector<Violation> checkMetamorphic(const CaseShape& shape,
     }
   }
 
-  // ML-SCHED: the scheduler backend is a pure performance choice. Heap and
-  // calendar queue must pop the exact same (timestamp, insertion-seq) order,
-  // so whole-run results are bit-identical down to the RunAudit.
-  if (plan.schedulers) {
-    const pfs::RunResult heap =
-        runCase(base, sim::EngineOptions{.scheduler = sim::SchedulerKind::Heap});
-    const pfs::RunResult calendar =
-        runCase(base, sim::EngineOptions{.scheduler = sim::SchedulerKind::Calendar});
-    if (const auto diff = describeDifference(heap, calendar)) {
-      v.push_back(Violation{"ML-SCHED", "heap vs calendar diverged: " + *diff});
-    }
-  }
-
   // ML-SHARD: replicate the case into 4 shared-nothing federation cells
   // and run on 1 / 2 / 4 engine shards. Randomness is keyed by global
   // component ids, so the shard grouping cannot change any number. Bounded

@@ -5,7 +5,6 @@
 // survives when no closed-form oracle exists:
 //
 //   ML-DET       same (job, config, seed, plan) ⇒ bit-identical results
-//   ML-SCHED     heap and calendar schedulers ⇒ bit-identical results
 //   ML-SHARD     a cellified case is bit-identical for 1 / 2 / 4 engine
 //                shards (shared-nothing cells + globally keyed randomness)
 //   ML-FAULTFREE an *empty* fault plan ⇒ bit-identical to no plan at all
@@ -13,6 +12,10 @@
 //   ML-RELAX     raising osc.max_rpcs_in_flight on a contention-free
 //                single-rank workload never worsens wall time beyond ε
 //                (the knob only adds capacity; ε absorbs jitter resampling)
+//
+// ML-SCHED, the engine's (timestamp, insertion-seq) dispatch order, is a
+// property of the event queue alone; tests/sim/test_scheduler.cpp checks
+// it against a brute-force sort.
 #pragma once
 
 #include <vector>
@@ -26,7 +29,6 @@ namespace stellar::testkit {
 /// shape; ML-SCALE needs headroom to double the ranks).
 struct MetamorphicPlan {
   bool determinism = true;
-  bool schedulers = true;
   bool shards = true;
   bool faultFree = true;
   bool scale = true;

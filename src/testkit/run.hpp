@@ -18,9 +18,9 @@ namespace stellar::testkit {
 [[nodiscard]] pfs::RunResult runCase(const GeneratedCase& cse,
                                      obs::CounterRegistry* registry = nullptr);
 
-/// As above with explicit engine construction knobs (scheduler backend,
-/// arena sizing, shard fan-out). The ML-SCHED/ML-SHARD laws drive the same
-/// case through different engine configurations and demand bit-identity.
+/// As above with explicit engine construction knobs (arena sizing, shard
+/// fan-out). The ML-SHARD law drives the same case through different
+/// engine configurations and demands bit-identity.
 [[nodiscard]] pfs::RunResult runCase(const GeneratedCase& cse,
                                      const sim::EngineOptions& engine,
                                      obs::CounterRegistry* registry = nullptr);

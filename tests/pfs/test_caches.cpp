@@ -1,6 +1,8 @@
 // Unit tests for the client-side cache state machines.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "pfs/client_cache.hpp"
 #include "pfs/readahead.hpp"
 
@@ -22,8 +24,8 @@ TEST(DirtyTracker, ReleaseWakesWaitersFifo) {
   DirtyTracker d{100};
   ASSERT_TRUE(d.tryReserve(100));
   std::vector<int> fired;
-  d.waitForSpace(50, [&] { fired.push_back(1); });
-  d.waitForSpace(50, [&] { fired.push_back(2); });
+  d.waitForSpace(50, sim::Callback{[&] { fired.push_back(1); }});
+  d.waitForSpace(50, sim::Callback{[&] { fired.push_back(2); }});
   d.release(40);  // only 40 free: nobody admitted
   EXPECT_TRUE(fired.empty());
   d.release(60);  // 100 free: both admitted in order
@@ -36,7 +38,7 @@ TEST(DirtyTracker, OversizedWriteAdmittedWhenEmpty) {
   EXPECT_TRUE(d.tryReserve(50));  // empty tracker: oversized allowed
   EXPECT_FALSE(d.tryReserve(1));
   bool fired = false;
-  d.waitForSpace(50, [&] { fired = true; });
+  d.waitForSpace(50, sim::Callback{[&] { fired = true; }});
   d.release(50);
   EXPECT_TRUE(fired);  // oversized waiter admitted once drained
 }
@@ -45,7 +47,7 @@ TEST(DirtyTracker, NewRequestsQueueBehindWaiters) {
   DirtyTracker d{100};
   ASSERT_TRUE(d.tryReserve(90));
   bool fired = false;
-  d.waitForSpace(20, [&] { fired = true; });
+  d.waitForSpace(20, sim::Callback{[&] { fired = true; }});
   // 10 bytes are free, but FIFO fairness blocks late arrivals.
   EXPECT_FALSE(d.tryReserve(5));
   d.release(90);
@@ -76,7 +78,7 @@ TEST(DirtyBank, ReleaseOnOneLaneNeverWakesAnother) {
   ASSERT_TRUE(bank.tryReserve(0, 100));
   ASSERT_TRUE(bank.tryReserve(1, 100));
   bool laneOneWoke = false;
-  bank.waitForSpace(1, 50, [&] { laneOneWoke = true; });
+  bank.waitForSpace(1, 50, sim::Callback{[&] { laneOneWoke = true; }});
   bank.release(0, 100);
   EXPECT_FALSE(laneOneWoke);
   EXPECT_EQ(bank.waiterCount(1), 1u);
@@ -93,10 +95,10 @@ TEST(DirtyBank, AdmissionSurvivesCrossLaneReentrancy) {
   ASSERT_TRUE(bank.tryReserve(0, 100));
   ASSERT_TRUE(bank.tryReserve(3, 100));
   std::vector<int> fired;
-  bank.waitForSpace(0, 60, [&] {
+  bank.waitForSpace(0, 60, sim::Callback{[&] {
     fired.push_back(0);
-    bank.waitForSpace(3, 60, [&] { fired.push_back(3); });
-  });
+    bank.waitForSpace(3, 60, sim::Callback{[&] { fired.push_back(3); }});
+  }});
   bank.release(0, 100);
   EXPECT_EQ(fired, (std::vector<int>{0}));
   bank.release(3, 100);
@@ -113,7 +115,7 @@ TEST(DirtyBank, DifferentialAgainstScalarTrackerOnEveryLane) {
   constexpr std::uint64_t kBudget = 128;
   DirtyBank bank;
   bank.configure(kLanes, kBudget);
-  std::vector<DirtyTracker> scalars;
+  std::deque<DirtyTracker> scalars;  // trackers own move-only waiters; never relocated
   for (std::size_t i = 0; i < kLanes; ++i) {
     scalars.emplace_back(kBudget);
   }
@@ -142,12 +144,14 @@ TEST(DirtyBank, DifferentialAgainstScalarTrackerOnEveryLane) {
         break;
       }
       case 1: {
-        bank.waitForSpace(lane, bytes, [&bankWakes, &outstanding, lane, bytes, step] {
-          bankWakes[lane].push_back(step);
-          outstanding[lane].push_back(bytes);
-        });
-        scalars[lane].waitForSpace(
-            bytes, [&scalarWakes, lane, step] { scalarWakes[lane].push_back(step); });
+        bank.waitForSpace(lane, bytes,
+                          sim::Callback{[&bankWakes, &outstanding, lane, bytes, step] {
+                            bankWakes[lane].push_back(step);
+                            outstanding[lane].push_back(bytes);
+                          }});
+        scalars[lane].waitForSpace(bytes, sim::Callback{[&scalarWakes, lane, step] {
+                                     scalarWakes[lane].push_back(step);
+                                   }});
         break;
       }
       default: {
@@ -220,7 +224,7 @@ TEST(ReadAheadCache, DropFileRefundsAndReturnsOrphans) {
   ReadAheadCache ra{1000};
   CacheChunk* chunk = ra.insertPending(1, 0, 500);
   bool waiterCalled = false;
-  chunk->waiters.push_back([&] { waiterCalled = true; });
+  chunk->waiters.emplace_back([&] { waiterCalled = true; });
   auto orphans = ra.dropFile(1);
   EXPECT_EQ(ra.outstanding(), 0u);
   ASSERT_EQ(orphans.size(), 1u);

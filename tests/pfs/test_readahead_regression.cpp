@@ -6,6 +6,7 @@
 // WritebackBank instead of the old per-lane pending vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -128,8 +129,7 @@ TEST(ReadaheadRegression, OneChunkPastTheCutoverUsesTheWindowedRamp) {
 //
 // Shrunk counterexamples from tests/pfs/test_dirty_budget_regression.cpp,
 // replayed here against the WritebackBank-backed flush path with readahead
-// enabled, plus an unlink variant that exercises WritebackBank::discardFile
-// while a waiter is queued on the dirty budget.
+// enabled.
 
 RunResult runBudgetStarvers(std::uint32_t ranks, std::uint32_t chunksPerRank,
                             std::int64_t maxPagesPerRpc) {
@@ -176,34 +176,133 @@ TEST(ReadaheadRegression, TwoRankCounterexampleDoesNotDeadlockBank) {
   EXPECT_EQ(result.counters.writeRpcBytes, 4u * 1024 * 1024);
 }
 
-TEST(ReadaheadRegression, UnlinkDiscardsParkedSegmentsFromTheBank) {
-  // A lone writer parks a sub-threshold segment in the write-back bank
-  // (1 MiB pending < 2 MiB RPC size, no budget contention to force it out)
-  // and then unlinks: the bank must discard the segment — nothing reaches
-  // the OST — and return the bytes to the dirty budget.
+// The write-back bank parks sub-threshold segments per (node, OST) lane,
+// and unlink and fsync walk only the file's layout lanes. These cases use
+// five OSTs, 64 KiB stripes and 2 MiB RPCs, so every segment below parks
+// until an unlink, an fsync or the end-of-job flush moves it.
+
+constexpr std::uint64_t kStripe = 64 * 1024;
+constexpr std::uint64_t kDoomedBytes = 5 * kStripe;     // stripes 0..4
+constexpr std::uint64_t kNeighbourBytes = 3 * kStripe;  // stripes 0..2
+
+ClusterSpec fiveOstCluster() {
   ClusterSpec cluster = defaultCluster();
   cluster.clientNodes = 1;
   cluster.ranksPerNode = 1;
-  cluster.ossNodes = 1;
+  cluster.ossNodes = 5;
   cluster.ostsPerOss = 1;
+  return cluster;
+}
 
+PfsConfig parkingConfig(std::int64_t stripeCount) {
   PfsConfig config;
   EXPECT_TRUE(config.set("osc.max_pages_per_rpc", 512));  // 2 MiB RPCs
   EXPECT_TRUE(config.set("osc.max_dirty_mb", 64));
+  EXPECT_TRUE(config.set("lov.stripe_size", static_cast<std::int64_t>(kStripe)));
+  EXPECT_TRUE(config.set("lov.stripe_count", stripeCount));
+  return config;
+}
 
+// A job of `fileCount` files; rank 0 runs `program` on them.
+JobSpec laneJob(FileId fileCount, std::vector<IoOp> program) {
   JobSpec job;
-  job.name = "reada_unlink_discard";
-  job.ranks.resize(1);
-  const FileId f = job.addFile("/regress/doomed");
-  job.ranks[0].push_back(IoOp::create(f));
-  job.ranks[0].push_back(IoOp::write(f, 0, 1024 * 1024));
-  job.ranks[0].push_back(IoOp::unlink(f));
+  job.name = "writeback_lanes";
+  for (FileId f = 0; f < fileCount; ++f) {
+    (void)job.addFile("/lanes/f" + std::to_string(f));
+  }
+  job.ranks.push_back(std::move(program));
+  return job;
+}
 
-  const PfsSimulator sim{SimulatorOptions{.cluster = cluster}};
-  const RunResult result = sim.run(job, config, /*seed=*/42);
-  EXPECT_EQ(result.outcome, RunOutcome::Ok);
-  EXPECT_EQ(result.counters.writeRpcBytes, 0u);
-  EXPECT_EQ(result.counters.dirtyDiscardedBytes, 1024u * 1024);
+// The OST holding stripe 0 of `file` (placement hashes the file id),
+// learned from one fsynced single-stripe write.
+std::uint32_t firstOstOf(FileId file) {
+  const PfsSimulator sim{SimulatorOptions{.cluster = fiveOstCluster()}};
+  const RunResult probe =
+      sim.run(laneJob(file + 1, {IoOp::create(file), IoOp::write(file, 0, kStripe),
+                                 IoOp::fsync(file)}),
+              parkingConfig(1), /*seed=*/42);
+  for (std::uint32_t ost = 0; ost < probe.audit.osts.size(); ++ost) {
+    if (probe.audit.osts[ost].bytesWritten > 0) {
+      return ost;
+    }
+  }
+  ADD_FAILURE() << "probe of file " << file << " wrote nothing";
+  return 0;
+}
+
+// The doomed file starts on the last OST, so a three-stripe layout wraps
+// to OSTs 4, 0, 1; the neighbour starts there too and shares every lane.
+struct LanePair {
+  FileId doomed = 0;
+  FileId neighbour = 0;
+};
+
+LanePair filesOnTheLastOst() {
+  LanePair pair;
+  bool haveDoomed = false;
+  for (FileId f = 0; f < 64; ++f) {
+    if (firstOstOf(f) != 4) {
+      continue;
+    }
+    if (!haveDoomed) {
+      pair.doomed = f;
+      haveDoomed = true;
+    } else {
+      pair.neighbour = f;
+      return pair;
+    }
+  }
+  ADD_FAILURE() << "no two files start on OST 4";
+  return pair;
+}
+
+std::vector<IoOp> writeBoth(const LanePair& files) {
+  return {IoOp::create(files.neighbour), IoOp::create(files.doomed),
+          IoOp::write(files.neighbour, 0, kNeighbourBytes),
+          IoOp::write(files.doomed, 0, kDoomedBytes)};
+}
+
+TEST(ReadaheadRegression, UnlinkDiscardsParkedSegmentsFromTheBank) {
+  // The writer parks both files' segments, then unlinks the doomed file:
+  // the bank must discard exactly its bytes on every lane of its layout,
+  // including the wrapped ones, and return them to the dirty budget, while
+  // the neighbour's segments on the same lanes survive until the
+  // end-of-job flush writes them out.
+  const LanePair files = filesOnTheLastOst();
+  const FileId fileCount = std::max(files.doomed, files.neighbour) + 1;
+  for (const std::int64_t stripeCount : {1, 3, -1}) {
+    SCOPED_TRACE("stripe_count " + std::to_string(stripeCount));
+    std::vector<IoOp> program = writeBoth(files);
+    program.push_back(IoOp::unlink(files.doomed));
+    const PfsSimulator sim{SimulatorOptions{.cluster = fiveOstCluster()}};
+    const RunResult result =
+        sim.run(laneJob(fileCount, std::move(program)), parkingConfig(stripeCount), 42);
+    EXPECT_EQ(result.outcome, RunOutcome::Ok);
+    EXPECT_EQ(result.counters.dirtyDiscardedBytes, kDoomedBytes);
+    EXPECT_EQ(result.counters.writeRpcBytes, kNeighbourBytes);
+  }
+}
+
+TEST(ReadaheadRegression, FsyncFlushesOnlyItsFilesParkedSegments) {
+  // Fsync of the doomed file must write exactly its parked bytes from
+  // every lane of its layout and leave the neighbour's parked; unlinking
+  // both afterwards shows which bytes were still parked.
+  const LanePair files = filesOnTheLastOst();
+  const FileId fileCount = std::max(files.doomed, files.neighbour) + 1;
+  for (const std::int64_t stripeCount : {1, 3, -1}) {
+    SCOPED_TRACE("stripe_count " + std::to_string(stripeCount));
+    std::vector<IoOp> program = writeBoth(files);
+    program.push_back(IoOp::fsync(files.doomed));
+    program.push_back(IoOp::unlink(files.doomed));
+    program.push_back(IoOp::unlink(files.neighbour));
+    const PfsSimulator sim{SimulatorOptions{.cluster = fiveOstCluster()}};
+    const RunResult result =
+        sim.run(laneJob(fileCount, std::move(program)), parkingConfig(stripeCount), 42);
+    EXPECT_EQ(result.outcome, RunOutcome::Ok);
+    EXPECT_EQ(result.counters.writeRpcBytes, kDoomedBytes);
+    EXPECT_EQ(result.counters.dirtyDiscardedBytes, kNeighbourBytes);
+  }
 }
 
 }  // namespace

@@ -192,18 +192,16 @@ void expectIdenticalResults(const pfs::RunResult& a, const pfs::RunResult& b) {
   }
 }
 
-TEST(SimulatorFederated, BitIdenticalAcrossSchedulersAndShardCounts) {
+TEST(SimulatorFederated, BitIdenticalAcrossShardCounts) {
   const JobSpec job = fppJob(8);
-  const auto runWith = [&](sim::SchedulerKind scheduler, std::uint32_t shards) {
-    PfsSimulator sim{{.cluster = tinyFederatedCluster(4),
-                      .engine = {.scheduler = scheduler, .shards = shards}}};
+  const auto runWith = [&](std::uint32_t shards) {
+    PfsSimulator sim{{.cluster = tinyFederatedCluster(4), .engine = {.shards = shards}}};
     return sim.run(job, PfsConfig{}, 11);
   };
-  const auto reference = runWith(sim::SchedulerKind::Calendar, 1);
+  const auto reference = runWith(1);
   EXPECT_EQ(reference.outcome, pfs::RunOutcome::Ok);
-  expectIdenticalResults(reference, runWith(sim::SchedulerKind::Heap, 1));
-  expectIdenticalResults(reference, runWith(sim::SchedulerKind::Calendar, 2));
-  expectIdenticalResults(reference, runWith(sim::SchedulerKind::Calendar, 4));
+  expectIdenticalResults(reference, runWith(2));
+  expectIdenticalResults(reference, runWith(4));
 }
 
 TEST(SimulatorFederated, ScattersStatsBackToGlobalIds) {

@@ -14,6 +14,7 @@
 #include "exp/experience_store.hpp"
 #include "service/fleet_store.hpp"
 #include "util/file.hpp"
+#include "util/rng.hpp"
 
 namespace stellar::service {
 namespace {
@@ -236,6 +237,110 @@ TEST(FleetStore, ConcurrentWritersLoseNoRecordsUnderIdleCommits) {
                          << ") then (" << records[i].tenant << ", "
                          << records[i].id << ")";
   }
+}
+
+// ML-COMMIT: the committed snapshot and the compacted store are functions
+// of the appended records alone. The same append stream is replayed under
+// seeded commit-point schedules and must yield byte-identical records()
+// and store bytes, whichever appends share a commit batch.
+
+struct TenantAppend {
+  std::string tenant;
+  exp::ExperienceRecord record;
+};
+
+// Four tenants' cells in a seeded interleaving, plus re-runs: a tenant
+// appending a cell id it appended before, whose later record must win.
+std::vector<TenantAppend> appendStream(std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<TenantAppend> stream;
+  for (int i = 0; i < 16; ++i) {
+    std::string tenant = "tenant-" + std::to_string(rng.uniformInt(0, 3));
+    std::string id = "cell-" + std::to_string(i);
+    if (!stream.empty() && rng.chance(0.2)) {
+      const TenantAppend& earlier = stream[static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(stream.size()) - 1))];
+      tenant = earlier.tenant;
+      id = earlier.record.id;
+    }
+    exp::ExperienceRecord record = makeRecord(id, "IOR_64K", 0.5);
+    record.bestSeconds = 0.5 + 0.01 * i;
+    stream.push_back(TenantAppend{tenant, std::move(record)});
+  }
+  return stream;
+}
+
+struct Committed {
+  std::string order;       ///< "tenant/id" of each record, in records() order
+  std::string records;     ///< records() in order, one JSON line each
+  std::string storeBytes;  ///< the compacted base store (file mode)
+};
+
+// Appends `stream` into a fresh FleetStore (file mode when `base` is set),
+// committing after append i whenever commitAfter[i] holds, then once more.
+Committed replay(const std::vector<TenantAppend>& stream,
+                 const std::vector<bool>& commitAfter, const std::string& base) {
+  FleetStore fleet{base};
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    fleet.appendRecord(stream[i].tenant, stream[i].record);
+    if (commitAfter[i]) {
+      (void)fleet.commit();
+    }
+  }
+  (void)fleet.commit();
+  Committed out;
+  for (const exp::ExperienceRecord& record : fleet.snapshot()->records()) {
+    out.order += record.tenant + "/" + record.id + " ";
+    out.records += record.toJson().dump() + "\n";
+  }
+  if (!base.empty()) {
+    out.storeBytes = util::readFile(base);
+  }
+  return out;
+}
+
+void expectBatchingInvisible(const std::vector<TenantAppend>& stream,
+                             const std::vector<bool>& commitAfter,
+                             const std::string& label) {
+  const std::vector<bool> oneBatch(stream.size(), false);
+  const Committed memoryRef = replay(stream, oneBatch, "");
+  const Committed memory = replay(stream, commitAfter, "");
+  EXPECT_EQ(memory.order, memoryRef.order) << label << " (memory mode)";
+  EXPECT_TRUE(memory.records == memoryRef.records) << label << " (memory mode records)";
+
+  const std::string fileRef =
+      (freshDir("commit_ref_" + label) / "store.jsonl").string();
+  const std::string file = (freshDir("commit_" + label) / "store.jsonl").string();
+  const Committed diskRef = replay(stream, oneBatch, fileRef);
+  const Committed disk = replay(stream, commitAfter, file);
+  EXPECT_EQ(disk.order, diskRef.order) << label << " (file mode)";
+  EXPECT_TRUE(disk.records == diskRef.records) << label << " (file mode records)";
+  EXPECT_TRUE(disk.storeBytes == diskRef.storeBytes)
+      << label << " (file mode store bytes)";
+  EXPECT_TRUE(disk.records == memoryRef.records) << label << " (file vs memory mode)";
+}
+
+TEST(FleetStore, CommitBatchingNeverChangesRecordsOrStoreBytes) {
+  for (std::uint64_t trial = 0; trial < 24; ++trial) {
+    const std::uint64_t seed = util::mix64(0xC0117, trial);
+    const std::vector<TenantAppend> stream = appendStream(seed);
+    util::Rng rng{util::mix64(seed, 1)};
+    std::vector<bool> commitAfter(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      commitAfter[i] = rng.chance(1.0 / 3.0);
+    }
+    expectBatchingInvisible(stream, commitAfter, "trial-" + std::to_string(trial));
+  }
+}
+
+TEST(FleetStore, LaterTenantCommittedFirstStillLandsInCanonicalOrder) {
+  // The minimal schedule that broke the order: tenant-1's record commits
+  // in an idle commit before tenant-0's arrives.
+  const std::vector<TenantAppend> stream{
+      {"tenant-1", makeRecord("cell-1-00", "IOR_64K", 0.5)},
+      {"tenant-0", makeRecord("cell-0-00", "IOR_16M", 0.6)},
+  };
+  expectBatchingInvisible(stream, {true, false}, "tenant-1-first");
 }
 
 TEST(FleetStore, ConcurrentJournalWritersSurviveTheDiskPath) {

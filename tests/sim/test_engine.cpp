@@ -1,21 +1,19 @@
-// Discrete-event engine semantics: ordering, determinism, clamping — for
-// both scheduler backends, which must be behaviourally indistinguishable.
+// Discrete-event engine semantics: ordering, determinism, clamping, and
+// the callback slot store under growth from inside a running callback.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "sim/engine.hpp"
 
 namespace stellar::sim {
 namespace {
 
-class SimEngineBothSchedulers : public ::testing::TestWithParam<SchedulerKind> {
- protected:
-  [[nodiscard]] SimEngine makeEngine(std::uint64_t seed = 1) const {
-    return SimEngine{EngineOptions{.seed = seed, .scheduler = GetParam()}};
-  }
-};
-
-TEST_P(SimEngineBothSchedulers, RunsEventsInTimeOrder) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, RunsEventsInTimeOrder) {
+  SimEngine engine{EngineOptions{}};
   std::vector<int> order;
   engine.scheduleAt(3.0, [&] { order.push_back(3); });
   engine.scheduleAt(1.0, [&] { order.push_back(1); });
@@ -25,8 +23,8 @@ TEST_P(SimEngineBothSchedulers, RunsEventsInTimeOrder) {
   EXPECT_DOUBLE_EQ(end, 3.0);
 }
 
-TEST_P(SimEngineBothSchedulers, SimultaneousEventsAreFifo) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, SimultaneousEventsAreFifo) {
+  SimEngine engine{EngineOptions{}};
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     engine.scheduleAt(1.0, [&order, i] { order.push_back(i); });
@@ -37,11 +35,11 @@ TEST_P(SimEngineBothSchedulers, SimultaneousEventsAreFifo) {
   }
 }
 
-TEST_P(SimEngineBothSchedulers, EventsCanScheduleMoreEvents) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, EventsCanScheduleMoreEvents) {
+  SimEngine engine{EngineOptions{}};
   int depth = 0;
-  // Self-scheduling closure: own the shared chain via std::function, but
-  // hand the engine a plain lambda so the modern overload is exercised.
+  // Self-scheduling closure: each event schedules the next link of a chain
+  // that lives outside the engine.
   std::function<void()> chain = [&] {
     if (++depth < 100) {
       engine.scheduleAfter(0.5, [&] { chain(); });
@@ -53,8 +51,8 @@ TEST_P(SimEngineBothSchedulers, EventsCanScheduleMoreEvents) {
   EXPECT_DOUBLE_EQ(end, 49.5);
 }
 
-TEST_P(SimEngineBothSchedulers, PastTimesClampToNow) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, PastTimesClampToNow) {
+  SimEngine engine{EngineOptions{}};
   double observed = -1.0;
   engine.scheduleAt(5.0, [&] {
     engine.scheduleAt(1.0, [&] { observed = engine.now(); });
@@ -63,16 +61,16 @@ TEST_P(SimEngineBothSchedulers, PastTimesClampToNow) {
   EXPECT_DOUBLE_EQ(observed, 5.0);
 }
 
-TEST_P(SimEngineBothSchedulers, NegativeDelayClampsToZero) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, NegativeDelayClampsToZero) {
+  SimEngine engine{EngineOptions{}};
   double observed = -1.0;
   engine.scheduleAfter(-3.0, [&] { observed = engine.now(); });
   engine.run();
   EXPECT_DOUBLE_EQ(observed, 0.0);
 }
 
-TEST_P(SimEngineBothSchedulers, RunUntilStopsAtLimit) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, RunUntilStopsAtLimit) {
+  SimEngine engine{EngineOptions{}};
   int fired = 0;
   engine.scheduleAt(1.0, [&] { ++fired; });
   engine.scheduleAt(2.0, [&] { ++fired; });
@@ -84,8 +82,8 @@ TEST_P(SimEngineBothSchedulers, RunUntilStopsAtLimit) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST_P(SimEngineBothSchedulers, DrainUntilDoesNotAdvancePastLastEvent) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, DrainUntilDoesNotAdvancePastLastEvent) {
+  SimEngine engine{EngineOptions{}};
   int fired = 0;
   engine.scheduleAt(1.0, [&] { ++fired; });
   engine.scheduleAt(10.0, [&] { ++fired; });
@@ -98,8 +96,8 @@ TEST_P(SimEngineBothSchedulers, DrainUntilDoesNotAdvancePastLastEvent) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST_P(SimEngineBothSchedulers, CountsProcessedEvents) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, CountsProcessedEvents) {
+  SimEngine engine{EngineOptions{}};
   for (int i = 0; i < 7; ++i) {
     engine.scheduleAt(i, [] {});
   }
@@ -107,8 +105,8 @@ TEST_P(SimEngineBothSchedulers, CountsProcessedEvents) {
   EXPECT_EQ(engine.eventsProcessed(), 7u);
 }
 
-TEST_P(SimEngineBothSchedulers, NextEventTimePeeksWithoutDispatch) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, NextEventTimePeeksWithoutDispatch) {
+  SimEngine engine{EngineOptions{}};
   EXPECT_FALSE(engine.nextEventTime().has_value());
   engine.scheduleAt(4.0, [] {});
   engine.scheduleAt(2.0, [] {});
@@ -118,13 +116,6 @@ TEST_P(SimEngineBothSchedulers, NextEventTimePeeksWithoutDispatch) {
   EXPECT_EQ(engine.queueDepth(), 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedulers, SimEngineBothSchedulers,
-                         ::testing::Values(SchedulerKind::Heap,
-                                           SchedulerKind::Calendar),
-                         [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-                           return schedulerKindName(info.param);
-                         });
-
 TEST(SimEngine, RngIsSeedDeterministic) {
   SimEngine a{EngineOptions{.seed = 42}};
   SimEngine b{EngineOptions{.seed = 42}};
@@ -133,23 +124,68 @@ TEST(SimEngine, RngIsSeedDeterministic) {
   EXPECT_NE(a.rng().next(), c.rng().next());
 }
 
-TEST(SimEngine, DeprecatedStdFunctionOverloadStillWorks) {
-  // The one-release compatibility shim: std::function callers keep working
-  // (with a deprecation warning) until the overload is removed.
+// Schedules kBurst events one second out — enough to grow the slot store
+// by several chunks in one go.
+constexpr int kBurst = 10'000;
+
+void scheduleBurst(SimEngine& engine, int& fired) {
+  for (int i = 0; i < kBurst; ++i) {
+    engine.scheduleAfter(1.0, [&fired] { ++fired; });
+  }
+}
+
+TEST(SimEngine, CallbackKeepsItsCapturesWhileGrowingTheSlotStore) {
+  // A dispatched callback runs in place in its slot. Scheduling 10,000
+  // events from inside it grows the store; its captures must read back
+  // intact afterwards, both when the closure sits inline in the slot and
+  // when it spilled into the arena.
   SimEngine engine{EngineOptions{}};
   int fired = 0;
-  std::function<void()> fn = [&] { ++fired; };
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  engine.scheduleAt(1.0, fn);
-  engine.scheduleAfter(2.0, fn);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+  std::uint64_t inlineSeen = 0;
+  std::uint64_t spilledSeen = 0;
+  engine.scheduleAt(0.0, [&engine, &fired, &inlineSeen,
+                          marker = std::uint64_t{0xC0FFEE}] {
+    scheduleBurst(engine, fired);
+    inlineSeen = marker;
+  });
+  std::array<std::uint64_t, 16> big{};
+  big.fill(0xBEEF);
+  engine.scheduleAt(0.5, [&engine, &fired, &spilledSeen, big] {
+    scheduleBurst(engine, fired);
+    spilledSeen = big.front() + big.back();
+  });
   engine.run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, 2 * kBurst);
+  EXPECT_EQ(inlineSeen, 0xC0FFEEu);
+  EXPECT_EQ(spilledSeen, 2 * 0xBEEFu);
+  EXPECT_EQ(engine.eventsProcessed(), 2u + 2u * kBurst);
+  EXPECT_TRUE(engine.empty());
+}
+
+TEST(SimEngine, WindowCallbacksKeepTheirCapturesWhileGrowingTheSlotStore) {
+  // The same growth from a window's open and close edges: onOpen runs
+  // wrapped inside the engine's open-edge closure, onClose from the
+  // window record.
+  SimEngine engine{EngineOptions{}};
+  int fired = 0;
+  std::uint64_t openSeen = 0;
+  std::uint64_t closeSeen = 0;
+  engine.scheduleWindow(
+      1.0, 2.0,
+      [&engine, &fired, &openSeen, marker = std::uint64_t{0x09E4}] {
+        scheduleBurst(engine, fired);
+        openSeen = marker;
+      },
+      [&engine, &fired, &closeSeen, marker = std::uint64_t{0xC105E}] {
+        scheduleBurst(engine, fired);
+        closeSeen = marker;
+      });
+  engine.run();
+  EXPECT_EQ(fired, 2 * kBurst);
+  EXPECT_EQ(openSeen, 0x09E4u);
+  EXPECT_EQ(closeSeen, 0xC105Eu);
+  EXPECT_EQ(engine.openWindows(), 0u);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
 }
 
 TEST(SimEngine, CancelOpenWindowsFiresOutstandingCloseHandlers) {

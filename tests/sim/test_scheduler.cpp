@@ -1,14 +1,18 @@
-// Scheduler equivalence and calendar-queue internals.
+// Dispatch-order law (ML-SCHED).
 //
-// The determinism contract says both backends dispatch in strict
-// (timestamp, insertion-seq) order. The property test drives randomized
-// push/pop workloads through both and demands identical pop sequences;
-// failures shrink to a minimal timestamp list before reporting.
+// The determinism contract says the engine dispatches in strict
+// (timestamp, insertion-seq) order. The property drives randomized streams
+// of pushes interleaved with pops through the heap, with timestamps drawn
+// from a tiny set so ties dominate, and checks every pop against a
+// brute-force reference: a full (at, seq) sort of the keys pending at that
+// moment. Failures shrink to a minimal op stream before reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -17,41 +21,52 @@
 namespace stellar::sim {
 namespace {
 
-// Pops every event and returns the (at, seq) sequence.
-template <typename Scheduler>
-std::vector<std::pair<SimTime, std::uint64_t>> drain(Scheduler& scheduler) {
-  std::vector<std::pair<SimTime, std::uint64_t>> order;
-  while (!scheduler.empty()) {
-    const Event event = scheduler.pop();
-    order.emplace_back(event.at, event.seq);
-  }
-  return order;
+// An op stream: a negative entry pops, any other entry pushes a key at
+// (time of the last pop + entry) — never into the past, like the engine.
+constexpr SimTime kPop = -1.0;
+
+bool sameKey(const EventKey& a, const EventKey& b) {
+  return a.at == b.at && a.seq == b.seq && a.slot == b.slot;
 }
 
-// Builds both schedulers from the same timestamp list (seq = index) and
-// returns whether their pop order matches AND obeys the strict
-// (at, seq) order. Used directly by the property test and as the failing
-// predicate for the shrinker.
-bool popOrdersAgree(const std::vector<SimTime>& times) {
+// Replays `ops` (then pops until empty) against the heap and the
+// brute-force reference; true when every pop returns the reference's next
+// key. Used directly by the property tests and as the failing predicate
+// for the shrinker.
+bool popsMatchBruteForceSort(const std::vector<SimTime>& ops) {
   HeapScheduler heap;
-  CalendarScheduler calendar;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    heap.push(Event{times[i], i, {}});
-    calendar.push(Event{times[i], i, {}});
-  }
-  const auto heapOrder = drain(heap);
-  const auto calendarOrder = drain(calendar);
-  if (heapOrder != calendarOrder) {
-    return false;
-  }
-  for (std::size_t i = 1; i < heapOrder.size(); ++i) {
-    const auto& [prevAt, prevSeq] = heapOrder[i - 1];
-    const auto& [at, seq] = heapOrder[i];
-    if (at < prevAt || (at == prevAt && prevSeq >= seq)) {
+  std::vector<EventKey> pending;
+  std::uint64_t seq = 0;
+  SimTime now = 0.0;
+  const auto popBoth = [&] {
+    std::sort(pending.begin(), pending.end(), [](const EventKey& a, const EventKey& b) {
+      return std::tie(a.at, a.seq) < std::tie(b.at, b.seq);
+    });
+    const EventKey expected = pending.front();
+    pending.erase(pending.begin());
+    const EventKey got = heap.pop();
+    now = got.at;
+    return sameKey(got, expected);
+  };
+  for (const SimTime op : ops) {
+    if (op >= 0.0) {
+      const EventKey key{now + op, seq, static_cast<std::uint32_t>(seq)};
+      ++seq;
+      heap.push(key);
+      pending.push_back(key);
+    } else if (!pending.empty() && !popBoth()) {
+      return false;
+    }
+    if (heap.size() != pending.size()) {
       return false;
     }
   }
-  return true;
+  while (!pending.empty()) {
+    if (!popBoth()) {
+      return false;
+    }
+  }
+  return heap.empty();
 }
 
 // Greedy delta-debugging shrinker: repeatedly drop elements while the
@@ -84,23 +99,28 @@ std::string formatTimes(const std::vector<SimTime>& times) {
   return out.str();
 }
 
-TEST(SchedulerProperty, SameTimestampFifoMatchesAcrossBackends) {
+void expectLawHolds(std::uint64_t trial, const std::vector<SimTime>& ops) {
+  if (!popsMatchBruteForceSort(ops)) {
+    const std::vector<SimTime> minimal = shrinkTimes(
+        ops, [](const std::vector<SimTime>& t) { return !popsMatchBruteForceSort(t); });
+    ADD_FAILURE() << "trial " << trial << ": pop order diverged from the (at, seq) sort; "
+                  << "minimal failing op stream (" << kPop << " = pop) "
+                  << formatTimes(minimal);
+  }
+}
+
+TEST(SchedulerProperty, SameTimestampFifoMatchesBruteForceSort) {
   for (std::uint64_t trial = 0; trial < 40; ++trial) {
     util::Rng rng{util::mix64(0xF1F0, trial)};
     // Draw timestamps from a tiny value set so same-timestamp collisions
     // dominate — FIFO tie-breaking is exactly what this law targets.
     const auto count = static_cast<std::size_t>(rng.uniformInt(1, 64));
-    std::vector<SimTime> times;
-    times.reserve(count);
+    std::vector<SimTime> ops;
+    ops.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      times.push_back(0.5 * static_cast<double>(rng.uniformInt(0, 4)));
+      ops.push_back(0.5 * static_cast<double>(rng.uniformInt(0, 4)));
     }
-    if (!popOrdersAgree(times)) {
-      const std::vector<SimTime> minimal = shrinkTimes(
-          times, [](const std::vector<SimTime>& t) { return !popOrdersAgree(t); });
-      FAIL() << "trial " << trial << ": pop order diverged; minimal failing input "
-             << formatTimes(minimal);
-    }
+    expectLawHolds(trial, ops);
   }
 }
 
@@ -120,63 +140,24 @@ TEST(SchedulerProperty, ShrinkerFindsMinimalCounterexample) {
 }
 
 TEST(SchedulerProperty, InterleavedPushPopAgrees) {
-  // Push/pop interleavings with monotone lower bound (the engine never
-  // schedules into the past): exercises the calendar's floor tracking.
-  for (std::uint64_t trial = 0; trial < 20; ++trial) {
+  // Pushes interleaved with pops, each push at most 1.75 s past the last
+  // popped time and on a 0.25 s grid, so new keys keep tying with keys
+  // that have been pending for many pops.
+  for (std::uint64_t trial = 0; trial < 40; ++trial) {
     util::Rng rng{util::mix64(0xBEEF, trial)};
-    HeapScheduler heap;
-    CalendarScheduler calendar;
-    std::uint64_t seq = 0;
-    SimTime now = 0.0;
-    std::vector<std::pair<SimTime, std::uint64_t>> heapOrder;
-    std::vector<std::pair<SimTime, std::uint64_t>> calendarOrder;
+    std::vector<SimTime> ops;
+    std::size_t depth = 0;
     for (int step = 0; step < 400; ++step) {
-      const bool push = heap.empty() || rng.chance(0.6);
-      if (push) {
-        const SimTime at = now + 0.25 * static_cast<double>(rng.uniformInt(0, 7));
-        heap.push(Event{at, seq, {}});
-        calendar.push(Event{at, seq, {}});
-        ++seq;
+      if (depth == 0 || rng.chance(0.6)) {
+        ops.push_back(0.25 * static_cast<double>(rng.uniformInt(0, 7)));
+        ++depth;
       } else {
-        const Event a = heap.pop();
-        const Event b = calendar.pop();
-        heapOrder.emplace_back(a.at, a.seq);
-        calendarOrder.emplace_back(b.at, b.seq);
-        now = a.at;
+        ops.push_back(kPop);
+        --depth;
       }
     }
-    ASSERT_EQ(heapOrder, calendarOrder) << "trial " << trial;
+    expectLawHolds(trial, ops);
   }
-}
-
-TEST(CalendarScheduler, HandlesSparseOverflowDays) {
-  CalendarScheduler calendar;
-  calendar.push(Event{0.0001, 0, {}});
-  calendar.push(Event{5.0e6, 1, {}});
-  calendar.push(Event{9.0e8, 2, {}});
-  calendar.push(Event{9.0e8, 3, {}});
-  const auto order = drain(calendar);
-  const std::vector<std::pair<SimTime, std::uint64_t>> expected{
-      {0.0001, 0}, {5.0e6, 1}, {9.0e8, 2}, {9.0e8, 3}};
-  EXPECT_EQ(order, expected);
-  EXPECT_GT(calendar.overflowScans(), 0u);
-}
-
-TEST(CalendarScheduler, ResizesWithOccupancy) {
-  CalendarScheduler calendar;
-  util::Rng rng{7};
-  const std::size_t initial = calendar.bucketCount();
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    calendar.push(Event{rng.uniform(0.0, 1.0), i, {}});
-  }
-  EXPECT_GT(calendar.bucketCount(), initial);
-  SimTime last = -1.0;
-  while (!calendar.empty()) {
-    const Event event = calendar.pop();
-    ASSERT_GE(event.at, last);
-    last = event.at;
-  }
-  EXPECT_EQ(calendar.bucketCount(), initial);
 }
 
 }  // namespace

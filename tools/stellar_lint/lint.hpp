@@ -2,7 +2,7 @@
 // pass (DESIGN.md §7).
 //
 // The simulator's headline guarantees — ML-DET/ML-SHARD bit-identity
-// across schedulers and shards, KILL-RESUME byte-identical session replay,
+// across replays and shards, KILL-RESUME byte-identical session replay,
 // campaign resume — are dynamic properties: the testkit can only catch a
 // hazard a seed happens to exercise. stellar-lint proves the *static*
 // preconditions of those guarantees at build time: no wall-clock or
