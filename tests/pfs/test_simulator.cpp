@@ -192,7 +192,9 @@ void expectIdenticalResults(const pfs::RunResult& a, const pfs::RunResult& b) {
   }
 }
 
-TEST(SimulatorFederated, BitIdenticalAcrossShardCounts) {
+TEST(SimulatorFederated, BitIdenticalAcrossSchedulersAndShardCounts) {
+  // One event queue shared by all four cells (1 shard) against per-shard
+  // queues (2 and 4 shards): the results must not differ in any bit.
   const JobSpec job = fppJob(8);
   const auto runWith = [&](std::uint32_t shards) {
     PfsSimulator sim{{.cluster = tinyFederatedCluster(4), .engine = {.shards = shards}}};

@@ -109,7 +109,8 @@ void expectLawHolds(std::uint64_t trial, const std::vector<SimTime>& ops) {
   }
 }
 
-TEST(SchedulerProperty, SameTimestampFifoMatchesBruteForceSort) {
+TEST(SchedulerProperty, SameTimestampFifoMatchesAcrossBackends) {
+  // The two backends compared are the heap and the brute-force sort.
   for (std::uint64_t trial = 0; trial < 40; ++trial) {
     util::Rng rng{util::mix64(0xF1F0, trial)};
     // Draw timestamps from a tiny value set so same-timestamp collisions

@@ -27,9 +27,10 @@ TEST(Metamorphic, SameSeedIsBitIdentical) {
   EXPECT_FALSE(difference.has_value()) << *difference;
 }
 
-TEST(Metamorphic, CellifiedCaseIsBitIdenticalAcrossShards) {
-  // The determinism contract across every engine configuration: shard
-  // count is a pure performance choice. Compare full RunAudits via
+TEST(Metamorphic, CellifiedCaseIsBitIdenticalAcrossBackendsAndShards) {
+  // The determinism contract across every engine configuration: whether
+  // the cells share one event queue (1 shard) or run on per-shard queues
+  // (2, 4) is a pure performance choice. Compare full RunAudits via
   // describeDifference, not just wall times.
   const GeneratedCase base = materialize(generateShape(0xCE11));
   const GeneratedCase celled = cellify(base, 4);
