@@ -1,10 +1,11 @@
-// campaign_fleet — fleet-scale campaign orchestration: determinism of the
-// parallel runner and resumability of a killed campaign.
+// campaign_fleet — fleet-scale campaign orchestration on the tuning
+// service: determinism of the parallel run and resumability of a killed
+// campaign.
 //
 // Scenario A: a 2x2 campaign (two workloads x two seeds) runs to
 // completion in one invocation; the aggregate JSON document is captured.
 // Scenario B: the same campaign in a fresh directory is cut off after two
-// cells (--max-cells, the deterministic stand-in for a kill), then re-run
+// cells (maxFreshSessions, the deterministic stand-in for a kill), then re-run
 // to completion. The re-run must execute only the missing cells, and its
 // aggregate document must be byte-identical to scenario A's.
 //
@@ -20,7 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "exp/campaign.hpp"
+#include "exp/experience_store.hpp"
+#include "service/campaign.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
 
@@ -29,8 +31,8 @@ namespace {
 using namespace stellar;
 namespace fs = std::filesystem;
 
-exp::CampaignSpec benchSpec() {
-  exp::CampaignSpec spec;
+service::CampaignSpec benchSpec() {
+  service::CampaignSpec spec;
   spec.name = "bench-fleet";
   spec.workloads = {"IOR_64K", "MDWorkbench_8K"};
   spec.seeds = {7, 8};
@@ -50,16 +52,16 @@ int main() {
   fs::remove_all(root);
   fs::create_directories(root / "a");
   fs::create_directories(root / "b");
-  const exp::CampaignSpec spec = benchSpec();
+  const service::CampaignSpec spec = benchSpec();
   std::vector<Row> rows;
   bool ok = true;
 
   // Scenario A: one uninterrupted invocation.
   std::string docA;
   {
-    exp::CampaignOptions options;
+    service::ServiceOptions options;
     options.storePath = (root / "a" / "store.jsonl").string();
-    const exp::CampaignResult result = exp::CampaignRunner{options}.run(spec);
+    const service::CampaignResult result = service::runCampaign(spec, options);
     docA = result.aggregateJson(spec).dump(2);
     rows.push_back({"uninterrupted_cells", static_cast<double>(result.cells.size())});
     std::printf("A: %zu cells, executed %zu, complete=%d\n", result.cells.size(),
@@ -80,10 +82,10 @@ int main() {
   // Scenario B: killed after two cells, then resumed.
   std::string docB;
   {
-    exp::CampaignOptions options;
+    service::ServiceOptions options;
     options.storePath = (root / "b" / "store.jsonl").string();
-    options.maxCells = 2;
-    const exp::CampaignResult partial = exp::CampaignRunner{options}.run(spec);
+    options.maxFreshSessions = 2;
+    const service::CampaignResult partial = service::runCampaign(spec, options);
     std::printf("B(partial): executed %zu, complete=%d\n", partial.executed,
                 partial.complete ? 1 : 0);
     if (partial.complete || partial.executed != 2) {
@@ -91,8 +93,8 @@ int main() {
       ok = false;
     }
 
-    options.maxCells = 0;
-    const exp::CampaignResult resumed = exp::CampaignRunner{options}.run(spec);
+    options.maxFreshSessions = 0;
+    const service::CampaignResult resumed = service::runCampaign(spec, options);
     docB = resumed.aggregateJson(spec).dump(2);
     rows.push_back({"resume_skipped_cells", static_cast<double>(resumed.skipped)});
     rows.push_back({"resume_executed_cells", static_cast<double>(resumed.executed)});

@@ -12,10 +12,10 @@
 //       List available workload names.
 //   stellar_cli campaign <spec.json> [options]   (also: --campaign=SPEC)
 //       Expand the campaign spec (workloads x seeds x models x faults) and
-//       tune every cell concurrently, filing experiences into --store.
-//       Prints one machine-readable aggregate JSON document to stdout; a
-//       re-run with the same spec and store resumes, skipping completed
-//       cells (the aggregate is byte-identical).
+//       tune every cell concurrently on the tuning service, filing
+//       experiences into --store. Prints one machine-readable aggregate
+//       JSON document to stdout; a re-run with the same spec and store
+//       resumes, skipping completed cells (the aggregate is byte-identical).
 //
 // Options:
 //   --scale <0..1]      workload volume scale            (default 0.1)
@@ -70,10 +70,10 @@
 #include "core/engine.hpp"
 #include "core/harness.hpp"
 #include "core/offline_extractor.hpp"
-#include "exp/campaign.hpp"
 #include "exp/experience_store.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/export.hpp"
+#include "service/campaign.hpp"
 #include "service/session.hpp"
 #include "util/file.hpp"
 #include "util/units.hpp"
@@ -556,9 +556,9 @@ int cmdCampaign(const std::string& specPath, CliOptions cli) {
   // The aggregate document is the command's stdout; everything else
   // (progress, store stats, metrics) goes to stderr.
   cli.json = true;
-  exp::CampaignSpec spec;
+  service::CampaignSpec spec;
   try {
-    spec = exp::CampaignSpec::loadFile(specPath);
+    spec = service::CampaignSpec::loadFile(specPath);
   } catch (const util::JsonError& e) {
     std::fprintf(stderr, "invalid campaign spec %s: %s\n", specPath.c_str(),
                  e.what());
@@ -566,16 +566,15 @@ int cmdCampaign(const std::string& specPath, CliOptions cli) {
   }
   ObsBundle bundle;
   bundle.traceFile = cli.traceFile;
-  exp::CampaignOptions options;
+  service::ServiceOptions options;
   options.storePath = cli.storePath;
   options.manifestPath = cli.manifestPath;
-  options.threads = cli.jobs;
-  options.maxCells = cli.maxCells;
+  options.workers = cli.jobs;  // 0 = hardware concurrency
+  options.maxFreshSessions = cli.maxCells;
   options.store.counters = &bundle.registry;
   options.counters = &bundle.registry;
   options.tracer = bundle.traceFile.empty() ? nullptr : &bundle.tracer;
-  exp::CampaignRunner runner{options};
-  const exp::CampaignResult result = runner.run(spec);
+  const service::CampaignResult result = service::runCampaign(spec, options);
   std::fprintf(stderr, "campaign:      %zu cells (%zu executed, %zu resumed)%s\n",
                result.cells.size(), result.executed, result.skipped,
                result.complete ? "" : "  [incomplete]");

@@ -89,21 +89,12 @@ void SessionJournal::appendLine(const util::Json& line) {
   if (path_.empty()) {
     return;  // memory-only journal (tests)
   }
-  util::ensureParentDir(path_);
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open session journal for append: " + path_);
-  }
   std::string text = line.dump() + "\n";
   if (pendingNewline_) {
     text.insert(text.begin(), '\n');  // terminate the torn tail line first
-    pendingNewline_ = false;
   }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) {
-    throw std::runtime_error("short write appending to session journal: " + path_);
-  }
+  util::appendToFile(path_, text);
+  pendingNewline_ = false;
 }
 
 void SessionJournal::bind(const util::Json& header) {

@@ -13,9 +13,9 @@
 // the simulator, re-executes every (deterministic) decision in between, and
 // arrives at a bit-identical final transcript and configuration — the
 // KILL-RESUME metamorphic law in tests/core. The file discipline matches
-// exp::ExperienceStore: append via fopen("ab") + single fwrite, torn or
-// corrupt tail lines skipped (counted) on load, so a SIGKILL mid-write
-// never poisons the session.
+// exp::ExperienceStore: one util::appendToFile (a single fwrite) per line,
+// torn or corrupt tail lines skipped (counted) on load, so a SIGKILL
+// mid-write never poisons the session.
 #pragma once
 
 #include <cstddef>

@@ -61,14 +61,14 @@ ExperienceRecord ExperienceRecord::fromJson(const util::Json& json) {
   rec.bestConfig = pfs::PfsConfig::fromJson(json.at("best_config"));
   rec.defaultSeconds = json.at("default_seconds").asNumber();
   rec.bestSeconds = json.at("best_seconds").asNumber();
-  rec.attempts = static_cast<std::size_t>(json.getNumber("attempts", 0.0));
+  rec.attempts = json.getInteger<std::size_t>("attempts", 0);
   rec.endReason = json.getString("end_reason");
   rec.faults = json.getString("faults");
   rec.tenant = json.getString("tenant");
   rec.model = json.getString("model");
-  rec.seed = static_cast<std::uint64_t>(json.getNumber("seed", 0.0));
-  rec.confirmations = static_cast<std::int32_t>(json.getNumber("confirmations", 1.0));
-  rec.regressions = static_cast<std::int32_t>(json.getNumber("regressions", 0.0));
+  rec.seed = json.getInteger<std::uint64_t>("seed", 0);
+  rec.confirmations = json.getInteger<std::int32_t>("confirmations", 1);
+  rec.regressions = json.getInteger<std::int32_t>("regressions", 0);
   if (json.contains("rules")) {
     rec.rules = rulesFromJson(json.at("rules"));
   }
@@ -179,17 +179,7 @@ void ExperienceStore::appendLineLocked(const util::Json& line) {
   if (path_.empty()) {
     return;  // memory-only store
   }
-  util::ensureParentDir(path_);
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open experience store for append: " + path_);
-  }
-  const std::string text = line.dump() + "\n";
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) {
-    throw std::runtime_error("short write appending to experience store: " + path_);
-  }
+  util::appendToFile(path_, line.dump() + "\n");
 }
 
 std::size_t ExperienceStore::size() const {

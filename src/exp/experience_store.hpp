@@ -66,7 +66,7 @@ struct ExperienceRecord {
   [[nodiscard]] static ExperienceRecord fromJson(const util::Json& json);
 };
 
-/// Files a completed tuning run (the CLI and CampaignRunner call this).
+/// Files a completed tuning run (the CLI and the tuning service call this).
 [[nodiscard]] ExperienceRecord recordFromRun(const core::TuningRunResult& run,
                                              std::uint64_t seed, std::string model,
                                              std::string faults);
@@ -133,7 +133,7 @@ class ExperienceStore final : public core::WarmStartProvider {
   void compact() { compact(CompactionHooks{}); }
   void compact(const CompactionHooks& hooks);
 
-  /// Single-writer commit of campaign shard files: loads every shard,
+  /// Single-writer commit of shard journals: loads every shard,
   /// dedups by id against the store (last shard wins), deletes the shard
   /// files, and compacts. Returns how many records were absorbed.
   std::size_t absorbShards(const std::vector<std::string>& shardPaths);

@@ -66,8 +66,8 @@ std::vector<TraceRecord> fromJsonl(const std::string& text) {
     record.name = obj.getString("name");
     record.startUs = obj.getNumber("ts");
     record.durUs = obj.getNumber("dur");
-    record.tid = static_cast<std::uint32_t>(obj.getNumber("tid"));
-    record.depth = static_cast<std::uint32_t>(obj.getNumber("depth"));
+    record.tid = obj.getInteger<std::uint32_t>("tid", 0);
+    record.depth = obj.getInteger<std::uint32_t>("depth", 0);
     if (obj.contains("args")) {
       for (const auto& [key, value] : obj.at("args").asObject()) {
         record.args.push_back(TraceArg{key, value});

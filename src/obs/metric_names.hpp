@@ -36,10 +36,6 @@ inline constexpr std::string_view kMetricNames[] = {
     "core.warm_start.miss",
     "core.warm_start.outcomes",
     "core.warm_start.recalled",
-    "exp.campaign.cells_executed",
-    "exp.campaign.cells_failed",
-    "exp.campaign.cells_skipped",
-    "exp.campaign.committed",
     "exp.store.appends",
     "exp.store.compactions",
     "exp.store.confirmed",

@@ -76,10 +76,9 @@ WorkloadContext WorkloadContext::fromJson(const util::Json& json) {
   ctx.sequentialShare = json.getNumber("sequential_share");
   ctx.sharedFileShare = json.getNumber("shared_file_share");
   ctx.smallFileShare = json.getNumber("small_file_share");
-  ctx.dominantAccessSize =
-      static_cast<std::uint64_t>(json.getNumber("dominant_access_size"));
-  ctx.fileCount = static_cast<std::uint64_t>(json.getNumber("file_count"));
-  ctx.totalBytes = static_cast<std::uint64_t>(json.getNumber("total_bytes"));
+  ctx.dominantAccessSize = json.getInteger<std::uint64_t>("dominant_access_size", 0);
+  ctx.fileCount = json.getInteger<std::uint64_t>("file_count", 0);
+  ctx.totalBytes = json.getInteger<std::uint64_t>("total_bytes", 0);
   return ctx;
 }
 
@@ -156,8 +155,8 @@ Rule Rule::fromJson(const util::Json& json) {
     throw util::JsonError("unknown rule direction");
   }
   rule.direction = *dir;
-  rule.value = static_cast<std::int64_t>(json.getNumber("value"));
-  rule.confirmations = static_cast<std::int32_t>(json.getNumber("confirmations", 1));
+  rule.value = json.getInteger<std::int64_t>("value", 0);
+  rule.confirmations = json.getInteger<std::int32_t>("confirmations", 1);
   rule.alternative = json.getBool("alternative", false);
   return rule;
 }

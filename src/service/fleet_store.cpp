@@ -1,8 +1,6 @@
 #include "service/fleet_store.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <stdexcept>
 #include <utility>
 
 #include "util/file.hpp"
@@ -10,20 +8,6 @@
 namespace stellar::service {
 
 namespace {
-
-void appendJsonLine(const std::string& path, const util::Json& doc) {
-  util::ensureParentDir(path);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open for append: " + path);
-  }
-  const std::string text = doc.dump() + "\n";
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) {
-    throw std::runtime_error("short write appending to " + path);
-  }
-}
 
 void splitPath(const std::string& path, std::string& dir, std::string& name) {
   const std::size_t slash = path.find_last_of('/');
@@ -33,9 +17,10 @@ void splitPath(const std::string& path, std::string& dir, std::string& name) {
 
 }  // namespace
 
-FleetStore::FleetStore(std::string basePath, exp::StoreOptions options)
+FleetStore::FleetStore(std::string basePath, exp::StoreOptions options,
+                       std::set<std::string> recallExcludes)
     : basePath_(std::move(basePath)), options_(options),
-      base_(basePath_, options) {
+      recallExcludes_(std::move(recallExcludes)), base_(basePath_, options) {
   publishSnapshot();
 }
 
@@ -54,9 +39,9 @@ void FleetStore::appendRecord(const std::string& tenant,
     const util::MutexLock lock{mutex_};
     pending_[tenant].push_back(std::move(record));
   } else {
-    const util::Json line = record.toJson();
+    const std::string line = record.toJson().dump() + "\n";
     const util::MutexLock lock{mutex_};
-    appendJsonLine(tenantShardPath(tenant), line);
+    util::appendToFile(tenantShardPath(tenant), line);
   }
   noteCounter("service.store.shard_appends");
 }
@@ -124,10 +109,11 @@ std::size_t FleetStore::commit() {
 }
 
 void FleetStore::publishSnapshot() {
-  exp::StoreOptions snapOptions = options_;
-  auto snap = std::make_shared<exp::ExperienceStore>("", snapOptions);
+  auto snap = std::make_shared<exp::ExperienceStore>("", options_);
   for (exp::ExperienceRecord& record : base_.records()) {
-    (void)snap->append(std::move(record));
+    if (recallExcludes_.count(record.id) == 0) {
+      (void)snap->append(std::move(record));
+    }
   }
   snapshot_.store(std::shared_ptr<const exp::ExperienceStore>(std::move(snap)),
                   std::memory_order_release);

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,10 @@ class FleetStore {
  public:
   /// Opens the base store at `basePath` and publishes the first snapshot.
   /// Empty path = memory-only (appends collect in memory until commit).
-  explicit FleetStore(std::string basePath, exp::StoreOptions options = {});
+  /// Records whose id is in `recallExcludes` stay in the base store but are
+  /// left out of every published snapshot.
+  explicit FleetStore(std::string basePath, exp::StoreOptions options = {},
+                      std::set<std::string> recallExcludes = {});
 
   [[nodiscard]] const std::string& basePath() const noexcept { return basePath_; }
   /// Records in the committed base generation.
@@ -79,6 +83,7 @@ class FleetStore {
 
   std::string basePath_;
   exp::StoreOptions options_;
+  std::set<std::string> recallExcludes_;
   exp::ExperienceStore base_;  // thread-safe on its own mutex
   std::atomic<std::shared_ptr<const exp::ExperienceStore>> snapshot_;
   mutable util::Mutex mutex_;

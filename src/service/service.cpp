@@ -1,7 +1,6 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -24,25 +23,11 @@ constexpr const char* kComponent = "service";
          state == SessionState::Interrupted;
 }
 
-void appendJsonLine(const std::string& path, const util::Json& doc) {
-  util::ensureParentDir(path);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open for append: " + path);
-  }
-  const std::string text = doc.dump() + "\n";
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) {
-    throw std::runtime_error("short write appending to " + path);
-  }
-}
-
 }  // namespace
 
 TuningService::TuningService(ServiceOptions options)
     : options_(std::move(options)),
-      fleet_(options_.storePath, options_.store),
+      fleet_(options_.storePath, options_.store, options_.recallExcludes),
       scheduler_(options_.quantum) {
   if (options_.manifestPath.empty() && !options_.storePath.empty()) {
     options_.manifestPath = options_.storePath + ".manifest";
@@ -314,7 +299,8 @@ void TuningService::finishCell(const std::string& key, SessionState state,
     // Canonicalize through dump+parse so a fresh cell and a resumed cell
     // (parsed from its manifest line) settle to the same bytes.
     const util::MutexLock lock{manifestMutex_};
-    appendJsonLine(options_.manifestPath, util::Json::parse(line.dump()));
+    util::appendToFile(options_.manifestPath,
+                       util::Json::parse(line.dump()).dump() + "\n");
   }
   {
     const util::MutexLock lock{mutex_};
@@ -411,6 +397,16 @@ std::size_t TuningService::commit() {
     throw std::logic_error(
         "commit requires an idle service (a mid-flight snapshot swap would "
         "break the determinism law)");
+  }
+  if (stats_.interrupted > 0) {
+    // Absorbing the finished half of an interrupted batch would let its
+    // resumed cells recall their siblings, so their documents would differ
+    // from an uninterrupted run's.
+    util::logLine(util::LogLevel::Warn, kComponent,
+                  "commit deferred: " + std::to_string(stats_.interrupted) +
+                      " interrupted session(s); the run that completes the "
+                      "batch commits it");
+    return 0;
   }
   ++stats_.commits;
   noteCounter("service.commits");

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,10 @@ struct ServiceOptions {
   /// session journals — tests and benches that want a blank slate).
   std::string storePath;
   exp::StoreOptions store;
+  /// Record ids left out of every recall snapshot (the base store keeps
+  /// them). runCampaign lists its own cells' keys, so a cell that re-runs
+  /// never warm-starts from a sibling committed earlier; empty otherwise.
+  std::set<std::string> recallExcludes;
   /// Crash-resume manifest; defaults to `<storePath>.manifest`.
   std::string manifestPath;
   /// Per-cell session-journal directory; defaults to `<storePath>.sessions`.
@@ -128,7 +133,10 @@ class TuningService {
   /// Single-writer fleet-store commit (absorb shards, fold outcomes, swap
   /// snapshot). Requires idleness — throws std::logic_error if any cell is
   /// queued or running, because a mid-flight snapshot swap would break the
-  /// determinism law.
+  /// determinism law. While any session of this instance is Interrupted
+  /// the commit is deferred (logged; returns 0): the run that completes the
+  /// batch commits it, so no resumed cell recalls a sibling from the
+  /// interrupted run.
   std::size_t commit();
 
   /// Stop accepting work and interrupt still-queued cells; running cells

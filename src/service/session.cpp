@@ -52,12 +52,11 @@ SubmitOptions SubmitOptions::fromJson(const util::Json& json) {
   SubmitOptions opts;  // absent fields keep the struct defaults
   opts.tenant = json.getString("tenant", opts.tenant);
   opts.workload = json.getString("workload");
-  opts.seed = static_cast<std::uint64_t>(
-      json.getNumber("seed", static_cast<double>(opts.seed)));
+  opts.seed = json.getInteger<std::uint64_t>("seed", opts.seed);
   opts.model = json.getString("model", opts.model);
   opts.faults = json.getString("faults", opts.faults);
   opts.scale = json.getNumber("scale", opts.scale);
-  opts.ranks = static_cast<std::uint32_t>(json.getNumber("ranks", opts.ranks));
+  opts.ranks = json.getInteger<std::uint32_t>("ranks", opts.ranks);
   opts.warmStart = json.getBool("warm_start", opts.warmStart);
   return opts;
 }

@@ -55,13 +55,6 @@ void SimEngine::cancelOpenWindows() {
   }
 }
 
-std::optional<SimTime> SimEngine::nextEventTime() const {
-  if (queue_.empty()) {
-    return std::nullopt;
-  }
-  return queue_.top().at;
-}
-
 void SimEngine::dispatchNext() {
   const EventKey key = queue_.pop();
   now_ = key.at;
@@ -122,17 +115,6 @@ SimTime SimEngine::runUntil(SimTime limit) {
     now_ = limit;
   }
   finishDrain(span, processed_ - before);
-  return now_;
-}
-
-SimTime SimEngine::drainUntil(SimTime limit) {
-  const std::uint64_t before = processed_;
-  while (!empty() && queue_.top().at <= limit) {
-    dispatchNext();
-  }
-  if (counters_ != nullptr && processed_ != before) {
-    counters_->counter("sim.events_dispatched").add(static_cast<double>(processed_ - before));
-  }
   return now_;
 }
 

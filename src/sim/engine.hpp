@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -41,10 +40,6 @@ struct EngineOptions {
   /// Shard fan-out consumed by ShardedEngine (a bare SimEngine is always
   /// one shard).
   std::uint32_t shards = 1;
-  /// Conservative lockstep window (simulated seconds) for ShardedEngine;
-  /// 0 lets shards free-run, which is exact when shards share no state
-  /// (the federated-cell model guarantees that).
-  SimTime syncWindowSeconds = 0.0;
 };
 
 class SimEngine {
@@ -107,14 +102,6 @@ class SimEngine {
   /// Runs while events exist and their time <= limit; if the queue drains
   /// early the clock advances to the limit. Returns the final clock.
   SimTime runUntil(SimTime limit);
-
-  /// Like runUntil() but never advances the clock past the last dispatched
-  /// event — the lockstep primitive for ShardedEngine windows, where the
-  /// local clock must not outrun the global horizon.
-  SimTime drainUntil(SimTime limit);
-
-  /// Timestamp of the next pending event, if any.
-  [[nodiscard]] std::optional<SimTime> nextEventTime() const;
 
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t queueDepth() const noexcept { return queue_.size(); }

@@ -43,36 +43,6 @@ SimTime ShardedEngine::run() { return drive(std::nullopt); }
 SimTime ShardedEngine::runUntil(SimTime limit) { return drive(limit); }
 
 SimTime ShardedEngine::drive(std::optional<SimTime> limit) {
-  if (options_.syncWindowSeconds > 0.0) {
-    // Conservative lockstep: advance all shards window by window, where
-    // each window starts at the globally minimal pending timestamp. Every
-    // iteration dispatches at least the event defining that minimum, so
-    // the loop terminates.
-    while (true) {
-      std::optional<SimTime> next;
-      for (const std::unique_ptr<SimEngine>& shard : shards_) {
-        const std::optional<SimTime> t = shard->nextEventTime();
-        if (t.has_value() && (!next.has_value() || *t < *next)) {
-          next = t;
-        }
-      }
-      if (!next.has_value() || (limit.has_value() && *next > *limit)) {
-        break;
-      }
-      SimTime horizon = *next + options_.syncWindowSeconds;
-      if (limit.has_value()) {
-        horizon = std::min(horizon, *limit);
-      }
-      forEachParallel([&](std::size_t i) { shards_[i]->drainUntil(horizon); });
-    }
-    if (limit.has_value()) {
-      // Match SimEngine::runUntil clock semantics on drained shards.
-      for (const std::unique_ptr<SimEngine>& shard : shards_) {
-        shard->runUntil(*limit);
-      }
-    }
-    return now();
-  }
   forEachParallel([&](std::size_t i) {
     if (limit.has_value()) {
       shards_[i]->runUntil(*limit);

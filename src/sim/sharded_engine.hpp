@@ -10,16 +10,10 @@
 // sequence is independent of the grouping, so results are bit-identical
 // for 1, 2, or 4 shards (the testkit ML-SHARD law enforces this).
 //
-// Two drive modes:
-//  * free-run (syncWindowSeconds == 0): each shard drains to completion in
-//    parallel — exact for shared-nothing shards;
-//  * conservative lockstep (syncWindowSeconds > 0): shards advance in
-//    global windows [T, T + window), where T is the minimum pending
-//    timestamp across shards. No shard's clock outruns the horizon, so a
-//    model with cross-shard interactions of latency >= window would also
-//    stay exact. The PFS model does not need this today; the mode exists
-//    for engine-level experiments and keeps the determinism argument
-//    testable.
+// Shards free-run: each drains to completion (or to a runUntil limit) in
+// parallel and never exchanges events with another. A model with
+// cross-shard interactions would need a synchronizing drive mode; none
+// exists because the federated-cell model has no such interactions.
 #pragma once
 
 #include <cstddef>

@@ -7,10 +7,10 @@
 #include <fstream>
 #include <sstream>
 
-#include "exp/campaign.hpp"
 #include "exp/experience_store.hpp"
 #include "faults/fault_plan.hpp"
 #include "rules/rules.hpp"
+#include "service/campaign.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -96,8 +96,8 @@ bool fuzzOne(FuzzTarget target, std::string_view input,
       }
       case FuzzTarget::Campaign: {
         const util::Json doc = util::Json::parse(bytes);
-        (void)exp::CampaignSpec::fromJson(doc);
-        (void)exp::CellResult::fromJson(doc);
+        (void)service::CampaignSpec::fromJson(doc);
+        (void)service::SubmitOptions::fromJson(doc);
         return true;
       }
       case FuzzTarget::Journal: {

@@ -19,7 +19,7 @@ enum class FuzzTarget : std::uint8_t {
   Json,       ///< util::Json::parse
   FaultSpec,  ///< faults::parseFaultSpec
   Rules,      ///< rules::RuleSet::fromJson over parsed JSON
-  Campaign,   ///< exp::CampaignSpec / CellResult manifest rows
+  Campaign,   ///< service::CampaignSpec / SubmitOptions request documents
   Journal,    ///< exp::ExperienceStore JSONL journal loading
 };
 

@@ -1,6 +1,7 @@
 #include "util/file.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -29,6 +30,19 @@ void writeFile(const std::string& path, const std::string& contents) {
   out << contents;
   if (!out) {
     throw std::runtime_error("error while writing file: " + path);
+  }
+}
+
+void appendToFile(const std::string& path, const std::string& text) {
+  ensureParentDir(path);
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f == nullptr) {
+    throw std::runtime_error("cannot open for append: " + path);
+  }
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  std::fclose(f);
+  if (!ok) {
+    throw std::runtime_error("short write appending to " + path);
   }
 }
 

@@ -1,4 +1,5 @@
-// Minimal whole-file I/O helpers (rule-set persistence, trace archiving).
+// Minimal file I/O helpers (rule-set persistence, trace archiving, and the
+// append-only JSONL journals).
 #pragma once
 
 #include <string>
@@ -11,6 +12,12 @@ namespace stellar::util {
 
 /// Writes (truncating) an entire file; throws std::runtime_error on error.
 void writeFile(const std::string& path, const std::string& contents);
+
+/// Appends `text` to `path` in one fwrite, creating the parent directory
+/// and the file as needed — the durability unit of every JSONL journal (a
+/// crash tears at most the tail line). Throws std::runtime_error naming the
+/// path when the file cannot be opened or the write comes up short.
+void appendToFile(const std::string& path, const std::string& text);
 
 [[nodiscard]] bool fileExists(const std::string& path);
 

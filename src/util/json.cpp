@@ -290,6 +290,13 @@ std::int64_t Json::asInt() const {
   return static_cast<std::int64_t>(std::llround(asNumber()));
 }
 
+void Json::throwNotInteger(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "number %.12g is out of the integer field's range",
+                value);
+  throw JsonError(buf);
+}
+
 const std::string& Json::asString() const {
   if (type_ != Type::String) {
     throw JsonError("not a string");

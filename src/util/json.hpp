@@ -8,7 +8,10 @@
 // order through merge cycles), which std::map would not.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -59,6 +62,11 @@ class Json {
   [[nodiscard]] bool asBool() const;
   [[nodiscard]] double asNumber() const;
   [[nodiscard]] std::int64_t asInt() const;
+  /// This number as integer type T, truncated toward zero as static_cast
+  /// truncates. Throws JsonError when it is not a number, not finite, or
+  /// outside T's range after truncation (where the cast is undefined).
+  template <std::integral T>
+  [[nodiscard]] T asInteger() const;
   [[nodiscard]] const std::string& asString() const;
   [[nodiscard]] const Array& asArray() const;
   [[nodiscard]] Array& asArray();
@@ -75,6 +83,12 @@ class Json {
   [[nodiscard]] std::string getString(std::string_view key, std::string fallback = {}) const;
   [[nodiscard]] double getNumber(std::string_view key, double fallback = 0.0) const;
   [[nodiscard]] bool getBool(std::string_view key, bool fallback = false) const;
+  /// Member `key` through asInteger<T>(); `fallback` when it is absent or
+  /// not a number, as getNumber() falls back.
+  template <std::integral T>
+  [[nodiscard]] T getInteger(std::string_view key, T fallback) const {
+    return contains(key) && at(key).isNumber() ? at(key).asInteger<T>() : fallback;
+  }
 
   /// Sets (or replaces) an object member. Throws if not an object.
   void set(std::string key, Json value);
@@ -93,6 +107,7 @@ class Json {
 
  private:
   void dumpTo(std::string& out, int indent, int depth) const;
+  [[noreturn]] static void throwNotInteger(double value);
 
   Type type_ = Type::Null;
   bool bool_ = false;
@@ -101,5 +116,18 @@ class Json {
   Array array_;
   Object object_;
 };
+
+template <std::integral T>
+T Json::asInteger() const {
+  // T holds exactly [-2^digits, 2^digits) (signed) or [0, 2^digits)
+  // (unsigned); powers of two are exact doubles, so the bounds are exact.
+  const double value = std::trunc(asNumber());
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lowest = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+  if (!(value >= lowest && value < limit)) {  // NaN fails both comparisons
+    throwNotInteger(asNumber());
+  }
+  return static_cast<T>(value);
+}
 
 }  // namespace stellar::util

@@ -1,14 +1,18 @@
-#include "exp/campaign.hpp"
+// Campaigns run on TuningService: spec expansion and JSON, kill/resume byte
+// identity of the aggregate document, torn manifests, memory-only runs and
+// failed cells.
+#include "service/campaign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
 
+#include "exp/experience_store.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
 
-namespace stellar::exp {
+namespace stellar::service {
 namespace {
 
 namespace fs = std::filesystem;
@@ -23,7 +27,7 @@ CampaignSpec smallSpec() {
 }
 
 fs::path freshDir(const std::string& name) {
-  const fs::path dir = fs::path{::testing::TempDir()} / ("exp_campaign_" + name);
+  const fs::path dir = fs::path{::testing::TempDir()} / ("campaign_" + name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -55,6 +59,17 @@ TEST(CampaignSpec, JsonRoundTripAndValidation) {
   util::Json missing = util::Json::makeObject();
   missing.set("name", "broken");
   EXPECT_THROW((void)CampaignSpec::fromJson(missing), util::JsonError);
+
+  // Integers outside the field's range are rejected, not cast.
+  for (const char* bad : {
+           R"({"workloads":["IOR_64K"],"seeds":[-1]})",
+           R"({"workloads":["IOR_64K"],"seeds":[1e300]})",
+           R"({"workloads":["IOR_64K"],"seeds":[7],"ranks":5e9})",
+       }) {
+    EXPECT_THROW((void)CampaignSpec::fromJson(util::Json::parse(bad)),
+                 util::JsonError)
+        << bad;
+  }
 }
 
 TEST(CampaignRunner, ResumeAfterKillIsByteIdenticalAndSkipsCompletedCells) {
@@ -62,39 +77,40 @@ TEST(CampaignRunner, ResumeAfterKillIsByteIdenticalAndSkipsCompletedCells) {
 
   // Uninterrupted reference run.
   const fs::path dirA = freshDir("full");
-  CampaignOptions optionsA;
+  ServiceOptions optionsA;
   optionsA.storePath = (dirA / "store.jsonl").string();
-  const CampaignResult full = CampaignRunner{optionsA}.run(spec);
+  const CampaignResult full = runCampaign(spec, optionsA);
   ASSERT_TRUE(full.complete);
   EXPECT_EQ(full.cells.size(), 4U);
   EXPECT_EQ(full.executed, 4U);
   EXPECT_EQ(full.skipped, 0U);
   const std::string docFull = full.aggregateJson(spec).dump(2);
 
-  // Killed after 2 cells (maxCells is the deterministic kill), then resumed.
+  // Killed after 2 cells (maxFreshSessions is the deterministic kill),
+  // then resumed.
   const fs::path dirB = freshDir("resume");
-  CampaignOptions optionsB;
+  ServiceOptions optionsB;
   optionsB.storePath = (dirB / "store.jsonl").string();
-  optionsB.maxCells = 2;
-  const CampaignResult partial = CampaignRunner{optionsB}.run(spec);
+  optionsB.maxFreshSessions = 2;
+  const CampaignResult partial = runCampaign(spec, optionsB);
   EXPECT_FALSE(partial.complete);
   EXPECT_EQ(partial.executed, 2U);
-  // No commit yet: the store file holds nothing (shards do).
-  EXPECT_EQ((ExperienceStore{optionsB.storePath, {}}).size(), 0U);
+  // No commit yet: the store file holds nothing (the tenant shard does).
+  EXPECT_EQ((exp::ExperienceStore{optionsB.storePath, {}}).size(), 0U);
 
-  optionsB.maxCells = 0;
-  const CampaignResult resumed = CampaignRunner{optionsB}.run(spec);
+  optionsB.maxFreshSessions = 0;
+  const CampaignResult resumed = runCampaign(spec, optionsB);
   ASSERT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.executed, 2U);
   EXPECT_EQ(resumed.skipped, 2U);
   EXPECT_EQ(resumed.aggregateJson(spec).dump(2), docFull);
 
   // Commit happened exactly once, with one record per cell (dedup by key).
-  ExperienceStore store{optionsB.storePath, {}};
+  exp::ExperienceStore store{optionsB.storePath, {}};
   EXPECT_EQ(store.size(), 4U);
-  // Shard files were absorbed and removed.
+  // Tenant shard files were absorbed and removed.
   for (const auto& entry : fs::directory_iterator(dirB)) {
-    EXPECT_EQ(entry.path().string().find(".shard-"), std::string::npos)
+    EXPECT_EQ(entry.path().string().find(".tenant-"), std::string::npos)
         << entry.path();
   }
 }
@@ -102,9 +118,9 @@ TEST(CampaignRunner, ResumeAfterKillIsByteIdenticalAndSkipsCompletedCells) {
 TEST(CampaignRunner, CorruptManifestLineReExecutesOnlyThatCell) {
   const CampaignSpec spec = smallSpec();
   const fs::path dir = freshDir("corrupt");
-  CampaignOptions options;
+  ServiceOptions options;
   options.storePath = (dir / "store.jsonl").string();
-  const CampaignResult full = CampaignRunner{options}.run(spec);
+  const CampaignResult full = runCampaign(spec, options);
   ASSERT_TRUE(full.complete);
   const std::string docFull = full.aggregateJson(spec).dump(2);
 
@@ -120,7 +136,7 @@ TEST(CampaignRunner, CorruptManifestLineReExecutesOnlyThatCell) {
                         "{\"torn\":\n" + manifest.substr(secondEol + 1);
   util::writeFile(manifestPath, damaged);
 
-  const CampaignResult rerun = CampaignRunner{options}.run(spec);
+  const CampaignResult rerun = runCampaign(spec, options);
   ASSERT_TRUE(rerun.complete);
   EXPECT_EQ(rerun.executed, 1U);  // only the damaged cell re-executes
   EXPECT_EQ(rerun.skipped, 3U);
@@ -131,8 +147,8 @@ TEST(CampaignRunner, MemoryOnlyCampaignRunsWithoutAnyFiles) {
   CampaignSpec spec = smallSpec();
   spec.workloads = {"IOR_64K"};
   spec.seeds = {3};
-  CampaignOptions options;  // no storePath: nothing persisted, no resume
-  const CampaignResult result = CampaignRunner{options}.run(spec);
+  ServiceOptions options;  // no storePath: nothing persisted, no resume
+  const CampaignResult result = runCampaign(spec, options);
   ASSERT_TRUE(result.complete);
   EXPECT_EQ(result.cells.size(), 1U);
   EXPECT_FALSE(result.cells[0].failed);
@@ -141,15 +157,17 @@ TEST(CampaignRunner, MemoryOnlyCampaignRunsWithoutAnyFiles) {
 
 TEST(CampaignRunner, UnknownWorkloadBecomesAFailedCellNotACrash) {
   CampaignSpec spec = smallSpec();
-  spec.workloads = {"NoSuchWorkload"};
+  // An empty name is refused at admission; both still become failed cells.
+  spec.workloads = {"NoSuchWorkload", ""};
   spec.seeds = {1};
-  CampaignOptions options;
-  const CampaignResult result = CampaignRunner{options}.run(spec);
+  const CampaignResult result = runCampaign(spec, ServiceOptions{});
   ASSERT_TRUE(result.complete);
-  ASSERT_EQ(result.cells.size(), 1U);
-  EXPECT_TRUE(result.cells[0].failed);
-  EXPECT_FALSE(result.cells[0].error.empty());
+  ASSERT_EQ(result.cells.size(), 2U);
+  for (const CellResult& cell : result.cells) {
+    EXPECT_TRUE(cell.failed) << cell.key;
+    EXPECT_FALSE(cell.error.empty()) << cell.key;
+  }
 }
 
 }  // namespace
-}  // namespace stellar::exp
+}  // namespace stellar::service

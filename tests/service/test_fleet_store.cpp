@@ -134,6 +134,34 @@ TEST(FleetStore, MemoryOnlyModeCommitsTenantSortedThenIdSorted) {
   EXPECT_EQ(records[2].id, "cell-z2");
 }
 
+TEST(FleetStore, RecallExcludesLeaveListedIdsOutOfEverySnapshot) {
+  const fs::path dir = freshDir("excludes");
+  const std::string base = (dir / "store.jsonl").string();
+  {
+    FleetStore writer{base};
+    for (const char* id : {"cell-a", "cell-b", "cell-c"}) {
+      writer.appendRecord("alice", makeRecord(id, "IOR_64K", 0.5));
+    }
+    (void)writer.commit();
+  }
+  FleetStore fleet{base, {}, {"cell-b", "cell-x"}};
+  const auto snapshotIds = [&fleet] {
+    std::set<std::string> ids;
+    for (const exp::ExperienceRecord& record : fleet.snapshot()->records()) {
+      ids.insert(record.id);
+    }
+    return ids;
+  };
+  // Listed ids stay in the base store but never reach a recall snapshot,
+  // neither the one published at open nor one published by a commit.
+  EXPECT_EQ(snapshotIds(), (std::set<std::string>{"cell-a", "cell-c"}));
+  fleet.appendRecord("bob", makeRecord("cell-x", "IOR_16M", 0.6));
+  fleet.appendRecord("bob", makeRecord("cell-d", "IOR_16M", 0.6));
+  EXPECT_EQ(fleet.commit(), 2U);
+  EXPECT_EQ(fleet.baseSize(), 5U);
+  EXPECT_EQ(snapshotIds(), (std::set<std::string>{"cell-a", "cell-c", "cell-d"}));
+}
+
 TEST(FleetStore, TenantProvenanceSurvivesTheJournalRoundTrip) {
   const fs::path dir = freshDir("roundtrip");
   const std::string base = (dir / "store.jsonl").string();

@@ -82,6 +82,49 @@ TEST(Resume, KilledServiceResumesByteIdentically) {
   EXPECT_EQ(resumed, expected);
 }
 
+TEST(Resume, CommitWaitsUntilNoSessionIsInterrupted) {
+  // Warm-started IOR_64K at seeds 7 and 8, committing after every run. A
+  // commit after the capped run must absorb nothing: if it filed seed 7's
+  // record, the resumed seed 8 would warm-start from it and its document
+  // would differ from an uninterrupted run's.
+  struct Batch {
+    std::string docs;
+    std::size_t absorbed = 0;
+  };
+  const auto runBatch = [](const std::string& storePath, std::size_t maxFresh) {
+    ServiceOptions options;
+    options.storePath = storePath;
+    options.maxFreshSessions = maxFresh;
+    TuningService service{options};
+    for (const std::uint64_t seed : {7, 8}) {
+      SubmitOptions request;
+      request.workload = "IOR_64K";
+      request.seed = seed;
+      request.scale = 0.05;
+      request.warmStart = true;
+      EXPECT_TRUE(service.submit(request).accepted());
+    }
+    Batch batch;
+    for (const SessionResult& result : service.drainAll()) {
+      batch.docs += result.toJson().dump() + "\n";
+    }
+    batch.absorbed = service.commit();
+    return batch;
+  };
+  const fs::path reference = freshDir("commit_reference");
+  const fs::path killed = freshDir("commit_killed");
+  const Batch expected = runBatch((reference / "store.jsonl").string(), 0);
+  EXPECT_EQ(expected.absorbed, 2U);
+
+  const Batch partial = runBatch((killed / "store.jsonl").string(), 1);
+  EXPECT_NE(partial.docs.find("interrupted"), std::string::npos);
+  EXPECT_EQ(partial.absorbed, 0U);  // deferred to the run that completes it
+
+  const Batch resumed = runBatch((killed / "store.jsonl").string(), 0);
+  EXPECT_EQ(resumed.docs, expected.docs);
+  EXPECT_EQ(resumed.absorbed, 2U);
+}
+
 TEST(Resume, ResumeIsIdenticalAcrossWorkerCounts) {
   const fs::path a = freshDir("w1");
   const fs::path b = freshDir("w8");

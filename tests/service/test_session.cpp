@@ -41,6 +41,15 @@ TEST(SubmitOptions, JsonRoundTripAndDefaults) {
   EXPECT_EQ(sparse.tenant, "default");
   EXPECT_EQ(sparse.seed, 1U);
   EXPECT_TRUE(sparse.warmStart);
+
+  // Integers outside the field's range are rejected, not cast.
+  for (const char* bad : {R"({"workload":"x","seed":-1})",
+                          R"({"workload":"x","seed":1e300})",
+                          R"({"workload":"x","ranks":5e9})"}) {
+    EXPECT_THROW((void)SubmitOptions::fromJson(util::Json::parse(bad)),
+                 util::JsonError)
+        << bad;
+  }
 }
 
 TEST(CellKey, CoversTheCellAndExcludesTenancy) {

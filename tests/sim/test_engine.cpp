@@ -75,25 +75,13 @@ TEST(SimEngine, RunUntilStopsAtLimit) {
   engine.scheduleAt(1.0, [&] { ++fired; });
   engine.scheduleAt(2.0, [&] { ++fired; });
   engine.scheduleAt(10.0, [&] { ++fired; });
-  engine.runUntil(5.0);
+  // The queue is not drained, so the clock stays at the last dispatched
+  // event instead of advancing to the limit.
+  EXPECT_DOUBLE_EQ(engine.runUntil(5.0), 2.0);
   EXPECT_EQ(fired, 2);
   EXPECT_FALSE(engine.empty());
   engine.run();
   EXPECT_EQ(fired, 3);
-}
-
-TEST(SimEngine, DrainUntilDoesNotAdvancePastLastEvent) {
-  SimEngine engine{EngineOptions{}};
-  int fired = 0;
-  engine.scheduleAt(1.0, [&] { ++fired; });
-  engine.scheduleAt(10.0, [&] { ++fired; });
-  EXPECT_DOUBLE_EQ(engine.drainUntil(5.0), 1.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
-  // runUntil on an undrained queue leaves the clock at the last event too.
-  EXPECT_DOUBLE_EQ(engine.runUntil(5.0), 1.0);
-  engine.run();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(SimEngine, CountsProcessedEvents) {
@@ -103,17 +91,6 @@ TEST(SimEngine, CountsProcessedEvents) {
   }
   engine.run();
   EXPECT_EQ(engine.eventsProcessed(), 7u);
-}
-
-TEST(SimEngine, NextEventTimePeeksWithoutDispatch) {
-  SimEngine engine{EngineOptions{}};
-  EXPECT_FALSE(engine.nextEventTime().has_value());
-  engine.scheduleAt(4.0, [] {});
-  engine.scheduleAt(2.0, [] {});
-  ASSERT_TRUE(engine.nextEventTime().has_value());
-  EXPECT_DOUBLE_EQ(*engine.nextEventTime(), 2.0);
-  EXPECT_EQ(engine.eventsProcessed(), 0u);
-  EXPECT_EQ(engine.queueDepth(), 2u);
 }
 
 TEST(SimEngine, RngIsSeedDeterministic) {

@@ -55,30 +55,6 @@ TEST(ShardedEngine, RunUntilRespectsLimit) {
   EXPECT_GT(engines.eventsProcessed(), atLimit);
 }
 
-TEST(ShardedEngine, LockstepWindowsMatchFreeRun) {
-  // Shared-nothing shards must produce identical per-shard traces whether
-  // they free-run or advance in conservative windows.
-  std::vector<std::uint64_t> freeCounts;
-  std::vector<SimTime> freeClocks;
-  {
-    ShardedEngine engines{EngineOptions{.seed = 5, .shards = 3}};
-    plantChains(engines, 200);
-    engines.run();
-    for (std::size_t s = 0; s < engines.shardCount(); ++s) {
-      freeCounts.push_back(engines.shard(s).eventsProcessed());
-      freeClocks.push_back(engines.shard(s).now());
-    }
-  }
-  ShardedEngine engines{
-      EngineOptions{.seed = 5, .shards = 3, .syncWindowSeconds = 2.0}};
-  plantChains(engines, 200);
-  engines.run();
-  for (std::size_t s = 0; s < engines.shardCount(); ++s) {
-    EXPECT_EQ(engines.shard(s).eventsProcessed(), freeCounts[s]) << "shard " << s;
-    EXPECT_DOUBLE_EQ(engines.shard(s).now(), freeClocks[s]) << "shard " << s;
-  }
-}
-
 TEST(ShardedEngine, CancelOpenWindowsSweepsAllShards) {
   ShardedEngine engines{EngineOptions{.seed = 1, .shards = 2}};
   std::atomic<int> closed{0};
