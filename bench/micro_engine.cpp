@@ -77,7 +77,7 @@ struct Churn {
 };
 
 double deepQueueEventsPerSec(std::uint64_t rounds) {
-  sim::SimEngine engine{sim::EngineOptions{.seed = 7}};
+  sim::SimEngine engine;
   constexpr std::uint64_t kPending = 50'000;
   std::vector<std::unique_ptr<Churn>> churners;
   churners.reserve(kPending);

@@ -66,7 +66,7 @@ void SessionJournal::load() {
         m.failureReason = doc.getString("failure_reason");
         // Last write wins: a re-appended index (should not happen, but a
         // crash between decide and record can duplicate) stays consistent.
-        measurements_[static_cast<std::size_t>(doc.at("index").asInt())] = std::move(m);
+        measurements_[doc.at("index").asInteger<std::size_t>()] = std::move(m);
       } else if (type == "transcript") {
         ++transcriptWritten_;
       } else if (type == "final") {

@@ -343,26 +343,6 @@ std::size_t ExperienceStore::absorbShardLocked(const std::string& shard) {
   return absorbed;
 }
 
-std::size_t ExperienceStore::absorbShards(const std::vector<std::string>& shardPaths) {
-  std::size_t absorbed = 0;
-  {
-    const util::MutexLock lock{mutex_};
-    for (const std::string& shard : shardPaths) {
-      absorbed += absorbShardLocked(shard);
-    }
-  }
-  // Single writer: dedup + journal fold happen in one atomic compaction,
-  // after which the shard files are dead weight.
-  compact();
-  for (const std::string& shard : shardPaths) {
-    if (util::fileExists(shard)) {
-      (void)std::remove(shard.c_str());
-    }
-  }
-  noteCounter("exp.store.shards_absorbed", static_cast<double>(absorbed));
-  return absorbed;
-}
-
 std::size_t ExperienceStore::absorbShardDir(const std::string& dir,
                                             const std::string& filePrefix) {
   std::size_t absorbed = 0;
@@ -384,6 +364,8 @@ std::size_t ExperienceStore::absorbShardDir(const std::string& dir,
       }
     }
   }
+  // Single writer: dedup + journal fold happen in one atomic compaction,
+  // after which the shard files are dead weight.
   compact();
   for (const std::string& shard : scanned) {
     if (util::fileExists(shard)) {

@@ -133,17 +133,13 @@ class ExperienceStore final : public core::WarmStartProvider {
   void compact() { compact(CompactionHooks{}); }
   void compact(const CompactionHooks& hooks);
 
-  /// Single-writer commit of shard journals: loads every shard,
-  /// dedups by id against the store (last shard wins), deletes the shard
-  /// files, and compacts. Returns how many records were absorbed.
-  std::size_t absorbShards(const std::vector<std::string>& shardPaths);
-
-  /// Like absorbShards, but the shard set is every regular file in `dir`
-  /// whose basename starts with `filePrefix` — and the directory listing
-  /// happens *under the store lock*, so a shard journal a concurrent
-  /// writer creates right up to the scan is absorbed instead of silently
-  /// skipped until the next compaction (the pre-fix behaviour when callers
-  /// computed the path list before locking).
+  /// Single-writer commit of shard journals: every regular file in `dir`
+  /// whose basename starts with `filePrefix`, in sorted path order. Loads
+  /// every shard, dedups by id against the store (last shard wins),
+  /// compacts, and deletes the shard files. Returns how many records were
+  /// absorbed. The directory listing happens *under the store lock*, so a
+  /// shard journal a concurrent writer creates right up to the scan is
+  /// absorbed instead of silently skipped until the next compaction.
   std::size_t absorbShardDir(const std::string& dir, const std::string& filePrefix);
 
   // --- core::WarmStartProvider ---------------------------------------------

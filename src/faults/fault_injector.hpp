@@ -8,8 +8,8 @@
 //
 // Determinism of drop sampling: the injector owns its own Rng seeded from
 // mix64(plan.seed, runSeed) and only draws while a drop window is open, so
-// attaching a plan never perturbs the engine's random stream — a run with
-// no plan is bit-identical to a run with the faults layer absent.
+// a plan whose windows miss the run draws nothing and perturbs no other
+// stream — only its window edges add engine events.
 #pragma once
 
 #include <cstddef>
@@ -90,7 +90,7 @@ class FaultInjector {
 
   sim::SimEngine& engine_;
   const FaultPlan& plan_;
-  mutable util::Rng rng_;  ///< drop sampling; independent of engine.rng()
+  mutable util::Rng rng_;  ///< drop sampling; the injector's own stream
 
   // Active-event lists per dimension; recompute() folds them into the
   // cached O(1) values below. Edges are rare, so O(active) per edge is

@@ -28,6 +28,7 @@
 // are invariant under how federated cells are grouped onto engine shards.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -51,6 +52,7 @@
 #include "sim/engine.hpp"
 #include "sim/flow_limiter.hpp"
 #include "sim/service_center.hpp"
+#include "util/rng.hpp"
 
 namespace stellar::faults {
 class FaultInjector;
@@ -116,6 +118,8 @@ struct FileStats {
   double readTime = 0.0;         ///< rank-blocked time attributed to reads
   double writeTime = 0.0;
   double metaTime = 0.0;
+
+  bool operator==(const FileStats&) const = default;
 };
 
 /// Per-rank counters.
@@ -127,6 +131,8 @@ struct RankStats {
   double computeTime = 0.0;
   std::uint64_t bytesRead = 0;
   std::uint64_t bytesWritten = 0;
+
+  bool operator==(const RankStats&) const = default;
 };
 
 /// Whole-run counters beyond per-file/per-rank stats.
@@ -151,6 +157,27 @@ struct RunCounters {
   std::uint64_t writeRpcBytes = 0;
   std::uint64_t readRpcBytes = 0;
   std::uint64_t dirtyDiscardedBytes = 0;
+
+  RunCounters& operator+=(const RunCounters& other) noexcept {
+    dataRpcs += other.dataRpcs;
+    metaRpcs += other.metaRpcs;
+    lockHits += other.lockHits;
+    lockMisses += other.lockMisses;
+    readaheadHitBytes += other.readaheadHitBytes;
+    readaheadMissBytes += other.readaheadMissBytes;
+    pageCacheHitBytes += other.pageCacheHitBytes;
+    stataheadServed += other.stataheadServed;
+    extentConflicts += other.extentConflicts;
+    events += other.events;
+    rpcTimeouts += other.rpcTimeouts;
+    rpcRetries += other.rpcRetries;
+    rpcGaveUp += other.rpcGaveUp;
+    writeRpcBytes += other.writeRpcBytes;
+    readRpcBytes += other.readRpcBytes;
+    dirtyDiscardedBytes += other.dirtyDiscardedBytes;
+    return *this;
+  }
+  bool operator==(const RunCounters&) const = default;
 };
 
 /// Per-OST slice of a run's server-side accounting.
@@ -162,6 +189,8 @@ struct OstAudit {
   double positioningBusySeconds = 0.0;
   double transferBusySeconds = 0.0;
   std::size_t peakQueue = 0;
+
+  bool operator==(const OstAudit&) const = default;
 };
 
 /// End-of-run snapshot of internal state the invariant checker needs but
@@ -191,6 +220,35 @@ struct RunAudit {
   std::uint64_t readaConsumedBytes = 0;
   std::uint64_t readaDiscardedBytes = 0;
   std::uint64_t readaResidentBytes = 0;
+
+  /// Folds one cell's audit into this whole-run audit: the cell's OSTs
+  /// land at `ostOffset`, high-water marks and the dirty budget (one
+  /// config, so equal in every cell) take the max, totals add. The one
+  /// place a new field learns how cells combine.
+  void foldCell(const RunAudit& cell, std::size_t ostOffset) {
+    if (osts.size() < ostOffset + cell.osts.size()) {
+      osts.resize(ostOffset + cell.osts.size());
+    }
+    std::copy(cell.osts.begin(), cell.osts.end(),
+              osts.begin() + static_cast<std::ptrdiff_t>(ostOffset));
+    peakDirtyBytes = std::max(peakDirtyBytes, cell.peakDirtyBytes);
+    maxDirtyReservationBytes =
+        std::max(maxDirtyReservationBytes, cell.maxDirtyReservationBytes);
+    dirtyBudgetBytes = std::max(dirtyBudgetBytes, cell.dirtyBudgetBytes);
+    lockInserts += cell.lockInserts;
+    lockEvictions += cell.lockEvictions;
+    lockResident += cell.lockResident;
+    mdsOps += cell.mdsOps;
+    mdsBusySeconds += cell.mdsBusySeconds;
+    readaWindowsOpened += cell.readaWindowsOpened;
+    readaWindowsGrown += cell.readaWindowsGrown;
+    readaWindowsReset += cell.readaWindowsReset;
+    readaPrefetchedBytes += cell.readaPrefetchedBytes;
+    readaConsumedBytes += cell.readaConsumedBytes;
+    readaDiscardedBytes += cell.readaDiscardedBytes;
+    readaResidentBytes += cell.readaResidentBytes;
+  }
+  bool operator==(const RunAudit&) const = default;
 };
 
 /// Placement of one runtime inside a (possibly federated) run: the run's

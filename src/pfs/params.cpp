@@ -87,7 +87,7 @@ PfsConfig PfsConfig::fromJson(const util::Json& json) {
       cfg.osc_checksums = value.asBool();
       continue;
     }
-    if (!cfg.set(key, value.asInt())) {
+    if (!cfg.set(key, value.asInteger<std::int64_t>())) {
       throw util::JsonError("unknown parameter in config JSON: " + key);
     }
   }

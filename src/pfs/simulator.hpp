@@ -3,6 +3,12 @@
 // application execution on a freshly mounted file system — the paper's
 // between-runs hygiene (delete data, drop caches, remount, settle) is
 // implicit because every run constructs fresh state.
+//
+// Every run takes one path: split the job into the cluster's cells, start
+// one ClientRuntime (and, under a fault plan, one FaultInjector) per cell
+// on a sim::ShardedEngine shard, drive the shards, and fold the cells'
+// results into one RunResult. The classic single-filesystem testbed is the
+// one-cell case: its cell runs the caller's job as given on one shard.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +91,9 @@ struct SimulatorOptions {
   /// bit-identical to a simulator without the faults layer.
   const faults::FaultPlan* faults = nullptr;
   /// Event-engine construction knobs: arena sizing and shard fan-out for
-  /// federated clusters (cluster.cells > 1). The `seed` field is ignored —
-  /// each run seeds its engines from the run seed. Results are
-  /// bit-identical across shard counts; only wall-clock performance
-  /// changes.
+  /// federated clusters (cluster.cells > 1; the fan-out is clamped to the
+  /// cell count). Results are bit-identical across shard counts; only
+  /// wall-clock performance changes.
   sim::EngineOptions engine{};
 };
 
@@ -109,8 +114,12 @@ class PfsSimulator {
 
   /// Simulates one complete run. Throws std::invalid_argument when the
   /// config is out of range (the same failure the paper reports when the
-  /// agent proposes invalid values) or the job is malformed. Fault-induced
-  /// failures do NOT throw: they come back as outcome != Ok.
+  /// agent proposes invalid values), the job is malformed (including a
+  /// file touched from two cells), or the cell count does not divide the
+  /// cluster's client and OSS nodes. Fault-induced failures do NOT throw:
+  /// they come back as outcome != Ok. Bit-identical for any shard count,
+  /// because cells never interact and all randomness is keyed by global
+  /// component ids.
   [[nodiscard]] RunResult run(const JobSpec& job, const PfsConfig& config,
                               std::uint64_t seed) const {
     return run(job, config, seed, RunLimits{});
@@ -121,15 +130,6 @@ class PfsSimulator {
                               std::uint64_t seed, const RunLimits& limits) const;
 
  private:
-  [[nodiscard]] RunResult runSingle(const JobSpec& job, const PfsConfig& config,
-                                    std::uint64_t seed, const RunLimits& limits) const;
-  /// cluster.cells > 1: partitions the job into shared-nothing cells and
-  /// drives them on a sim::ShardedEngine. Bit-identical for any shard
-  /// count because cells never interact and all randomness is keyed by
-  /// global component ids.
-  [[nodiscard]] RunResult runFederated(const JobSpec& job, const PfsConfig& config,
-                                       std::uint64_t seed, const RunLimits& limits) const;
-
   SimulatorOptions options_;
 };
 

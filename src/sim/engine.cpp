@@ -6,7 +6,7 @@
 namespace stellar::sim {
 
 SimEngine::SimEngine(EngineOptions options)
-    : options_(options), arena_(options.arenaBytes), rng_(options.seed) {}
+    : options_(options), arena_(options.arenaBytes) {}
 
 void SimEngine::scheduleAt(SimTime at, Callback cb) {
   const std::uint32_t slot = acquireSlot();

@@ -24,16 +24,15 @@
 #include "obs/trace.hpp"
 #include "sim/callback.hpp"
 #include "sim/scheduler.hpp"
-#include "util/rng.hpp"
 
 namespace stellar::sim {
 
 /// The single way to build an engine (and, via ShardedEngine, a shard
 /// fleet). Aggregate-initialize with designated fields:
-///   SimEngine engine{{.seed = 42, .arenaBytes = 8 * 1024}};
+///   SimEngine engine{{.arenaBytes = 8 * 1024}};
+/// The engine draws no random numbers: models key their own streams by
+/// global component ids, so a run's seed never passes through here.
 struct EngineOptions {
-  /// Seed for the engine's random stream.
-  std::uint64_t seed = 1;
   /// First arena block size for event closures; the arena doubles from
   /// here on demand.
   std::size_t arenaBytes = 64 * 1024;
@@ -106,11 +105,6 @@ class SimEngine {
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t queueDepth() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept { return processed_; }
-
-  /// Deterministic per-engine random stream. The PFS hot paths use
-  /// per-component streams instead (shard-grouping invariance); this one
-  /// remains for engine-local consumers and tests.
-  [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
 
   /// Arena backing event closures; resets when the engine is destroyed.
   [[nodiscard]] EventArena& arena() noexcept { return arena_; }
@@ -192,7 +186,6 @@ class SimEngine {
   std::uint64_t openWindows_ = 0;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
-  util::Rng rng_;
   obs::Tracer* tracer_ = nullptr;
   obs::CounterRegistry* counters_ = nullptr;
   std::uint64_t sampleEvery_ = 4096;

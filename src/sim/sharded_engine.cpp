@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <thread>
 
-#include "util/rng.hpp"
-
 namespace stellar::sim {
 
 ShardedEngine::ShardedEngine(EngineOptions options) : options_(options) {
   const std::uint32_t count = std::max<std::uint32_t>(options.shards, 1);
   shards_.reserve(count);
+  EngineOptions shardOptions = options;
+  shardOptions.shards = 1;
   for (std::uint32_t i = 0; i < count; ++i) {
-    EngineOptions shardOptions = options;
-    shardOptions.shards = 1;
-    shardOptions.seed = util::mix64(options.seed, i);
     shards_.push_back(std::make_unique<SimEngine>(shardOptions));
+  }
+  if (count == 1) {
+    return;  // one shard drains on the calling thread: no pool to size
   }
   // Worker threads are capped at the core count: shard count is a
   // partitioning choice (one shard per federation cell maximizes cache

@@ -92,8 +92,8 @@ std::vector<Violation> checkMetamorphic(const CaseShape& shape,
   // ML-RELAX: osc.max_rpcs_in_flight is pure capacity. On a single-rank,
   // private-file, sequential, fault-free workload there is nothing to
   // contend with, so relaxing it cannot meaningfully worsen wall time.
-  // Epsilon absorbs service-jitter resampling: the two runs consume the
-  // engine's random stream in different orders.
+  // Epsilon absorbs service-jitter resampling: the two runs draw from the
+  // per-OST jitter streams in different orders.
   if (plan.relax && shape.ranks == 1 && !shape.sharedFile && !shape.randomOffsets &&
       shape.faults.empty()) {
     CaseShape tight = shape;

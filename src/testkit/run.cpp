@@ -1,5 +1,7 @@
 #include "testkit/run.hpp"
 
+#include <algorithm>
+
 namespace stellar::testkit {
 
 pfs::RunResult runCase(const GeneratedCase& cse, obs::CounterRegistry* registry) {
@@ -21,9 +23,20 @@ pfs::RunResult runCase(const GeneratedCase& cse, const sim::EngineOptions& engin
 
 namespace {
 
+/// The first difference between two per-component vectors: "<what> count"
+/// or "<what> <index>"; nullopt when equal.
 template <typename T>
-bool eq(const T& a, const T& b) {
-  return a == b;
+std::optional<std::string> firstElementDifference(const std::vector<T>& a,
+                                                  const std::vector<T>& b,
+                                                  const std::string& what) {
+  if (a.size() != b.size()) {
+    return what + " count";
+  }
+  const auto mismatch = std::mismatch(a.begin(), a.end(), b.begin());
+  if (mismatch.first == a.end()) {
+    return std::nullopt;
+  }
+  return what + " " + std::to_string(mismatch.first - a.begin());
 }
 
 }  // namespace
@@ -37,66 +50,15 @@ std::optional<std::string> describeDifference(const pfs::RunResult& a,
   if (a.rawWallSeconds != b.rawWallSeconds) return diff("rawWallSeconds");
   if (a.simEndSeconds != b.simEndSeconds) return diff("simEndSeconds");
   if (a.outcome != b.outcome) return diff("outcome");
+  if (a.failureReason != b.failureReason) return diff("failureReason");
   if (a.barrierTimes != b.barrierTimes) return diff("barrierTimes");
-
-  const pfs::RunCounters& ca = a.counters;
-  const pfs::RunCounters& cb = b.counters;
-  if (ca.dataRpcs != cb.dataRpcs || ca.metaRpcs != cb.metaRpcs ||
-      ca.lockHits != cb.lockHits || ca.lockMisses != cb.lockMisses ||
-      ca.readaheadHitBytes != cb.readaheadHitBytes ||
-      ca.readaheadMissBytes != cb.readaheadMissBytes ||
-      ca.pageCacheHitBytes != cb.pageCacheHitBytes ||
-      ca.stataheadServed != cb.stataheadServed ||
-      ca.extentConflicts != cb.extentConflicts || ca.events != cb.events ||
-      ca.rpcTimeouts != cb.rpcTimeouts || ca.rpcRetries != cb.rpcRetries ||
-      ca.rpcGaveUp != cb.rpcGaveUp || ca.writeRpcBytes != cb.writeRpcBytes ||
-      ca.readRpcBytes != cb.readRpcBytes ||
-      ca.dirtyDiscardedBytes != cb.dirtyDiscardedBytes) {
-    return diff("counters");
+  if (a.counters != b.counters) return diff("counters");
+  if (const auto what = firstElementDifference(a.ranks, b.ranks, "rank")) return diff(*what);
+  if (const auto what = firstElementDifference(a.files, b.files, "file")) return diff(*what);
+  if (const auto what = firstElementDifference(a.audit.osts, b.audit.osts, "audit of ost")) {
+    return diff(*what);
   }
-
-  if (a.ranks.size() != b.ranks.size()) return diff("rank count");
-  for (std::size_t i = 0; i < a.ranks.size(); ++i) {
-    const pfs::RankStats& ra = a.ranks[i];
-    const pfs::RankStats& rb = b.ranks[i];
-    if (ra.finishTime != rb.finishTime || ra.readTime != rb.readTime ||
-        ra.writeTime != rb.writeTime || ra.metaTime != rb.metaTime ||
-        ra.computeTime != rb.computeTime || ra.bytesRead != rb.bytesRead ||
-        ra.bytesWritten != rb.bytesWritten) {
-      return diff("rank " + std::to_string(i) + " stats");
-    }
-  }
-
-  const pfs::RunAudit& aa = a.audit;
-  const pfs::RunAudit& ab = b.audit;
-  if (aa.osts.size() != ab.osts.size()) return diff("audit OST count");
-  for (std::size_t i = 0; i < aa.osts.size(); ++i) {
-    const pfs::OstAudit& oa = aa.osts[i];
-    const pfs::OstAudit& ob = ab.osts[i];
-    if (oa.rpcsServed != ob.rpcsServed || oa.bytesWritten != ob.bytesWritten ||
-        oa.bytesRead != ob.bytesRead || oa.seeks != ob.seeks ||
-        oa.positioningBusySeconds != ob.positioningBusySeconds ||
-        oa.transferBusySeconds != ob.transferBusySeconds ||
-        oa.peakQueue != ob.peakQueue) {
-      return diff("audit of ost " + std::to_string(i));
-    }
-  }
-  if (aa.peakDirtyBytes != ab.peakDirtyBytes ||
-      aa.maxDirtyReservationBytes != ab.maxDirtyReservationBytes ||
-      aa.lockInserts != ab.lockInserts || aa.lockEvictions != ab.lockEvictions ||
-      aa.lockResident != ab.lockResident || aa.mdsOps != ab.mdsOps ||
-      aa.mdsBusySeconds != ab.mdsBusySeconds) {
-    return diff("audit totals");
-  }
-  if (aa.readaWindowsOpened != ab.readaWindowsOpened ||
-      aa.readaWindowsGrown != ab.readaWindowsGrown ||
-      aa.readaWindowsReset != ab.readaWindowsReset ||
-      aa.readaPrefetchedBytes != ab.readaPrefetchedBytes ||
-      aa.readaConsumedBytes != ab.readaConsumedBytes ||
-      aa.readaDiscardedBytes != ab.readaDiscardedBytes ||
-      aa.readaResidentBytes != ab.readaResidentBytes) {
-    return diff("readahead audit totals");
-  }
+  if (a.audit != b.audit) return diff("audit totals");
   return std::nullopt;
 }
 

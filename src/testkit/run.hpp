@@ -25,9 +25,11 @@ namespace stellar::testkit {
                                      const sim::EngineOptions& engine,
                                      obs::CounterRegistry* registry = nullptr);
 
-/// Bit-identity comparison of two run results; returns a description of
-/// the first difference, or nullopt when identical. Floating-point fields
-/// are compared exactly — determinism means *exact* replay.
+/// Bit-identity comparison of two whole run results; returns a description
+/// of the first difference, or nullopt when identical. It names the part
+/// that differs: a scalar field, the counters, rank i, file i, OST i of the
+/// audit, or the audit totals. Floating-point fields are compared exactly —
+/// determinism means *exact* replay.
 [[nodiscard]] std::optional<std::string> describeDifference(const pfs::RunResult& a,
                                                             const pfs::RunResult& b);
 

@@ -286,10 +286,6 @@ double Json::asNumber() const {
   return number_;
 }
 
-std::int64_t Json::asInt() const {
-  return static_cast<std::int64_t>(std::llround(asNumber()));
-}
-
 void Json::throwNotInteger(double value) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "number %.12g is out of the integer field's range",

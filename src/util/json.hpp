@@ -61,7 +61,6 @@ class Json {
 
   [[nodiscard]] bool asBool() const;
   [[nodiscard]] double asNumber() const;
-  [[nodiscard]] std::int64_t asInt() const;
   /// This number as integer type T, truncated toward zero as static_cast
   /// truncates. Throws JsonError when it is not a number, not finite, or
   /// outside T's range after truncation (where the cast is undefined).

@@ -115,6 +115,26 @@ TEST(SessionJournal, TornTailLineIsSkippedNotFatal) {
   EXPECT_EQ(again.measurementCount(), 2u);
 }
 
+TEST(SessionJournal, OutOfRangeIndexIsSkippedAsCorrupt) {
+  const std::string path = journalPath("badindex");
+  {
+    SessionJournal journal{path};
+    journal.bind(makeHeader("IOR_16M"));
+    journal.recordMeasurement(0, {1.5, "ok", ""});
+  }
+  // No writer emits these indexes; a corrupt or hand-edited journal can.
+  util::appendToFile(path,
+                     R"({"type":"measurement","index":-1,"wall_seconds":2.5,"outcome":"ok"})"
+                     "\n"
+                     R"({"type":"measurement","index":1e300,"wall_seconds":2.5,"outcome":"ok"})"
+                     "\n");
+  SessionJournal reloaded{path};
+  EXPECT_EQ(reloaded.corruptLinesSkipped(), 2u);
+  EXPECT_EQ(reloaded.measurementCount(), 1u);
+  ASSERT_TRUE(reloaded.replay(0).has_value());
+  EXPECT_EQ(reloaded.replay(0)->wallSeconds, 1.5);
+}
+
 TEST(SessionJournal, TranscriptSyncWritesOnlyTheTail) {
   const std::string path = journalPath("transcript");
   agents::Transcript transcript;

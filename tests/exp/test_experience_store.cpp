@@ -231,7 +231,7 @@ TEST(ExperienceStore, AbsorbShardsDedupsAndDeletesShardFiles) {
   util::writeFile(shard1, b.toJson().dump() + "\n");
 
   ExperienceStore store{path, {}};
-  EXPECT_EQ(store.absorbShards({shard0, shard1, path + ".shard-missing"}), 3U);
+  EXPECT_EQ(store.absorbShardDir(::testing::TempDir(), "exp_store_absorb.jsonl.shard-"), 3U);
   EXPECT_EQ(store.size(), 2U);
   EXPECT_FALSE(util::fileExists(shard0));
   EXPECT_FALSE(util::fileExists(shard1));

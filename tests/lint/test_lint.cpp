@@ -152,6 +152,14 @@ TEST(Rules, ResJsonAtRequiresGuardOrParseScope) {
   EXPECT_EQ(got, want);  // contains()/try/fromJson/two-arg forms stay legal
 }
 
+TEST(Rules, ResJsonIntFlagsIntegerCastsOfJsonNumbers) {
+  const Report report = runOn({"src/core/res_json_int.cpp"});
+  const auto got = locations(report, /*suppressed=*/false);
+  const std::multiset<std::pair<std::string, int>> want = {
+      {"RES-JSON-INT", 5}, {"RES-JSON-INT", 6}, {"RES-JSON-INT", 7}};
+  EXPECT_EQ(got, want);  // df::asNumber, doubles, floats and asInteger stay legal
+}
+
 TEST(Rules, ResCounterNameChecksTheCatalogue) {
   const Report report = runOn({"src/core/res_counter.cpp"});
   const auto got = locations(report, /*suppressed=*/false);
@@ -205,7 +213,7 @@ TEST(Suppressions, CatalogueListsEveryRuleExactlyOnce) {
     EXPECT_TRUE(ids.insert(rule.id).second) << "duplicate rule id " << rule.id;
     EXPECT_TRUE(isKnownRule(rule.id));
   }
-  EXPECT_EQ(ids.size(), 10U);
+  EXPECT_EQ(ids.size(), 11U);
   EXPECT_FALSE(isKnownRule("NO-SUCH-RULE"));
 }
 
@@ -219,12 +227,9 @@ TEST(Output, JsonReportMatchesSchemaVersion1) {
   EXPECT_EQ(doc.getNumber("files_scanned"), 1.0);
 
   const util::Json& summary = doc.at("summary");
-  EXPECT_EQ(static_cast<std::size_t>(summary.getNumber("total")),
-            report.findings.size());
-  EXPECT_EQ(static_cast<std::size_t>(summary.getNumber("suppressed")),
-            report.suppressedCount());
-  EXPECT_EQ(static_cast<std::size_t>(summary.getNumber("unsuppressed")),
-            report.unsuppressedCount());
+  EXPECT_EQ(summary.getInteger<std::size_t>("total", 0), report.findings.size());
+  EXPECT_EQ(summary.getInteger<std::size_t>("suppressed", 0), report.suppressedCount());
+  EXPECT_EQ(summary.getInteger<std::size_t>("unsuppressed", 0), report.unsuppressedCount());
 
   const auto& findings = doc.at("findings").asArray();
   ASSERT_EQ(findings.size(), report.findings.size());

@@ -41,7 +41,7 @@ TEST(Trace, SpanRecordsOnEnd) {
   EXPECT_GE(records[0].durUs, 0.0);
   ASSERT_EQ(records[0].args.size(), 1u);
   EXPECT_EQ(records[0].args[0].key, "events");
-  EXPECT_EQ(records[0].args[0].value.asInt(), 42);
+  EXPECT_EQ(records[0].args[0].value.asInteger<std::int64_t>(), 42);
 }
 
 TEST(Trace, EndIsIdempotent) {
@@ -112,7 +112,7 @@ TEST(Trace, InstantRecordsImmediately) {
   EXPECT_EQ(records[0].phase, obs::TraceRecord::Phase::Instant);
   EXPECT_DOUBLE_EQ(records[0].durUs, 0.0);
   ASSERT_EQ(records[0].args.size(), 1u);
-  EXPECT_EQ(records[0].args[0].value.asInt(), 4096);
+  EXPECT_EQ(records[0].args[0].value.asInteger<std::int64_t>(), 4096);
 }
 
 TEST(Trace, RingDropsOldestBeyondCapacity) {

@@ -6,6 +6,7 @@
 
 #include "faults/fault_plan.hpp"
 #include "pfs/simulator.hpp"
+#include "testkit/run.hpp"
 #include "workloads/workloads.hpp"
 
 namespace stellar {
@@ -24,27 +25,11 @@ workloads::WorkloadOptions tinyOpts() {
   return opt;
 }
 
-void expectIdenticalRuns(const RunResult& a, const RunResult& b,
-                         bool includeEventCount = true) {
-  EXPECT_EQ(a.outcome, b.outcome);
-  EXPECT_EQ(a.failureReason, b.failureReason);
-  // Bit-identical, not approximately equal: the determinism contract.
-  EXPECT_EQ(a.wallSeconds, b.wallSeconds);
-  EXPECT_EQ(a.rawWallSeconds, b.rawWallSeconds);
-  EXPECT_EQ(a.counters.dataRpcs, b.counters.dataRpcs);
-  EXPECT_EQ(a.counters.metaRpcs, b.counters.metaRpcs);
-  if (includeEventCount) {
-    EXPECT_EQ(a.counters.events, b.counters.events);
-  }
-  EXPECT_EQ(a.counters.rpcTimeouts, b.counters.rpcTimeouts);
-  EXPECT_EQ(a.counters.rpcRetries, b.counters.rpcRetries);
-  EXPECT_EQ(a.counters.rpcGaveUp, b.counters.rpcGaveUp);
-  ASSERT_EQ(a.ranks.size(), b.ranks.size());
-  for (std::size_t i = 0; i < a.ranks.size(); ++i) {
-    EXPECT_EQ(a.ranks[i].finishTime, b.ranks[i].finishTime);
-    EXPECT_EQ(a.ranks[i].bytesWritten, b.ranks[i].bytesWritten);
-    EXPECT_EQ(a.ranks[i].bytesRead, b.ranks[i].bytesRead);
-  }
+// Bit-identical, not approximately equal: the determinism contract, over
+// every field of the result.
+void expectIdenticalRuns(const RunResult& a, const RunResult& b) {
+  const auto difference = testkit::describeDifference(a, b);
+  EXPECT_FALSE(difference.has_value()) << *difference;
 }
 
 TEST(FaultResilience, DeterministicReplayAcrossFreshSimulators) {
@@ -69,15 +54,20 @@ TEST(FaultResilience, DeterministicReplayAcrossFreshSimulators) {
 
 TEST(FaultResilience, FaultFreeRunsMatchNoFaultLayer) {
   // A plan whose windows never overlap the run must not change behaviour:
-  // queries stay at identity values and the RNG streams are untouched.
-  // (The window edges themselves are two extra engine events, so only the
-  // event count may differ.)
+  // queries stay at identity values and no random stream is drawn. The
+  // window edges themselves are two extra engine events, and the queue
+  // drains at the far-future close edge; nothing else may differ.
   const JobSpec job = workloads::ior64k(tinyOpts());
   const faults::FaultPlan farFuture = faults::parseFaultSpec("ost:0:outage@1e8-2e8");
   const PfsSimulator bare;
   const PfsSimulator planned{{.faults = &farFuture}};
-  expectIdenticalRuns(bare.run(job, PfsConfig{}, 5), planned.run(job, PfsConfig{}, 5),
-                      /*includeEventCount=*/false);
+  const RunResult plain = bare.run(job, PfsConfig{}, 5);
+  RunResult withPlan = planned.run(job, PfsConfig{}, 5);
+  EXPECT_EQ(withPlan.counters.events, plain.counters.events + 2);
+  EXPECT_EQ(withPlan.simEndSeconds, 2e8);
+  withPlan.counters.events = plain.counters.events;
+  withPlan.simEndSeconds = plain.simEndSeconds;
+  expectIdenticalRuns(plain, withPlan);
 }
 
 TEST(FaultResilience, TransientOutageRetriesThenSucceeds) {

@@ -10,7 +10,7 @@ namespace {
 
 struct OstFixture {
   ClusterSpec cluster;
-  sim::SimEngine engine;  // default EngineOptions: seed 1
+  sim::SimEngine engine;
   OstBank ost{engine, cluster, /*count=*/1};
 
   double drain() { return engine.run(); }
@@ -111,7 +111,7 @@ TEST(OstBank, StatsAreTrackedPerOst) {
 
 struct MdsFixture {
   ClusterSpec cluster;
-  sim::SimEngine engine;  // default EngineOptions: seed 1
+  sim::SimEngine engine;
   MdsModel mds{engine, cluster, /*seed=*/1};
 };
 

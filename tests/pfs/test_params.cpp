@@ -44,6 +44,16 @@ TEST(Params, FromJsonRejectsUnknownKeys) {
   auto json = util::Json::makeObject();
   json.set("not.a.param", util::Json{1});
   EXPECT_THROW((void)PfsConfig::fromJson(json), util::JsonError);
+  // A knob value no integer holds is a corrupt record too, not a wrapped
+  // stripe count.
+  const auto stripes = [](const char* text) {
+    return PfsConfig::fromJson(util::Json::parse(text)).stripe_count;
+  };
+  EXPECT_THROW((void)stripes(R"({"lov.stripe_count":1e300})"), util::JsonError);
+  EXPECT_THROW((void)stripes(R"({"lov.stripe_count":-1e300})"), util::JsonError);
+  // Integers parse as before; a fraction truncates like every integer field.
+  EXPECT_EQ(stripes(R"({"lov.stripe_count":-1})"), -1);
+  EXPECT_EQ(stripes(R"({"lov.stripe_count":2.5})"), 2);
 }
 
 TEST(Params, DependentBoundsFollowOtherValues) {

@@ -93,14 +93,6 @@ TEST(SimEngine, CountsProcessedEvents) {
   EXPECT_EQ(engine.eventsProcessed(), 7u);
 }
 
-TEST(SimEngine, RngIsSeedDeterministic) {
-  SimEngine a{EngineOptions{.seed = 42}};
-  SimEngine b{EngineOptions{.seed = 42}};
-  SimEngine c{EngineOptions{.seed = 43}};
-  EXPECT_EQ(a.rng().next(), b.rng().next());
-  EXPECT_NE(a.rng().next(), c.rng().next());
-}
-
 // Schedules kBurst events one second out — enough to grow the slot store
 // by several chunks in one go.
 constexpr int kBurst = 10'000;

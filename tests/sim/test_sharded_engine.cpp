@@ -1,5 +1,5 @@
-// ShardedEngine: parallel drive of independent engines, lockstep windows,
-// and aggregate accounting.
+// ShardedEngine: parallel drive of independent engines, capped runs, window
+// cancellation across shards, and aggregate accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,7 +33,7 @@ std::uint64_t plantChains(ShardedEngine& engines, int links) {
 }
 
 TEST(ShardedEngine, FreeRunDrainsEveryShard) {
-  ShardedEngine engines{EngineOptions{.seed = 9, .shards = 4}};
+  ShardedEngine engines{EngineOptions{.shards = 4}};
   ASSERT_EQ(engines.shardCount(), 4u);
   const std::uint64_t perShard = plantChains(engines, 50);
   const SimTime end = engines.run();
@@ -45,7 +45,7 @@ TEST(ShardedEngine, FreeRunDrainsEveryShard) {
 }
 
 TEST(ShardedEngine, RunUntilRespectsLimit) {
-  ShardedEngine engines{EngineOptions{.seed = 9, .shards = 2}};
+  ShardedEngine engines{EngineOptions{.shards = 2}};
   plantChains(engines, 1000);
   engines.runUntil(10.0);
   EXPECT_FALSE(engines.empty());
@@ -56,7 +56,7 @@ TEST(ShardedEngine, RunUntilRespectsLimit) {
 }
 
 TEST(ShardedEngine, CancelOpenWindowsSweepsAllShards) {
-  ShardedEngine engines{EngineOptions{.seed = 1, .shards = 2}};
+  ShardedEngine engines{EngineOptions{.shards = 2}};
   std::atomic<int> closed{0};
   for (std::size_t s = 0; s < engines.shardCount(); ++s) {
     engines.shard(s).scheduleWindow(1.0, 100.0, [] {}, [&closed] { ++closed; });

@@ -61,6 +61,18 @@ TEST(Metamorphic, DifferentSeedsDiffer) {
   shape.seed ^= 1;
   const pfs::RunResult b = runCase(materialize(shape));
   EXPECT_TRUE(describeDifference(a, b).has_value());
+
+  // It sees the whole result: one field changed anywhere is a difference.
+  ASSERT_GE(a.files.size(), 2u);
+  pfs::RunResult fileBytes = a;
+  ++fileBytes.files[1].bytesRead;
+  EXPECT_EQ(describeDifference(a, fileBytes), "results differ in file 1");
+  pfs::RunResult reason = a;
+  reason.failureReason += " (edited)";
+  EXPECT_EQ(describeDifference(a, reason), "results differ in failureReason");
+  pfs::RunResult budget = a;
+  ++budget.audit.dirtyBudgetBytes;
+  EXPECT_EQ(describeDifference(a, budget), "results differ in audit totals");
 }
 
 }  // namespace

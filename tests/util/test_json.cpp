@@ -22,7 +22,7 @@ TEST(Json, ParsesNestedStructures) {
   const auto& rules = doc.at("rules").asArray();
   ASSERT_EQ(rules.size(), 1u);
   EXPECT_EQ(rules[0].at("Parameter").asString(), "lov.stripe_count");
-  EXPECT_EQ(rules[0].at("n").asInt(), 2);
+  EXPECT_EQ(rules[0].at("n").asInteger<std::int64_t>(), 2);
   EXPECT_TRUE(doc.at("v").asBool());
 }
 
@@ -42,7 +42,7 @@ TEST(Json, SetReplacesExistingKey) {
   obj.set("k", Json{1});
   obj.set("k", Json{2});
   EXPECT_EQ(obj.asObject().size(), 1u);
-  EXPECT_EQ(obj.at("k").asInt(), 2);
+  EXPECT_EQ(obj.at("k").asInteger<std::int64_t>(), 2);
 }
 
 TEST(Json, EscapesRoundTrip) {

@@ -8,7 +8,8 @@
 // preconditions of those guarantees at build time: no wall-clock or
 // platform-varying hashing in sim-critical code, no event ordering derived
 // from unordered-container iteration, seeds threaded from options structs
-// rather than ad-hoc literals, JSON accesses checked or defaulted, metric
+// rather than ad-hoc literals, JSON accesses checked or defaulted, JSON
+// numbers read into integers through the range-checked accessors, metric
 // names registered in the one catalogue, and no exceptions thrown naked
 // across the thread-pool task boundary.
 //

@@ -125,14 +125,14 @@ void checkRandom(const SourceFile& file, std::vector<Finding>& out) {
     if (kTypes.count(t) != 0U) {
       out.push_back(makeFinding(file, toks[i].line, "DET-RANDOM",
                                 "`" + t + "` is nondeterministic across platforms; use "
-                                "util::rng (xoshiro256**) seeded from EngineOptions"));
+                                "util::rng (xoshiro256**) seeded from the run seed"));
       continue;
     }
     if ((t == "rand" || t == "srand") && i + 1 < toks.size() && isPunct(toks[i + 1], "(") &&
         (i == 0 || (!isPunct(toks[i - 1], ".") && !isPunct(toks[i - 1], "->")))) {
       out.push_back(makeFinding(file, toks[i].line, "DET-RANDOM",
                                 "`" + t + "()` draws from hidden global state; use "
-                                "util::rng seeded from EngineOptions"));
+                                "util::rng seeded from the run seed"));
     }
   }
 }
@@ -188,8 +188,8 @@ void checkSeedLiteral(const SourceFile& file, std::vector<Finding>& out) {
     if (isPunct(toks[i + 1], "(") && toks[i + 2].kind == Token::Kind::Number &&
         isPunct(toks[i + 3], ")")) {
       out.push_back(makeFinding(file, toks[i].line, "DET-SEED-LITERAL",
-                                "ad-hoc literal seed; thread seeds from EngineOptions / "
-                                "the owning options struct instead"));
+                                "ad-hoc literal seed; thread the run seed or the owning "
+                                "options struct's seed instead"));
     }
   }
 }
@@ -385,6 +385,61 @@ void checkJsonAt(const SourceFile& file, std::vector<Finding>& out) {
   }
 }
 
+/// True when the tokens [begin, end) of a cast's template argument spell
+/// an integral type: builtin integer words or <cstdint>/<cstddef> aliases,
+/// optionally std::-qualified and cv-qualified, with no pointer or
+/// reference. Aliases the lexer cannot resolve (FileId, T) do not count.
+bool spellsIntegralType(const std::vector<Token>& toks, std::size_t begin,
+                        std::size_t end) {
+  static const std::set<std::string> kIntegral = {
+      "char",     "short",     "int",      "long",      "signed",   "unsigned",
+      "size_t",   "ptrdiff_t", "intptr_t", "uintptr_t", "intmax_t", "uintmax_t",
+      "int8_t",   "int16_t",   "int32_t",  "int64_t",   "uint8_t",  "uint16_t",
+      "uint32_t", "uint64_t"};
+  bool sawType = false;
+  for (std::size_t j = begin; j < end; ++j) {
+    const Token& t = toks[j];
+    if (t.kind == Token::Kind::Identifier) {
+      if (t.text == "std" || t.text == "const" || t.text == "volatile") continue;
+      if (kIntegral.count(t.text) == 0U) return false;
+      sawType = true;
+    } else if (!isPunct(t, "::")) {
+      return false;
+    }
+  }
+  return sawType;
+}
+
+void checkJsonInt(const SourceFile& file, std::vector<Finding>& out) {
+  const auto& toks = file.tokens;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (!isIdent(toks[i], "static_cast") || !isPunct(toks[i + 1], "<")) continue;
+    std::size_t angle = i + 2;
+    while (angle < toks.size() && !isPunct(toks[angle], ">") && !isPunct(toks[angle], ";")) {
+      ++angle;
+    }
+    if (angle + 1 >= toks.size() || !isPunct(toks[angle], ">") ||
+        !isPunct(toks[angle + 1], "(") || !spellsIntegralType(toks, i + 2, angle)) {
+      continue;
+    }
+    // The operand calls the member asNumber()/getNumber(): `json.x()` or
+    // `json->x()`, not a namespace function such as df::asNumber().
+    const std::size_t close = matchingClose(toks, angle + 1);
+    for (std::size_t j = angle + 2; j + 1 < close; ++j) {
+      if ((isIdent(toks[j], "asNumber") || isIdent(toks[j], "getNumber")) &&
+          (isPunct(toks[j - 1], ".") || isPunct(toks[j - 1], "->")) &&
+          isPunct(toks[j + 1], "(")) {
+        out.push_back(makeFinding(file, toks[i].line, "RES-JSON-INT",
+                                  "casting a JSON number to an integer is undefined "
+                                  "when it is out of range (-1 for unsigned, 1e300, "
+                                  "NaN); read it with asInteger<T>() or "
+                                  "getInteger<T>(key, fallback), which throw JsonError"));
+        break;
+      }
+    }
+  }
+}
+
 void checkCounterNames(const SourceFile& file, const RuleContext& ctx,
                        std::vector<Finding>& out) {
   if (!ctx.haveCatalogue) return;
@@ -479,6 +534,8 @@ const std::vector<RuleInfo>& ruleCatalogue() {
       {"DET-FLOAT-ACCUM", "no floating-point accumulation inside unordered-container loops"},
       {"DET-SEED-LITERAL", "seeds come from options structs, not ad-hoc literals"},
       {"RES-JSON-AT", "Json .at(\"key\") must be guarded, defaulted, or inside a parse scope"},
+      {"RES-JSON-INT",
+       "no static_cast of Json asNumber()/getNumber() to an integer; use asInteger/getInteger"},
       {"RES-COUNTER-NAME", "metric names must be registered in src/obs/metric_names.hpp"},
       {"RES-THROW-TASK", "no naked throw across the ThreadPool task boundary"},
       {"LINT-SUPPRESS", "suppressions must name a known rule and carry a justification"},
@@ -603,6 +660,7 @@ void checkFile(const SourceFile& file, const SourceFile* pairedHeader,
     checkUnorderedIter(file, pairedHeader, suppressions, out);
   }
   checkJsonAt(file, out);
+  checkJsonInt(file, out);
   checkCounterNames(file, ctx, out);
   checkThrowTask(file, out);
 }
