@@ -73,34 +73,39 @@ pfs::PfsConfig ruleBaselineConfig(const agents::IoReport* report,
   return pfs::clampConfig(cfg, ctx);
 }
 
+/// The facts the extraction and the recalled ranges resolve against.
+manual::SystemFacts systemFactsOf(const pfs::ClusterSpec& cluster) {
+  manual::SystemFacts facts;
+  facts.clientRamMb = cluster.clientRamMb();
+  facts.ostCount = cluster.totalOsts();
+  return facts;
+}
+
 }  // namespace
 
 StellarEngine::StellarEngine(pfs::PfsSimulator simulator, StellarOptions options)
     : simulator_(std::move(simulator)), options_(std::move(options)) {}
 
 const ExtractionResult& StellarEngine::extraction() const {
-  obs::CounterRegistry* counters = simulator_.counters();
-  if (!extraction_) {
-    if (counters != nullptr) {
+  obs::Tracer::Span span =
+      obs::beginSpan(simulator_.tracer(), "tuning", "offline-extraction");
+  bool ranPipeline = false;
+  const ExtractionResult& result =
+      sharedExtraction(systemFactsOf(simulator_.cluster()), ranPipeline);
+  span.arg("ran_pipeline", util::Json(ranPipeline));
+  if (obs::CounterRegistry* counters = simulator_.counters()) {
+    if (ranPipeline) {
       counters->counter("core.extraction.cache_miss").add();
+    } else {
+      counters->counter("core.extraction.cache_hit").add();
     }
-    obs::Tracer::Span span =
-        obs::beginSpan(simulator_.tracer(), "tuning", "offline-extraction");
-    manual::SystemFacts facts;
-    facts.clientRamMb = simulator_.cluster().clientRamMb();
-    facts.ostCount = simulator_.cluster().totalOsts();
-    extraction_ = OfflineExtractor{}.run(facts);
-  } else if (counters != nullptr) {
-    counters->counter("core.extraction.cache_hit").add();
   }
-  return *extraction_;
+  return result;
 }
 
 std::map<std::string, llm::ParamKnowledge> StellarEngine::buildKnowledge() const {
   std::map<std::string, llm::ParamKnowledge> knowledge;
-  manual::SystemFacts facts;
-  facts.clientRamMb = simulator_.cluster().clientRamMb();
-  facts.ostCount = simulator_.cluster().totalOsts();
+  const manual::SystemFacts facts = systemFactsOf(simulator_.cluster());
 
   // In user scope the agent only knows about (and can only set) the
   // parameters an unprivileged user controls.

@@ -177,7 +177,8 @@ class StellarEngine {
   [[nodiscard]] TuningRunResult tune(const pfs::JobSpec& job,
                                      rules::RuleSet* globalRules = nullptr);
 
-  /// The (cached) offline extraction shared by all runs of this engine.
+  /// The offline extraction for this engine's cluster, shared by every
+  /// engine in the process (core::sharedExtraction).
   [[nodiscard]] const ExtractionResult& extraction() const;
 
   [[nodiscard]] const pfs::PfsSimulator& simulator() const noexcept {
@@ -190,7 +191,6 @@ class StellarEngine {
 
   pfs::PfsSimulator simulator_;
   StellarOptions options_;
-  mutable std::optional<ExtractionResult> extraction_;
 };
 
 }  // namespace stellar::core

@@ -1,10 +1,12 @@
 #include "core/offline_extractor.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "manual/manual_text.hpp"
 #include "util/expr.hpp"
 #include "util/strings.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace stellar::core {
 
@@ -92,6 +94,26 @@ bool binaryFromSection(const std::string& defaultLine, const std::string& minExp
   }
   return minExpr == "0" && maxExpr == "1";
 }
+
+/// sharedExtraction's store. The pipeline runs under the lock, so callers
+/// that race on a new key wait for its one run instead of repeating it;
+/// map nodes never move, so handed-out references stay valid.
+class ExtractionCache {
+ public:
+  const ExtractionResult& get(const manual::SystemFacts& facts, bool& ranPipeline) {
+    util::MutexLock lock(mutex_);
+    auto it = entries_.find(facts);
+    ranPipeline = it == entries_.end();
+    if (ranPipeline) {
+      it = entries_.emplace(facts, OfflineExtractor{}.run(facts)).first;
+    }
+    return it->second;
+  }
+
+ private:
+  util::Mutex mutex_;
+  std::map<manual::SystemFacts, ExtractionResult> entries_ STELLAR_GUARDED_BY(mutex_);
+};
 
 }  // namespace
 
@@ -275,6 +297,12 @@ ExtractionResult OfflineExtractor::run(const manual::SystemFacts& facts,
   }
 
   return result;
+}
+
+const ExtractionResult& sharedExtraction(const manual::SystemFacts& facts,
+                                         bool& ranPipeline) {
+  static ExtractionCache cache;
+  return cache.get(facts, ranPipeline);
 }
 
 }  // namespace stellar::core

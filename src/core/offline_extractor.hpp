@@ -31,6 +31,8 @@ struct ExtractedParam {
   std::string minExpr;
   std::string maxExpr;
   double retrievalScore = 0.0;
+
+  bool operator==(const ExtractedParam&) const = default;
 };
 
 struct ExtractionResult {
@@ -48,6 +50,8 @@ struct ExtractionResult {
   /// Precision/recall against manual::groundTruthTunables().
   [[nodiscard]] double precision() const;
   [[nodiscard]] double recall() const;
+
+  bool operator==(const ExtractionResult&) const = default;
 };
 
 struct ExtractorOptions {
@@ -69,5 +73,13 @@ class OfflineExtractor {
  private:
   ExtractorOptions opts_;
 };
+
+/// The default-options pipeline, run at most once per process for each
+/// `facts` value: the extraction depends only on the manual and the
+/// system, so every later caller, on any thread, reads the first run's
+/// immutable result. Entries are never evicted. `ranPipeline` is set to
+/// whether this call was the one that ran it.
+[[nodiscard]] const ExtractionResult& sharedExtraction(const manual::SystemFacts& facts,
+                                                       bool& ranPipeline);
 
 }  // namespace stellar::core

@@ -49,6 +49,8 @@ struct ParamKnowledge {
   [[nodiscard]] bool rangeAccurate() const noexcept {
     return corruption != CorruptionKind::WrongRange;
   }
+
+  bool operator==(const ParamKnowledge&) const = default;
 };
 
 /// Recalls a fact from model memory: corrupted with probability

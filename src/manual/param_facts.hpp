@@ -9,6 +9,7 @@
 // experiments (Fig. 2, Fig. 8).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -58,11 +59,14 @@ struct ParamFact {
 /// extraction output).
 [[nodiscard]] std::vector<std::string> groundTruthTunables();
 
-/// System facts used to resolve dependent range expressions.
+/// System facts used to resolve dependent range expressions. Ordered so a
+/// whole value can key a map (the process-wide extraction cache, src/core).
 struct SystemFacts {
   std::int64_t clientRamMb = 200704;
   std::int64_t ostCount = 5;
   std::int64_t cpuCores = 10;
+
+  auto operator<=>(const SystemFacts&) const = default;
 
   /// Resolver usable with util::Expr (names: client_ram_mb, ost_count,
   /// cpu_cores, plus any parameter's current value via the config hook).

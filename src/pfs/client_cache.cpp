@@ -5,51 +5,6 @@
 
 namespace stellar::pfs {
 
-// ---------------------------------------------------------------- Dirty --
-
-bool DirtyTracker::tryReserve(std::uint64_t bytes) {
-  if (bytes > budget_) {
-    // Oversized single write: admit only when nothing else is dirty so it
-    // can make progress (mirrors Lustre forcing sync writeout).
-    if (dirty_ == 0 && waiters_.empty()) {
-      dirty_ = bytes;
-      noteReserve(bytes);
-      return true;
-    }
-    return false;
-  }
-  if (dirty_ + bytes <= budget_ && waiters_.empty()) {
-    dirty_ += bytes;
-    noteReserve(bytes);
-    return true;
-  }
-  return false;
-}
-
-void DirtyTracker::waitForSpace(std::uint64_t bytes, sim::Callback onSpace) {
-  waiters_.push_back(Waiter{bytes, std::move(onSpace)});
-}
-
-void DirtyTracker::release(std::uint64_t bytes) {
-  dirty_ = bytes >= dirty_ ? 0 : dirty_ - bytes;
-  admitWaiters();
-}
-
-void DirtyTracker::admitWaiters() {
-  while (!waiters_.empty()) {
-    Waiter& head = waiters_.front();
-    const bool oversized = head.bytes > budget_;
-    if (oversized ? dirty_ != 0 : dirty_ + head.bytes > budget_) {
-      return;
-    }
-    dirty_ += head.bytes;
-    noteReserve(head.bytes);
-    auto onSpace = std::move(head.onSpace);
-    waiters_.pop_front();
-    onSpace();
-  }
-}
-
 // ------------------------------------------------------------ DirtyBank --
 
 void DirtyBank::configure(std::size_t lanes, std::uint64_t budgetBytes) {

@@ -1,7 +1,7 @@
 // Client-side cache state machines, factored out of the client model so
 // they can be unit-tested in isolation:
 //
-//  - DirtyTracker  : per client-OST write-back budget (osc.max_dirty_mb)
+//  - DirtyBank     : per client-OST write-back budgets (osc.max_dirty_mb)
 //  - ReadAheadCache: per-client prefetch store with a global budget
 //                    (llite.max_read_ahead_mb) and chunk readiness/waiters
 //  - LockLru       : per-client DLM lock cache (ldlm.lru_size/lru_max_age)
@@ -23,76 +23,15 @@
 
 namespace stellar::pfs {
 
-/// Write-back budget for one (client node, OST) pair. Writers consume
-/// budget synchronously; completed flush RPCs return it and wake waiters.
-class DirtyTracker {
- public:
-  explicit DirtyTracker(std::uint64_t budgetBytes = 0) : budget_(budgetBytes) {}
-
-  void setBudget(std::uint64_t bytes) noexcept { budget_ = bytes; }
-  [[nodiscard]] std::uint64_t budget() const noexcept { return budget_; }
-  [[nodiscard]] std::uint64_t dirtyBytes() const noexcept { return dirty_; }
-  [[nodiscard]] std::uint64_t freeBytes() const noexcept {
-    return dirty_ >= budget_ ? 0 : budget_ - dirty_;
-  }
-
-  /// Tries to reserve `bytes`; on success dirties them immediately.
-  /// Oversized requests (> budget) are admitted when the tracker is empty,
-  /// so a single write larger than the whole budget cannot deadlock.
-  [[nodiscard]] bool tryReserve(std::uint64_t bytes);
-
-  /// Queues a waiter needing `bytes`; owner must call `admitWaiters` after
-  /// every `release` (done internally) — the callback fires at most once.
-  void waitForSpace(std::uint64_t bytes, sim::Callback onSpace);
-
-  /// Returns `bytes` of budget (flush RPC completed) and admits waiters
-  /// FIFO while their reservations fit.
-  void release(std::uint64_t bytes);
-
-  [[nodiscard]] std::size_t waiterCount() const noexcept { return waiters_.size(); }
-
-  /// High-water mark of dirty bytes over the tracker's lifetime. The
-  /// invariant checker (src/testkit) asserts peak <= max(budget, largest
-  /// single reservation) — the oversized-write admission is the only legal
-  /// budget excursion.
-  [[nodiscard]] std::uint64_t peakDirtyBytes() const noexcept { return peakDirty_; }
-  /// Largest single reservation ever charged (oversized admissions show up
-  /// here).
-  [[nodiscard]] std::uint64_t maxReservationBytes() const noexcept {
-    return maxReservation_;
-  }
-
- private:
-  struct Waiter {
-    std::uint64_t bytes;
-    sim::Callback onSpace;
-  };
-
-  void admitWaiters();
-  void noteReserve(std::uint64_t bytes) noexcept {
-    if (bytes > maxReservation_) {
-      maxReservation_ = bytes;
-    }
-    if (dirty_ > peakDirty_) {
-      peakDirty_ = dirty_;
-    }
-  }
-
-  std::uint64_t budget_ = 0;
-  std::uint64_t dirty_ = 0;
-  std::uint64_t peakDirty_ = 0;
-  std::uint64_t maxReservation_ = 0;
-  std::deque<Waiter> waiters_;
-};
-
 /// Write-back budgets for every (client node, OST) pair of a runtime,
 /// struct-of-arrays over dense lane ids (lane = node * totalOsts + ost).
-/// Per-lane semantics are exactly DirtyTracker's — including the
-/// oversized-admission-when-empty rule — but the hot counters are flat
-/// vectors and waiter queues only materialize for backlogged lanes, so a
-/// 1000-node x 5000-OST runtime costs bytes per lane, not a heap object.
-/// DirtyTracker remains the single-lane reference implementation (the
-/// differential unit test pins the two together).
+/// Writers consume a lane's budget synchronously; completed flush RPCs
+/// return it and admit that lane's waiters FIFO while their reservations
+/// fit. A write larger than the whole budget is admitted only when its lane
+/// is empty, so it cannot deadlock. The hot counters are flat vectors and
+/// waiter queues only materialize for backlogged lanes, so a 1000-node x
+/// 5000-OST runtime costs bytes per lane, not a heap object. The unit tests
+/// pin every lane to a scalar single-lane reference (tests/pfs/test_caches.cpp).
 class DirtyBank {
  public:
   DirtyBank() = default;

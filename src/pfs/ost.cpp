@@ -128,15 +128,4 @@ void OstBank::submitBulk(std::uint32_t ost, std::uint64_t objectKey,
   }}});
 }
 
-void OstBank::reset() {
-  const std::uint32_t n = count();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    lastEnd_[i].clear();
-  }
-  rpcsServed_.assign(n, 0);
-  bytesServed_.assign(n, 0);
-  bytesWritten_.assign(n, 0);
-  seeks_.assign(n, 0);
-}
-
 }  // namespace stellar::pfs

@@ -91,9 +91,6 @@ class OstBank {
     return positioning_.peakQueue[ost];
   }
 
-  /// Resets per-run statistics and contiguity state (remount semantics).
-  void reset();
-
   /// Attaches (nullable, non-owning) live fault state: degradation windows
   /// scale this bank's service times (queried by global OST id). Costs one
   /// null check per RPC when detached.

@@ -1,8 +1,12 @@
-// The offline RAG extraction pipeline (§4.2).
+// The offline RAG extraction pipeline (§4.2) and the process-wide copy of
+// its result that every StellarEngine reads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <thread>
 
+#include "core/engine.hpp"
 #include "core/offline_extractor.hpp"
 
 namespace stellar::core {
@@ -98,6 +102,81 @@ TEST(OfflineExtractor, MeterRecordsExtractionCalls) {
 
 TEST(OfflineExtractor, FindReturnsNullForUnknown) {
   EXPECT_EQ(extraction().find("nope"), nullptr);
+}
+
+// ------------------------------------------------------- shared extraction
+
+manual::SystemFacts factsOf(const pfs::ClusterSpec& cluster) {
+  manual::SystemFacts facts;
+  facts.clientRamMb = cluster.clientRamMb();
+  facts.ostCount = cluster.totalOsts();
+  return facts;
+}
+
+pfs::PfsSimulator simulatorFor(const pfs::ClusterSpec& cluster,
+                               obs::CounterRegistry* counters = nullptr) {
+  pfs::SimulatorOptions options;
+  options.cluster = cluster;
+  options.counters = counters;
+  return pfs::PfsSimulator{options};
+}
+
+std::int64_t maxOf(const ExtractionResult& result, std::string_view name) {
+  const ExtractedParam* param = result.find(name);
+  return param == nullptr ? -1 : param->knowledge.maxValue;
+}
+
+TEST(SharedExtraction, ConcurrentEnginesRunThePipelineOnce) {
+  // No other test in this binary extracts for scaledCluster(3), so one of
+  // these eight calls is the process's first for its facts.
+  const pfs::ClusterSpec cluster = pfs::scaledCluster(3);
+  obs::CounterRegistry counters;
+  constexpr std::size_t kThreads = 8;
+  std::vector<const ExtractionResult*> seen(kThreads, nullptr);
+  std::latch start{kThreads};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const StellarEngine engine{simulatorFor(cluster, &counters), StellarOptions{}};
+      start.arrive_and_wait();
+      seen[t] = &engine.extraction();
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const ExtractionResult* result : seen) {
+    EXPECT_EQ(result, seen[0]);
+  }
+  EXPECT_EQ(counters.counter("core.extraction.cache_miss").value(), 1.0);
+  EXPECT_EQ(counters.counter("core.extraction.cache_hit").value(), 7.0);
+  // The engines are gone; the shared result outlives them.
+  EXPECT_EQ(*seen[0], OfflineExtractor{}.run(factsOf(cluster)));
+}
+
+TEST(SharedExtraction, ResultFollowsEveryFactTheEngineSets) {
+  pfs::ClusterSpec leanRam = pfs::defaultCluster();
+  leanRam.clientRamBytes = 64ULL * util::kGiB;
+  const pfs::ClusterSpec base = pfs::defaultCluster();
+  const pfs::ClusterSpec wide = pfs::scaledCluster(2);
+  // Extract for the default cluster first, so a key that drops a fact
+  // would hand its result to the clusters below.
+  const ExtractionResult& onBase =
+      StellarEngine{simulatorFor(base), StellarOptions{}}.extraction();
+  const ExtractionResult& onWide =
+      StellarEngine{simulatorFor(wide), StellarOptions{}}.extraction();
+  const ExtractionResult& onLeanRam =
+      StellarEngine{simulatorFor(leanRam), StellarOptions{}}.extraction();
+
+  // lov.stripe_count tops out at ost_count, osc.max_dirty_mb at client_ram_mb / 8.
+  EXPECT_EQ(maxOf(onBase, "lov.stripe_count"), 5);
+  EXPECT_EQ(maxOf(onWide, "lov.stripe_count"), 10);
+  EXPECT_EQ(maxOf(onBase, "osc.max_dirty_mb"), base.clientRamMb() / 8);
+  EXPECT_EQ(maxOf(onLeanRam, "osc.max_dirty_mb"), 65536 / 8);
+  EXPECT_EQ(onBase, OfflineExtractor{}.run(factsOf(base)));
+  EXPECT_EQ(onWide, OfflineExtractor{}.run(factsOf(wide)));
+  EXPECT_EQ(onLeanRam, OfflineExtractor{}.run(factsOf(leanRam)));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the client-side cache state machines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "pfs/client_cache.hpp"
@@ -10,6 +11,73 @@ namespace stellar::pfs {
 namespace {
 
 // ----------------------------------------------------------- DirtyTracker
+
+/// The single-lane reference for DirtyBank: one (client node, OST) pair's
+/// write-back budget, written for clarity rather than speed. The
+/// differential test below replays one op trace against both.
+class DirtyTracker {
+ public:
+  explicit DirtyTracker(std::uint64_t budgetBytes) : budget_(budgetBytes) {}
+
+  [[nodiscard]] std::uint64_t dirtyBytes() const noexcept { return dirty_; }
+  [[nodiscard]] std::uint64_t freeBytes() const noexcept {
+    return dirty_ >= budget_ ? 0 : budget_ - dirty_;
+  }
+  [[nodiscard]] std::size_t waiterCount() const noexcept { return waiters_.size(); }
+  [[nodiscard]] std::uint64_t peakDirtyBytes() const noexcept { return peakDirty_; }
+  [[nodiscard]] std::uint64_t maxReservationBytes() const noexcept {
+    return maxReservation_;
+  }
+
+  /// Reserves `bytes` when they fit and nobody waits. A request larger than
+  /// the whole budget is admitted only when the tracker is empty.
+  [[nodiscard]] bool tryReserve(std::uint64_t bytes) {
+    const bool fits = bytes > budget_ ? dirty_ == 0 : dirty_ + bytes <= budget_;
+    if (!fits || !waiters_.empty()) {
+      return false;
+    }
+    charge(bytes);
+    return true;
+  }
+
+  void waitForSpace(std::uint64_t bytes, sim::Callback onSpace) {
+    waiters_.push_back(Waiter{bytes, std::move(onSpace)});
+  }
+
+  /// Returns `bytes` of budget and admits waiters FIFO while they fit.
+  void release(std::uint64_t bytes) {
+    dirty_ = bytes >= dirty_ ? 0 : dirty_ - bytes;
+    while (!waiters_.empty()) {
+      Waiter& head = waiters_.front();
+      const bool oversized = head.bytes > budget_;
+      if (oversized ? dirty_ != 0 : dirty_ + head.bytes > budget_) {
+        return;
+      }
+      charge(head.bytes);
+      auto onSpace = std::move(head.onSpace);
+      waiters_.pop_front();
+      onSpace();
+    }
+  }
+
+ private:
+  struct Waiter {
+    std::uint64_t bytes;
+    sim::Callback onSpace;
+  };
+
+  void charge(std::uint64_t bytes) noexcept {
+    dirty_ += bytes;
+    maxReservation_ = std::max(maxReservation_, bytes);
+    peakDirty_ = std::max(peakDirty_, dirty_);
+  }
+
+  std::uint64_t budget_;
+  std::uint64_t dirty_ = 0;
+  std::uint64_t peakDirty_ = 0;
+  std::uint64_t maxReservation_ = 0;
+  std::deque<Waiter> waiters_;
+};
 
 TEST(DirtyTracker, ReservesWithinBudget) {
   DirtyTracker d{100};

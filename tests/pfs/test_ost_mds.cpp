@@ -84,15 +84,6 @@ TEST(OstBank, SmallRandomRpcsAreSeekBoundNotBandwidthBound) {
   EXPECT_GT(wall, pureBandwidth * 2.0);  // but seeks dominate transfers
 }
 
-TEST(OstBank, ResetClearsContiguityAndStats) {
-  OstFixture fx;
-  fx.ost.submitBulk(0, 7, 0, 65536, true, [] {});
-  fx.drain();
-  fx.ost.reset();
-  EXPECT_EQ(fx.ost.rpcsServed(0), 0u);
-  EXPECT_EQ(fx.ost.seeks(0), 0u);
-}
-
 TEST(OstBank, StatsAreTrackedPerOst) {
   // Two OSTs in one bank: submissions to one never leak into the other's
   // counters, and the global index maps through the bank's offset.
