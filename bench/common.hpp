@@ -1,12 +1,16 @@
 // Shared plumbing for the figure/table harnesses: every binary regenerates
 // one table or figure from the paper's evaluation section, printing the
 // same rows/series the paper plots. Volume scale comes from STELLAR_SCALE
-// (default 0.2; 1.0 = the paper's full workload sizes).
+// (default 0.2; 1.0 = the paper's full workload sizes). The gated micro
+// benches read their committed BENCH_*.json baselines through it too.
 #pragma once
 
 #include <cstdio>
+#include <exception>
 #include <string>
 
+#include "util/file.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads/workloads.hpp"
@@ -35,6 +39,44 @@ inline std::string fmt(double v, int decimals = 2) {
 /// "12.34 ± 0.56" mean/CI cell.
 inline std::string meanCi(double mean, double ci, int decimals = 2) {
   return fmt(mean, decimals) + " ± " + fmt(ci, decimals);
+}
+
+/// One gated metric read from a committed BENCH_*.json baseline: its value,
+/// or the reason the file gives none.
+struct BaselineMetric {
+  double value = 0.0;
+  std::string missing;  ///< empty when `value` was read
+
+  [[nodiscard]] bool ok() const noexcept { return missing.empty(); }
+};
+
+/// Reads `metric` from the baseline at `path`, an array of rows each with a
+/// string "metric" and a number "value" (the first matching row wins). An
+/// unreadable file, a document that is not an array of such rows, or one
+/// without the metric yields the reason instead, so a baseline gate cannot
+/// pass on a comparison it never made.
+inline BaselineMetric readBaseline(const std::string& path, const std::string& metric) {
+  try {
+    const util::Json doc = util::Json::parse(util::readFile(path));
+    if (!doc.isArray()) {
+      return {.missing = path + " is not an array of rows"};
+    }
+    const util::Json::Array& rows = doc.asArray();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const util::Json& row = rows[i];
+      if (!row.contains("metric") || !row.contains("value") ||
+          !row.at("metric").isString() || !row.at("value").isNumber()) {
+        return {.missing = path + " row " + std::to_string(i) +
+                           " lacks a string \"metric\" or a number \"value\""};
+      }
+      if (row.at("metric").asString() == metric) {
+        return {.value = row.at("value").asNumber(), .missing = {}};
+      }
+    }
+    return {.missing = path + " has no \"" + metric + "\" row"};
+  } catch (const std::exception& e) {
+    return {.missing = path + ": " + e.what()};
+  }
 }
 
 }  // namespace stellar::bench

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "common.hpp"
 #include "pfs/simulator.hpp"
 #include "pfs/topology.hpp"
 #include "sim/engine.hpp"
@@ -164,30 +165,22 @@ ScalePoint runScalePoint(const std::string& label, pfs::ClusterSpec cluster,
 // Regression check against a committed BENCH_engine.json: ratio metrics
 // are machine-independent enough to gate on (absolute events/sec is not).
 bool checkBaseline(const std::string& path, double perEventRatio) {
-  util::Json doc;
-  try {
-    doc = util::Json::parse(util::readFile(path));
-  } catch (const std::exception& e) {
-    std::printf("FAIL: cannot read baseline %s: %s\n", path.c_str(), e.what());
+  const bench::BaselineMetric base = bench::readBaseline(path, "scale10x_per_event_ratio");
+  if (!base.ok()) {
+    std::printf("FAIL: baseline %s\n", base.missing.c_str());
     return false;
   }
   // The ratio swings up to ~50% run to run (shared-machine load), so the
   // threshold pairs a wide relative tolerance with an absolute floor. The
   // regression this is meant to catch is not subtle: losing shard cache
   // locality cost ~3-4x.
-  bool ok = true;
-  for (const util::Json& row : doc.asArray()) {
-    const std::string metric = row.at("metric").asString();
-    const double value = row.at("value").asNumber();
-    if (metric == "scale10x_per_event_ratio" &&
-        perEventRatio > std::max(value * 1.5, 1.2)) {
-      std::printf("FAIL: scale10x_per_event_ratio regressed: %.3f -> %.3f "
-                  "(limit max(1.5x baseline, 1.2))\n",
-                  value, perEventRatio);
-      ok = false;
-    }
+  if (perEventRatio > std::max(base.value * 1.5, 1.2)) {
+    std::printf("FAIL: scale10x_per_event_ratio regressed: %.3f -> %.3f "
+                "(limit max(1.5x baseline, 1.2))\n",
+                base.value, perEventRatio);
+    return false;
   }
-  return ok;
+  return true;
 }
 
 }  // namespace

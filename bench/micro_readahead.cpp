@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "pfs/simulator.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -150,30 +151,29 @@ BenchPoint runPoint(const char* label, const pfs::JobSpec& job,
 // swings with host load; the hit rates are deterministic).
 bool checkBaseline(const std::string& path, double hostCostRatio,
                    double separation) {
-  util::Json doc;
-  try {
-    doc = util::Json::parse(util::readFile(path));
-  } catch (const std::exception& e) {
-    std::printf("FAIL: cannot read baseline %s: %s\n", path.c_str(), e.what());
-    return false;
-  }
   bool ok = true;
-  for (const util::Json& row : doc.asArray()) {
-    const std::string metric = row.at("metric").asString();
-    const double value = row.at("value").asNumber();
-    if (metric == "seqread_host_cost_ratio" &&
-        hostCostRatio > std::max(value * 1.5, 1.10)) {
-      std::printf("FAIL: seqread_host_cost_ratio regressed: %.3f -> %.3f "
-                  "(limit max(1.5x baseline, 1.10))\n",
-                  value, hostCostRatio);
-      ok = false;
+  const bench::BaselineMetric cost = bench::readBaseline(path, "seqread_host_cost_ratio");
+  if (!cost.ok()) {
+    std::printf("FAIL: baseline %s\n", cost.missing.c_str());
+    ok = false;
+  } else if (hostCostRatio > std::max(cost.value * 1.5, 1.10)) {
+    std::printf("FAIL: seqread_host_cost_ratio regressed: %.3f -> %.3f "
+                "(limit max(1.5x baseline, 1.10))\n",
+                cost.value, hostCostRatio);
+    ok = false;
+  }
+  const bench::BaselineMetric sep = bench::readBaseline(path, "hit_rate_separation");
+  if (!sep.ok()) {
+    // A file-level fault gives both metrics the same reason; say it once.
+    if (sep.missing != cost.missing) {
+      std::printf("FAIL: baseline %s\n", sep.missing.c_str());
     }
-    if (metric == "hit_rate_separation" && separation < value - 0.02) {
-      std::printf("FAIL: hit_rate_separation regressed: %.4f -> %.4f "
-                  "(limit baseline - 0.02)\n",
-                  value, separation);
-      ok = false;
-    }
+    ok = false;
+  } else if (separation < sep.value - 0.02) {
+    std::printf("FAIL: hit_rate_separation regressed: %.4f -> %.4f "
+                "(limit baseline - 0.02)\n",
+                sep.value, separation);
+    ok = false;
   }
   return ok;
 }

@@ -39,12 +39,12 @@ BENCHMARK(BM_EventEngine);
 void BM_ServiceCenterQueueing(benchmark::State& state) {
   for (auto _ : state) {
     sim::SimEngine engine;
-    sim::ServiceCenter center{engine, "disk", 16};
+    sim::ServiceCenterBank center{engine, 1, 16};
     for (int i = 0; i < 5000; ++i) {
-      center.submit(0.001, [] {});
+      center.submit(0, 0.001, [] {});
     }
     engine.run();
-    benchmark::DoNotOptimize(center.busyTime());
+    benchmark::DoNotOptimize(center.busyTime(0));
   }
   state.SetItemsProcessed(state.iterations() * 5000);
 }

@@ -1,5 +1,6 @@
-// service_fleet — the stellard service gate: fleet throughput, tail
-// latency, coalescing, and the service determinism law.
+// service_fleet — the stellard service gate: session accounting,
+// coalescing, and the service determinism law. (Fleet throughput and
+// latency are perfbench's `fleet` workload, measured with provenance.)
 //
 // One request schedule (3 tenants x several cells, with duplicate
 // submissions that must coalesce) is run through TuningService four ways:
@@ -11,13 +12,10 @@
 //   - >= 8 concurrent sessions accepted, all completed, none failed
 //   - coalescing hit rate > 0 and fresh engine runs == distinct cells
 //   - 1-vs-8-worker documents byte-identical, fault-free AND faulted
-//   - p99 session latency measured (> 0) via the injected clock
 //
 // Emits BENCH_service.json (rows: name, metric, value, seed) in the
 // current directory — run from the repo root to refresh the checked-in
 // copy. `--quick` shrinks the schedule for CI.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -30,13 +28,6 @@
 namespace {
 
 using namespace stellar;
-
-std::uint64_t monotonicNanos() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::vector<service::SubmitOptions> schedule(bool quick,
                                              const std::string& faults) {
@@ -75,22 +66,18 @@ std::vector<service::SubmitOptions> schedule(bool quick,
 }
 
 struct FleetRun {
-  std::string docs;           // concatenated per-session result documents
+  std::string docs;  // concatenated per-session result documents
   service::ServiceStats stats;
-  std::vector<double> latencySeconds;  // per-session, injected clock
-  double wallSeconds = 0.0;
 };
 
 FleetRun runFleet(bool quick, const std::string& faults, std::size_t workers) {
   service::ServiceOptions options;
   options.workers = workers;
-  options.clock = &monotonicNanos;
   service::TenantPolicy heavy;
   heavy.weight = 2.0;
   options.tenants["alice"] = heavy;  // weighted fairness on a live schedule
   service::TuningService fleet{options};
 
-  const auto t0 = std::chrono::steady_clock::now();
   for (const service::SubmitOptions& request : schedule(quick, faults)) {
     const service::SubmitResult submitted = fleet.submit(request);
     if (!submitted.accepted()) {
@@ -102,26 +89,9 @@ FleetRun runFleet(bool quick, const std::string& faults, std::size_t workers) {
   FleetRun run;
   for (const service::SessionResult& result : fleet.drainAll()) {
     run.docs += result.toJson().dump() + "\n";
-    run.latencySeconds.push_back(
-        static_cast<double>(result.completeNanos - result.submitNanos) * 1e-9);
   }
-  run.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   run.stats = fleet.stats();
   return run;
-}
-
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::sort(values.begin(), values.end());
-  const double rank = p * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 struct Row {
@@ -146,19 +116,10 @@ int main(int argc, char** argv) {
   const double hitRate = sessions == 0 ? 0.0
                                        : static_cast<double>(fleet.stats.coalesced) /
                                              static_cast<double>(sessions);
-  const double p50 = percentile(fleet.latencySeconds, 0.50);
-  const double p99 = percentile(fleet.latencySeconds, 0.99);
-  const double throughput =
-      fleet.wallSeconds > 0 ? static_cast<double>(sessions) / fleet.wallSeconds : 0.0;
-  std::printf("fleet: %zu sessions (%zu cells) in %.2fs — %.1f sessions/s, "
-              "p50 %.0f ms, p99 %.0f ms, coalescing %.0f%%\n",
-              sessions, fleet.stats.freshRuns, fleet.wallSeconds, throughput,
-              p50 * 1e3, p99 * 1e3, hitRate * 100);
+  std::printf("fleet: %zu sessions (%zu cells), coalescing %.0f%%\n", sessions,
+              fleet.stats.freshRuns, hitRate * 100);
   rows.push_back({"sessions", static_cast<double>(sessions)});
   rows.push_back({"distinct_cells", static_cast<double>(fleet.stats.freshRuns)});
-  rows.push_back({"throughput_sessions_per_sec", throughput});
-  rows.push_back({"latency_p50_seconds", p50});
-  rows.push_back({"latency_p99_seconds", p99});
   rows.push_back({"coalescing_hit_rate", hitRate});
   if (sessions < 8) {
     std::printf("FAIL: gate needs >= 8 concurrent sessions, got %zu\n", sessions);
@@ -173,10 +134,6 @@ int main(int argc, char** argv) {
       fleet.stats.freshRuns + fleet.stats.coalesced != sessions) {
     std::printf("FAIL: coalescing broke (%zu coalesced, %zu fresh of %zu)\n",
                 fleet.stats.coalesced, fleet.stats.freshRuns, sessions);
-    ok = false;
-  }
-  if (p99 <= 0.0) {
-    std::printf("FAIL: injected clock produced no latency stamps\n");
     ok = false;
   }
 

@@ -7,6 +7,16 @@
 
 namespace stellar::core {
 
+namespace {
+
+/// measureConfig's aggregation: the fraction trimmed from each end for
+/// trimmedMeanSeconds (one of eight repeats), and the coefficient of
+/// variation above which a measure is `unstable`.
+constexpr double kTrimFraction = 0.125;
+constexpr double kUnstableCvThreshold = 0.25;
+
+}  // namespace
+
 RobustAggregate robustAggregate(std::span<const double> samples, double trimFraction,
                                 double cvThreshold) {
   RobustAggregate agg;
@@ -49,7 +59,7 @@ RepeatedMeasure measureConfig(const pfs::PfsSimulator& simulator, const pfs::Job
     }
   }
   const RobustAggregate agg =
-      robustAggregate(measure.samples, options.trimFraction, options.unstableCvThreshold);
+      robustAggregate(measure.samples, kTrimFraction, kUnstableCvThreshold);
   measure.summary = agg.summary;
   measure.medianSeconds = agg.medianSeconds;
   measure.trimmedMeanSeconds = agg.trimmedMeanSeconds;

@@ -38,8 +38,7 @@ struct RepeatedMeasure {
   /// watchdog cap); their wall times are excluded from every aggregate.
   std::size_t failedRuns = 0;
   /// True when the successful samples' coefficient of variation exceeds
-  /// MeasureOptions::unstableCvThreshold — the measurement should not be
-  /// trusted as a point estimate.
+  /// 0.25 — the measurement should not be trusted as a point estimate.
   bool unstable = false;
 
   /// At least one usable sample and no failed repeats.
@@ -57,10 +56,6 @@ struct MeasureOptions {
   /// Watchdog: simulated-seconds cap per repeat (0 = unlimited). A repeat
   /// that hits the cap counts toward failedRuns instead of the samples.
   double simTimeCapSeconds = 0.0;
-  /// Fraction trimmed from each end for trimmedMeanSeconds.
-  double trimFraction = 0.125;
-  /// Coefficient-of-variation level above which the measure is `unstable`.
-  double unstableCvThreshold = 0.25;
 };
 
 /// Runs `job` under `config` options.repeats times with distinct seeds;

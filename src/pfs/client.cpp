@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <memory>
 
 #include "faults/fault_injector.hpp"
 
@@ -33,7 +32,12 @@ ClientRuntime::ClientRuntime(sim::SimEngine& engine, const ClusterSpec& cluster,
       osts_(engine, cluster_, cluster.totalOsts(), scope.ostOffset, scope.runSeed),
       mds_(engine, cluster_, util::mix64(scope.runSeed, scope.ostOffset)),
       oscFlow_(engine, static_cast<std::size_t>(cluster.clientNodes) * cluster.totalOsts(),
-               static_cast<std::uint32_t>(config.osc_max_rpcs_in_flight)) {
+               static_cast<std::uint32_t>(config.osc_max_rpcs_in_flight)),
+      nics_(engine, cluster.clientNodes, 1),
+      mdcFlow_(engine, cluster.clientNodes,
+               static_cast<std::uint32_t>(config.mdc_max_rpcs_in_flight)),
+      modFlow_(engine, cluster.clientNodes,
+               static_cast<std::uint32_t>(config.mdc_max_mod_rpcs_in_flight)) {
   osts_.attachFaults(faults_);
   mds_.attachFaults(faults_);
 
@@ -61,11 +65,6 @@ ClientRuntime::ClientRuntime(sim::SimEngine& engine, const ClusterSpec& cluster,
   nodes_.resize(cluster.clientNodes);
   for (std::uint32_t n = 0; n < cluster.clientNodes; ++n) {
     NodeState& node = nodes_[n];
-    node.nic = std::make_unique<sim::ServiceCenter>(engine_, "client" + std::to_string(n) + ".nic", 1);
-    node.mdcLimiter = std::make_unique<sim::FlowLimiter>(
-        engine_, static_cast<std::uint32_t>(config_.mdc_max_rpcs_in_flight));
-    node.modLimiter = std::make_unique<sim::FlowLimiter>(
-        engine_, static_cast<std::uint32_t>(config_.mdc_max_mod_rpcs_in_flight));
     node.locks.configure(static_cast<std::size_t>(config_.ldlm_lru_size),
                          static_cast<double>(config_.ldlm_lru_max_age));
     node.locks.setEvictionHandler(
@@ -602,13 +601,12 @@ void ClientRuntime::launchRpc(const RpcDelivery& d, sim::Callback served) {
     });
     return;
   }
-  NodeState& node = nodes_[d.node];
   const double wireTime = static_cast<double>(d.bytes) / cluster_.network.nicBandwidth;
   if (d.isWrite) {
     // Client NIC, request trip, OST bulk service, reply trip.
-    node.nic->submit(wireTime, [this, ost = d.localOst, file = d.file,
-                                objectOffset = d.objectOffset, bytes = d.bytes, latency,
-                                served = std::move(served)]() mutable {
+    nics_.submit(d.node, wireTime, [this, ost = d.localOst, file = d.file,
+                                    objectOffset = d.objectOffset, bytes = d.bytes, latency,
+                                    served = std::move(served)]() mutable {
       engine_.scheduleAfter(latency, [this, ost, file, objectOffset, bytes, latency,
                                       served = std::move(served)]() mutable {
         osts_.submitBulk(ost, file, objectOffset, bytes, /*isWrite=*/true,
@@ -621,13 +619,13 @@ void ClientRuntime::launchRpc(const RpcDelivery& d, sim::Callback served) {
   }
   // Request trip, OST bulk service, then the response data crosses the
   // client NIC before the reply trip.
-  engine_.scheduleAfter(latency, [this, &node, ost = d.localOst, file = d.file,
+  engine_.scheduleAfter(latency, [this, node = d.node, ost = d.localOst, file = d.file,
                                   objectOffset = d.objectOffset, bytes = d.bytes, latency,
                                   wireTime, served = std::move(served)]() mutable {
     osts_.submitBulk(ost, file, objectOffset, bytes, /*isWrite=*/false,
-                     [this, &node, wireTime, latency,
+                     [this, node, wireTime, latency,
                       served = std::move(served)]() mutable {
-      node.nic->submit(wireTime, [this, latency, served = std::move(served)]() mutable {
+      nics_.submit(node, wireTime, [this, latency, served = std::move(served)]() mutable {
         engine_.scheduleAfter(latency, std::move(served));
       });
     });
@@ -642,27 +640,27 @@ void ClientRuntime::submitMeta(std::uint32_t nodeIdx, MetaOpKind kind,
     tracer_->instant("rpc", std::string("meta:") + metaOpName(kind),
                      {{"sim_time", util::Json(engine_.now())}});
   }
-  NodeState& node = nodes_[nodeIdx];
   RpcDelivery d{
       .ost = -1,
       .node = nodeIdx,
       .metaKind = kind,
       .stripeCount = stripeCount,
       .complete = sim::Callback{engine_.arena(),
-                                [&node, modifying, onDone = std::move(onDone)]() mutable {
-                                  node.mdcLimiter->release();
+                                [this, nodeIdx, modifying,
+                                 onDone = std::move(onDone)]() mutable {
+                                  mdcFlow_.release(nodeIdx);
                                   if (modifying) {
-                                    node.modLimiter->release();
+                                    modFlow_.release(nodeIdx);
                                   }
                                   onDone();
                                 }},
   };
-  auto issue = [this, &node, d = std::move(d)]() mutable {
-    node.mdcLimiter->acquire(
-        [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
+  auto issue = [this, nodeIdx, d = std::move(d)]() mutable {
+    mdcFlow_.acquire(nodeIdx,
+                     [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
   };
   if (modifying) {
-    node.modLimiter->acquire(std::move(issue));
+    modFlow_.acquire(nodeIdx, std::move(issue));
   } else {
     issue();
   }

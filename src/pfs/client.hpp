@@ -32,7 +32,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -350,12 +349,10 @@ class ClientRuntime {
     std::optional<std::size_t> waitingOnStat;
   };
 
-  /// Per-node state that is genuinely per node (not per node x OST): the
-  /// NIC, metadata caps, lock LRU, readahead store, and file bookkeeping.
+  /// Per-node state that is genuinely per node (not per node x OST) and
+  /// not a queueing primitive: lock LRU, readahead store, and file
+  /// bookkeeping. The NIC and metadata caps are node-indexed banks.
   struct NodeState {
-    std::unique_ptr<sim::ServiceCenter> nic;
-    std::unique_ptr<sim::FlowLimiter> mdcLimiter;
-    std::unique_ptr<sim::FlowLimiter> modLimiter;
     LockLru locks;
     ReadAheadCache readahead;
     /// Ordered maps, not unordered: fsync completion drains waiters per
@@ -475,6 +472,12 @@ class ClientRuntime {
   MdsModel mds_;
   /// Per-(node,OST) osc.max_rpcs_in_flight caps, lane-indexed.
   sim::FlowLimiterBank oscFlow_;
+  /// Per-node client NICs (1 server each), node-indexed.
+  sim::ServiceCenterBank nics_;
+  /// Per-node mdc.max_rpcs_in_flight and mdc.max_mod_rpcs_in_flight caps,
+  /// node-indexed.
+  sim::FlowLimiterBank mdcFlow_;
+  sim::FlowLimiterBank modFlow_;
   /// Per-(node,OST) osc.max_dirty_mb budgets, lane-indexed.
   DirtyBank dirty_;
   /// Pending dirty segments awaiting RPC formation, lane-indexed.

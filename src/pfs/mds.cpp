@@ -23,7 +23,7 @@ const char* metaOpName(MetaOpKind kind) noexcept {
 MdsModel::MdsModel(sim::SimEngine& engine, const ClusterSpec& cluster,
                    std::uint64_t seed)
     : engine_(engine), cluster_(cluster),
-      threads_(engine, "mds.threads", cluster.mds.serviceThreads),
+      threads_(engine, 1, cluster.mds.serviceThreads),
       rng_(util::mix64(seed, 0x4D45D5ULL)) {}
 
 double MdsModel::baseCost(MetaOpKind kind) const noexcept {
@@ -53,12 +53,12 @@ void MdsModel::submit(MetaOpKind kind, std::uint32_t stripeCount,
     service *= 1.0 + 0.30 * static_cast<double>(stripeCount - 1);
   }
   service += cluster_.mds.congestionPenalty *
-             static_cast<double>(std::min<std::size_t>(threads_.queuedRequests(), 32));
+             static_cast<double>(std::min<std::size_t>(threads_.queued(0), 32));
   service *= rng_.uniform(0.9, 1.1);
   if (faults_ != nullptr) {
     service *= faults_->mdsSlowdown();
   }
-  threads_.submit(service, std::move(onDone));
+  threads_.submit(0, service, std::move(onDone));
 }
 
 }  // namespace stellar::pfs

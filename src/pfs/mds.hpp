@@ -45,9 +45,7 @@ class MdsModel {
   }
 
   [[nodiscard]] std::uint64_t opsServed() const noexcept { return opsServed_; }
-  [[nodiscard]] double busyTime() const noexcept { return threads_.busyTime(); }
-
-  void reset() noexcept { opsServed_ = 0; }
+  [[nodiscard]] double busyTime() const noexcept { return threads_.busyTime(0); }
 
   /// Attaches (nullable, non-owning) live fault state: overload windows
   /// scale metadata service times.
@@ -59,7 +57,7 @@ class MdsModel {
   sim::SimEngine& engine_;
   const ClusterSpec& cluster_;
   const faults::FaultInjector* faults_ = nullptr;
-  sim::ServiceCenter threads_;
+  sim::ServiceCenterBank threads_;  ///< one lane: the MDS service threads
   util::Rng rng_;
   std::uint64_t opsServed_ = 0;
 };

@@ -7,22 +7,12 @@
 
 namespace stellar::pfs {
 
-void OstBank::Stage::init(std::uint32_t count, std::uint32_t serverCount) {
-  servers = std::max<std::uint32_t>(serverCount, 1);
-  busy.assign(count, 0);
-  busyTime.assign(count, 0.0);
-  peakQueue.assign(count, 0);
-  waiting.clear();
-  waiting.resize(count);
-}
-
 OstBank::OstBank(sim::SimEngine& engine, const ClusterSpec& cluster,
                  std::uint32_t count, std::uint32_t globalOffset,
                  std::uint64_t runSeed)
-    : engine_(engine), cluster_(cluster), globalOffset_(globalOffset) {
-  nic_.init(count, 1);
-  positioning_.init(count, cluster.disk.queueDepth);
-  transfer_.init(count, 1);
+    : engine_(engine), cluster_(cluster), globalOffset_(globalOffset),
+      nic_(engine, count, 1), positioning_(engine, count, cluster.disk.queueDepth),
+      transfer_(engine, count, 1) {
   rpcsServed_.assign(count, 0);
   bytesServed_.assign(count, 0);
   bytesWritten_.assign(count, 0);
@@ -33,34 +23,6 @@ OstBank::OstBank(sim::SimEngine& engine, const ClusterSpec& cluster,
   for (std::uint32_t i = 0; i < count; ++i) {
     rng_.emplace_back(util::mix64(bankSeed, globalOffset + i));
   }
-}
-
-void OstBank::stageSubmit(Stage& stage, std::uint32_t ost, StageRequest request) {
-  if (request.serviceTime < 0.0) {
-    request.serviceTime = 0.0;
-  }
-  if (stage.busy[ost] < stage.servers) {
-    stageStart(stage, ost, std::move(request));
-  } else {
-    stage.waiting[ost].push(std::move(request));
-    stage.peakQueue[ost] = std::max(stage.peakQueue[ost], stage.waiting[ost].size());
-  }
-}
-
-void OstBank::stageStart(Stage& stage, std::uint32_t ost, StageRequest request) {
-  ++stage.busy[ost];
-  stage.busyTime[ost] += request.serviceTime;
-  engine_.scheduleAfter(
-      request.serviceTime,
-      [this, &stage, ost, onDone = std::move(request.onDone)]() mutable {
-        --stage.busy[ost];
-        if (!stage.waiting[ost].empty()) {
-          stageStart(stage, ost, stage.waiting[ost].pop());
-        }
-        if (onDone) {
-          onDone();
-        }
-      });
 }
 
 void OstBank::submitBulk(std::uint32_t ost, std::uint64_t objectKey,
@@ -75,11 +37,9 @@ void OstBank::submitBulk(std::uint32_t ost, std::uint64_t objectKey,
   // Wire time across the server NIC (shared by every client talking to
   // this OSS), then positioning, then the serialized media transfer.
   const double wireTime = static_cast<double>(bytes) / cluster_.network.nicBandwidth;
-  stageSubmit(nic_, ost,
-              StageRequest{wireTime,
-                           sim::Callback{engine_.arena(),
-                                         [this, ost, objectKey, objectOffset, bytes,
-                                          isWrite, onDone = std::move(onDone)]() mutable {
+  nic_.submit(ost, wireTime,
+              [this, ost, objectKey, objectOffset, bytes, isWrite,
+               onDone = std::move(onDone)]() mutable {
     const DiskSpec& disk = cluster_.disk;
 
     // Seek detection per object: contiguous with the previous access?
@@ -99,7 +59,7 @@ void OstBank::submitBulk(std::uint32_t ost, std::uint64_t objectKey,
     // saturates rather than collapsing).
     positioning += disk.congestionPenalty *
                    static_cast<double>(
-                       std::min<std::size_t>(positioning_.waiting[ost].size(), 64));
+                       std::min<std::size_t>(positioning_.queued(ost), 64));
     positioning *= rng_[ost].uniform(0.9, 1.1);
 
     double transferTime = static_cast<double>(bytes) / disk.sequentialBandwidth +
@@ -118,14 +78,11 @@ void OstBank::submitBulk(std::uint32_t ost, std::uint64_t objectKey,
       transferTime *= slowdown;
     }
 
-    stageSubmit(positioning_, ost,
-                StageRequest{positioning,
-                             sim::Callback{engine_.arena(),
-                                           [this, ost, transferTime,
-                                            onDone = std::move(onDone)]() mutable {
-      stageSubmit(transfer_, ost, StageRequest{transferTime, std::move(onDone)});
-    }}});
-  }}});
+    positioning_.submit(ost, positioning,
+                        [this, ost, transferTime, onDone = std::move(onDone)]() mutable {
+      transfer_.submit(ost, transferTime, std::move(onDone));
+    });
+  });
 }
 
 }  // namespace stellar::pfs

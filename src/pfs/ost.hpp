@@ -3,11 +3,11 @@
 // Models every OST owned by one engine shard as struct-of-arrays indexed
 // by dense OST id: a server NIC in front of a disk with bounded efficient
 // concurrency, per-object contiguity tracking (seek penalties), and
-// congestion latency past the efficient queue depth. Each OST runs the
-// same three FIFO stages the old per-object OstModel had —
-// nic (1 server) -> positioning (queueDepth servers) -> transfer (1) —
-// but hot counters live in flat vectors so datacenter-scale sweeps stay
-// cache-resident instead of chasing one heap object per OST.
+// congestion latency past the efficient queue depth. Each OST runs three
+// FIFO stages — nic (1 server) -> positioning (queueDepth servers) ->
+// transfer (1) — and each stage is one sim::ServiceCenterBank with a lane
+// per OST, so hot counters live in flat vectors and datacenter-scale
+// sweeps stay cache-resident instead of chasing one heap object per OST.
 //
 // Service jitter draws from a per-OST random stream keyed by the OST's
 // *global* id and the run seed, never from the engine's stream: results
@@ -22,6 +22,7 @@
 #include "pfs/topology.hpp"
 #include "sim/callback.hpp"
 #include "sim/engine.hpp"
+#include "sim/service_center.hpp"
 #include "util/rng.hpp"
 
 namespace stellar::faults {
@@ -73,7 +74,7 @@ class OstBank {
   }
   [[nodiscard]] std::uint64_t seeks(std::uint32_t ost) const { return seeks_[ost]; }
   [[nodiscard]] double diskBusyTime(std::uint32_t ost) const {
-    return transfer_.busyTime[ost];
+    return transfer_.busyTime(ost);
   }
 
   /// Simulated-time split of where an OST's disk spent its busy time:
@@ -81,14 +82,14 @@ class OstBank {
   /// The difference is what distinguishes a seek-bound from a
   /// bandwidth-bound configuration in the observability layer.
   [[nodiscard]] double positioningBusyTime(std::uint32_t ost) const {
-    return positioning_.busyTime[ost];
+    return positioning_.busyTime(ost);
   }
   [[nodiscard]] double transferBusyTime(std::uint32_t ost) const {
-    return transfer_.busyTime[ost];
+    return transfer_.busyTime(ost);
   }
   /// Peak backlog seen by the seek/setup stage (congestion indicator).
   [[nodiscard]] std::size_t peakQueue(std::uint32_t ost) const {
-    return positioning_.peakQueue[ost];
+    return positioning_.peakQueue(ost);
   }
 
   /// Attaches (nullable, non-owning) live fault state: degradation windows
@@ -97,54 +98,14 @@ class OstBank {
   void attachFaults(const faults::FaultInjector* faults) noexcept { faults_ = faults; }
 
  private:
-  struct StageRequest {
-    double serviceTime;
-    sim::Callback onDone;
-  };
-
-  /// Allocation-free FIFO: a vector with a consumed-prefix cursor. Empty
-  /// queues hold no heap storage, so 3 stages x 5000 OSTs cost vectors of
-  /// a few machine words each.
-  struct Fifo {
-    std::vector<StageRequest> items;
-    std::size_t head = 0;
-
-    [[nodiscard]] bool empty() const noexcept { return head == items.size(); }
-    [[nodiscard]] std::size_t size() const noexcept { return items.size() - head; }
-    void push(StageRequest request) { items.push_back(std::move(request)); }
-    StageRequest pop() {
-      StageRequest request = std::move(items[head]);
-      if (++head == items.size()) {
-        items.clear();
-        head = 0;
-      }
-      return request;
-    }
-  };
-
-  /// One FIFO multi-server stage replicated across every OST,
-  /// struct-of-arrays. Semantics per OST match sim::ServiceCenter.
-  struct Stage {
-    std::uint32_t servers = 1;
-    std::vector<std::uint32_t> busy;
-    std::vector<double> busyTime;
-    std::vector<std::size_t> peakQueue;
-    std::vector<Fifo> waiting;
-
-    void init(std::uint32_t count, std::uint32_t serverCount);
-  };
-
-  void stageSubmit(Stage& stage, std::uint32_t ost, StageRequest request);
-  void stageStart(Stage& stage, std::uint32_t ost, StageRequest request);
-
   sim::SimEngine& engine_;
   const ClusterSpec& cluster_;
   std::uint32_t globalOffset_;
   const faults::FaultInjector* faults_ = nullptr;
 
-  Stage nic_;          ///< server-side link, FIFO store-and-forward
-  Stage positioning_;  ///< queueDepth-way seek/setup stage
-  Stage transfer_;     ///< serialized media bandwidth stage
+  sim::ServiceCenterBank nic_;          ///< server-side link, FIFO store-and-forward
+  sim::ServiceCenterBank positioning_;  ///< queueDepth-way seek/setup stage
+  sim::ServiceCenterBank transfer_;     ///< serialized media bandwidth stage
 
   std::vector<std::uint64_t> rpcsServed_;
   std::vector<std::uint64_t> bytesServed_;

@@ -5,43 +5,6 @@
 
 namespace stellar::sim {
 
-FlowLimiter::FlowLimiter(SimEngine& engine, std::uint32_t limit)
-    : engine_(engine), limit_(std::max<std::uint32_t>(1, limit)) {}
-
-void FlowLimiter::acquire(Callback onAcquired) {
-  if (inFlight_ < limit_) {
-    ++inFlight_;
-    peak_ = std::max<std::uint64_t>(peak_, inFlight_);
-    onAcquired();
-  } else {
-    waiting_.push_back(std::move(onAcquired));
-  }
-}
-
-void FlowLimiter::release() {
-  if (inFlight_ > 0) {
-    --inFlight_;
-  }
-  admitWaiters();
-}
-
-void FlowLimiter::setLimit(std::uint32_t limit) {
-  limit_ = std::max<std::uint32_t>(1, limit);
-  admitWaiters();
-}
-
-void FlowLimiter::admitWaiters() {
-  while (!waiting_.empty() && inFlight_ < limit_) {
-    ++inFlight_;
-    peak_ = std::max<std::uint64_t>(peak_, inFlight_);
-    Callback next = std::move(waiting_.front());
-    waiting_.pop_front();
-    // Run through the engine so the waiter resumes as a fresh event (keeps
-    // stack depth bounded under long convoys).
-    engine_.scheduleAfter(0.0, std::move(next));
-  }
-}
-
 FlowLimiterBank::FlowLimiterBank(SimEngine& engine, std::size_t lanes,
                                  std::uint32_t limit)
     : engine_(engine), limit_(std::max<std::uint32_t>(1, limit)),

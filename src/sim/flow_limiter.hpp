@@ -2,13 +2,13 @@
 //
 // Models Lustre's in-flight RPC caps: osc.max_rpcs_in_flight bounds data
 // RPCs per client-OST pair, mdc.max_rpcs_in_flight / max_mod_rpcs_in_flight
-// bound metadata RPCs per client. Acquirers queue FIFO; release wakes the
-// head of the queue in the same simulated instant.
+// bound metadata RPCs per client node. Acquirers queue FIFO; release wakes
+// the head of the queue in the same simulated instant, as a fresh event.
 //
-// FlowLimiter is a single semaphore; FlowLimiterBank packs one semaphore
-// per "lane" (e.g. every client-node × OST pair) into struct-of-arrays
-// counters with a sparse waiter map, so datacenter-scale clusters pay a
-// few bytes per lane instead of a heap object per pair.
+// FlowLimiterBank packs one semaphore per "lane" (every client-node x OST
+// pair for the osc caps, every client node for the mdc caps) into
+// struct-of-arrays counters with a sparse waiter map, so datacenter-scale
+// clusters pay a few bytes per lane instead of a heap object per pair.
 #pragma once
 
 #include <cstddef>
@@ -22,46 +22,10 @@
 
 namespace stellar::sim {
 
-class FlowLimiter {
- public:
-  FlowLimiter(SimEngine& engine, std::uint32_t limit);
-
-  FlowLimiter(const FlowLimiter&) = delete;
-  FlowLimiter& operator=(const FlowLimiter&) = delete;
-
-  /// Runs `onAcquired` as soon as a token is available (possibly now).
-  void acquire(Callback onAcquired);
-
-  template <EventCallable F>
-  void acquire(F&& onAcquired) {
-    acquire(Callback{engine_.arena(), std::forward<F>(onAcquired)});
-  }
-
-  /// Returns one token; wakes the oldest waiter if any.
-  void release();
-
-  /// Changes the limit (used when a tuning iteration applies a new
-  /// config); newly-freed headroom admits queued waiters immediately.
-  void setLimit(std::uint32_t limit);
-
-  [[nodiscard]] std::uint32_t limit() const noexcept { return limit_; }
-  [[nodiscard]] std::uint32_t inFlight() const noexcept { return inFlight_; }
-  [[nodiscard]] std::size_t waiters() const noexcept { return waiting_.size(); }
-  [[nodiscard]] std::uint64_t peakInFlight() const noexcept { return peak_; }
-
- private:
-  void admitWaiters();
-
-  SimEngine& engine_;
-  std::uint32_t limit_;
-  std::uint32_t inFlight_ = 0;
-  std::uint64_t peak_ = 0;
-  std::deque<Callback> waiting_;
-};
-
-/// A bank of FIFO semaphores sharing one limit, indexed by dense lane id.
-/// Semantics per lane match FlowLimiter exactly (including the fresh-event
-/// wakeup on release); only the storage differs.
+/// A bank of FIFO semaphores sharing one limit (floored at 1), indexed by
+/// dense lane id. Each lane behaves exactly like the single-semaphore
+/// reference in tests/sim/test_flow_limiter.cpp, including the fresh-event
+/// wakeup on release; only the storage differs.
 class FlowLimiterBank {
  public:
   FlowLimiterBank(SimEngine& engine, std::size_t lanes, std::uint32_t limit);

@@ -5,34 +5,33 @@
 
 namespace stellar::sim {
 
-ServiceCenter::ServiceCenter(SimEngine& engine, std::string name, std::uint32_t servers)
-    : engine_(engine), name_(std::move(name)), servers_(std::max<std::uint32_t>(1, servers)) {}
+ServiceCenterBank::ServiceCenterBank(SimEngine& engine, std::size_t lanes,
+                                     std::uint32_t servers)
+    : engine_(engine), servers_(std::max<std::uint32_t>(1, servers)),
+      busy_(lanes, 0), busyTime_(lanes, 0.0), peakQueue_(lanes, 0), waiting_(lanes) {}
 
-void ServiceCenter::submit(SimTime serviceTime, Callback onDone) {
-  ++submitted_;
+void ServiceCenterBank::submit(std::size_t lane, SimTime serviceTime, Callback onDone) {
   if (serviceTime < 0.0) {
     serviceTime = 0.0;
   }
-  if (busy_ < servers_) {
-    startService(Request{serviceTime, std::move(onDone)});
+  if (busy_[lane] < servers_) {
+    start(lane, Request{serviceTime, std::move(onDone)});
   } else {
-    waiting_.push_back(Request{serviceTime, std::move(onDone)});
-    peakQueue_ = std::max(peakQueue_, waiting_.size());
+    waiting_[lane].push(Request{serviceTime, std::move(onDone)});
+    peakQueue_[lane] = std::max(peakQueue_[lane], waiting_[lane].size());
   }
 }
 
-void ServiceCenter::startService(Request request) {
-  ++busy_;
-  busyTime_ += request.serviceTime;
+void ServiceCenterBank::start(std::size_t lane, Request request) {
+  ++busy_[lane];
+  busyTime_[lane] += request.serviceTime;
   // Capture the completion by value; `this` outlives the engine run in all
-  // usage (the PfsSimulator owns both engine and centers).
+  // usage (each bank's owner lives as long as the run that drives it).
   engine_.scheduleAfter(request.serviceTime,
-                        [this, onDone = std::move(request.onDone)]() mutable {
-                          --busy_;
-                          if (!waiting_.empty()) {
-                            Request next = std::move(waiting_.front());
-                            waiting_.pop_front();
-                            startService(std::move(next));
+                        [this, lane, onDone = std::move(request.onDone)]() mutable {
+                          --busy_[lane];
+                          if (!waiting_[lane].empty()) {
+                            start(lane, waiting_[lane].pop());
                           }
                           if (onDone) {
                             onDone();

@@ -1,11 +1,68 @@
 // Counting-semaphore semantics of the in-flight RPC caps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <utility>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/flow_limiter.hpp"
 
 namespace stellar::sim {
 namespace {
+
+/// Single-semaphore reference for one lane of FlowLimiterBank: the plain
+/// FIFO counting semaphore the bank's per-lane semantics must match, with
+/// a waiter admitted on release as a fresh event.
+class FlowLimiter {
+ public:
+  FlowLimiter(SimEngine& engine, std::uint32_t limit)
+      : engine_(engine), limit_(std::max<std::uint32_t>(1, limit)) {}
+
+  template <EventCallable F>
+  void acquire(F&& onAcquired) {
+    Callback callback{engine_.arena(), std::forward<F>(onAcquired)};
+    if (inFlight_ < limit_) {
+      ++inFlight_;
+      callback();
+    } else {
+      waiting_.push_back(std::move(callback));
+    }
+  }
+
+  void release() {
+    if (inFlight_ > 0) {
+      --inFlight_;
+    }
+    admitWaiters();
+  }
+
+  void setLimit(std::uint32_t limit) {
+    limit_ = std::max<std::uint32_t>(1, limit);
+    admitWaiters();
+  }
+
+  [[nodiscard]] std::uint32_t limit() const noexcept { return limit_; }
+  [[nodiscard]] std::uint32_t inFlight() const noexcept { return inFlight_; }
+  [[nodiscard]] std::size_t waiters() const noexcept { return waiting_.size(); }
+
+ private:
+  void admitWaiters() {
+    while (!waiting_.empty() && inFlight_ < limit_) {
+      ++inFlight_;
+      Callback next = std::move(waiting_.front());
+      waiting_.pop_front();
+      engine_.scheduleAfter(0.0, std::move(next));
+    }
+  }
+
+  SimEngine& engine_;
+  std::uint32_t limit_;
+  std::uint32_t inFlight_ = 0;
+  std::deque<Callback> waiting_;
+};
 
 TEST(FlowLimiter, AdmitsUpToLimitImmediately) {
   SimEngine engine;
@@ -44,15 +101,6 @@ TEST(FlowLimiter, RaisingLimitAdmitsWaiters) {
   limiter.setLimit(3);
   engine.run();
   EXPECT_EQ(admitted, 3);
-}
-
-TEST(FlowLimiter, TracksPeakInFlight) {
-  SimEngine engine;
-  FlowLimiter limiter{engine, 8};
-  for (int i = 0; i < 5; ++i) {
-    limiter.acquire([] {});
-  }
-  EXPECT_EQ(limiter.peakInFlight(), 5u);
 }
 
 TEST(FlowLimiter, LimitFloorsAtOne) {
@@ -112,6 +160,25 @@ TEST(FlowLimiterBank, SetLimitAppliesToEveryBackloggedLane) {
   engine.run();
   EXPECT_EQ(admitted, 9);
   EXPECT_EQ(bank.limit(), 3u);
+}
+
+TEST(FlowLimiterBank, LimitFloorsAtOne) {
+  SimEngine engine;
+  FlowLimiterBank bank{engine, 2, 0};
+  EXPECT_EQ(bank.limit(), 1u);
+  int admitted = 0;
+  for (int i = 0; i < 2; ++i) {
+    bank.acquire(1, [&] { ++admitted; });
+  }
+  // A zero limit still admits one holder per lane; the second waits.
+  EXPECT_EQ(admitted, 1);
+  EXPECT_EQ(bank.inFlight(1), 1u);
+  EXPECT_EQ(bank.waiters(1), 1u);
+  bank.setLimit(0);
+  EXPECT_EQ(bank.limit(), 1u);
+  bank.release(1);
+  engine.run();
+  EXPECT_EQ(admitted, 2);
 }
 
 TEST(FlowLimiterBank, MatchesScalarLimiterOnOneLane) {
