@@ -19,12 +19,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <vector>
 
+#include "common.hpp"
 #include "exp/experience_store.hpp"
 #include "service/campaign.hpp"
-#include "util/file.hpp"
-#include "util/json.hpp"
 
 namespace {
 
@@ -40,11 +38,6 @@ service::CampaignSpec benchSpec() {
   return spec;
 }
 
-struct Row {
-  std::string metric;
-  double value = 0.0;
-};
-
 }  // namespace
 
 int main() {
@@ -53,7 +46,7 @@ int main() {
   fs::create_directories(root / "a");
   fs::create_directories(root / "b");
   const service::CampaignSpec spec = benchSpec();
-  std::vector<Row> rows;
+  bench::BenchRows rows{"campaign", 7};
   bool ok = true;
 
   // Scenario A: one uninterrupted invocation.
@@ -63,7 +56,7 @@ int main() {
     options.storePath = (root / "a" / "store.jsonl").string();
     const service::CampaignResult result = service::runCampaign(spec, options);
     docA = result.aggregateJson(spec).dump(2);
-    rows.push_back({"uninterrupted_cells", static_cast<double>(result.cells.size())});
+    rows.add("uninterrupted_cells", static_cast<double>(result.cells.size()));
     std::printf("A: %zu cells, executed %zu, complete=%d\n", result.cells.size(),
                 result.executed, result.complete ? 1 : 0);
     if (!result.complete || result.cells.size() != 4 || result.executed != 4) {
@@ -71,7 +64,7 @@ int main() {
       ok = false;
     }
     exp::ExperienceStore store{options.storePath, {}};
-    rows.push_back({"committed_records", static_cast<double>(store.size())});
+    rows.add("committed_records", static_cast<double>(store.size()));
     if (store.size() != 4) {
       std::printf("FAIL: scenario A committed %zu records, expected 4\n",
                   store.size());
@@ -96,8 +89,8 @@ int main() {
     options.maxFreshSessions = 0;
     const service::CampaignResult resumed = service::runCampaign(spec, options);
     docB = resumed.aggregateJson(spec).dump(2);
-    rows.push_back({"resume_skipped_cells", static_cast<double>(resumed.skipped)});
-    rows.push_back({"resume_executed_cells", static_cast<double>(resumed.executed)});
+    rows.add("resume_skipped_cells", static_cast<double>(resumed.skipped));
+    rows.add("resume_executed_cells", static_cast<double>(resumed.executed));
     std::printf("B(resume): executed %zu, skipped %zu, complete=%d\n",
                 resumed.executed, resumed.skipped, resumed.complete ? 1 : 0);
     if (!resumed.complete || resumed.skipped != 2 || resumed.executed != 2) {
@@ -113,7 +106,7 @@ int main() {
   }
 
   const bool identical = docA == docB;
-  rows.push_back({"aggregate_byte_identical", identical ? 1.0 : 0.0});
+  rows.add("aggregate_byte_identical", identical ? 1.0 : 0.0);
   if (!identical) {
     std::printf("FAIL: resumed aggregate differs from uninterrupted aggregate\n");
     ok = false;
@@ -121,17 +114,7 @@ int main() {
     std::printf("resumed aggregate is byte-identical (%zu bytes)\n", docA.size());
   }
 
-  util::Json doc = util::Json::makeArray();
-  for (const Row& row : rows) {
-    util::Json r = util::Json::makeObject();
-    r.set("name", "campaign");
-    r.set("metric", row.metric);
-    r.set("value", row.value);
-    r.set("seed", static_cast<std::int64_t>(7));
-    doc.push(std::move(r));
-  }
-  util::writeFile("BENCH_campaign.json", doc.dump(2) + "\n");
-  std::printf("wrote BENCH_campaign.json (%zu rows)\n", rows.size());
+  rows.write("BENCH_campaign.json");
 
   fs::remove_all(root);
   std::printf("%s\n", ok ? "campaign gate PASSED" : "campaign gate FAILED");

@@ -5,9 +5,12 @@
 // benches read their committed BENCH_*.json baselines through it too.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -78,5 +81,38 @@ inline BaselineMetric readBaseline(const std::string& path, const std::string& m
     return {.missing = path + ": " + e.what()};
   }
 }
+
+/// The rows of one committed BENCH_*.json file, in the order added: an
+/// array of {"name", "metric", "value"} objects, plus "seed" on rows that
+/// carry one, written with a 2-space indent and a trailing newline.
+class BenchRows {
+ public:
+  /// `seed`, when set, goes on every row added without a seed of its own.
+  explicit BenchRows(std::string name, std::optional<std::int64_t> seed = std::nullopt)
+      : name_(std::move(name)), seed_(seed) {}
+
+  void add(const std::string& metric, double value,
+           std::optional<std::int64_t> seed = std::nullopt) {
+    util::Json row = util::Json::makeObject();
+    row.set("name", name_);
+    row.set("metric", metric);
+    row.set("value", value);
+    if (const std::optional<std::int64_t> rowSeed = seed ? seed : seed_) {
+      row.set("seed", *rowSeed);
+    }
+    doc_.push(std::move(row));
+  }
+
+  /// Writes the rows to `path` (relative to the working directory) and says so.
+  void write(const std::string& path) const {
+    util::writeFile(path, doc_.dump(2) + "\n");
+    std::printf("wrote %s (%zu rows)\n", path.c_str(), doc_.asArray().size());
+  }
+
+ private:
+  std::string name_;
+  std::optional<std::int64_t> seed_;
+  util::Json doc_ = util::Json::makeArray();
+};
 
 }  // namespace stellar::bench

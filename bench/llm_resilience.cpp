@@ -24,12 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/engine.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/counters.hpp"
 #include "pfs/simulator.hpp"
-#include "util/file.hpp"
-#include "util/json.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -185,31 +184,23 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  util::Json doc = util::Json::makeArray();
-  const auto emit = [&doc](const std::string& metric, double value) {
-    util::Json r = util::Json::makeObject();
-    r.set("name", "llm_resilience");
-    r.set("metric", metric);
-    r.set("value", value);
-    doc.push(std::move(r));
-  };
+  bench::BenchRows out{"llm_resilience"};
   for (const ScenarioRow& row : rows) {
     const std::string p = row.name + "_";
-    emit(p + "default_seconds", row.defaultSeconds);
-    emit(p + "best_seconds", row.bestSeconds);
-    emit(p + "speedup", row.speedup);
-    emit(p + "quality_ratio_vs_clean",
-         clean.bestSeconds > 0.0 ? row.bestSeconds / clean.bestSeconds : 0.0);
-    emit(p + "rung_depth", rungDepth(row.rung));
-    emit(p + "failed_calls", static_cast<double>(row.failedCalls));
-    emit(p + "wasted_attempts", static_cast<double>(row.wastedAttempts));
-    emit(p + "breaker_trips", static_cast<double>(row.breakerTrips));
-    emit(p + "clamped_values", static_cast<double>(row.clampedValues));
-    emit(p + "rejected_moves", static_cast<double>(row.rejectedMoves));
-    emit(p + "sim_config_rejected", row.simRejected);
+    out.add(p + "default_seconds", row.defaultSeconds);
+    out.add(p + "best_seconds", row.bestSeconds);
+    out.add(p + "speedup", row.speedup);
+    out.add(p + "quality_ratio_vs_clean",
+            clean.bestSeconds > 0.0 ? row.bestSeconds / clean.bestSeconds : 0.0);
+    out.add(p + "rung_depth", rungDepth(row.rung));
+    out.add(p + "failed_calls", static_cast<double>(row.failedCalls));
+    out.add(p + "wasted_attempts", static_cast<double>(row.wastedAttempts));
+    out.add(p + "breaker_trips", static_cast<double>(row.breakerTrips));
+    out.add(p + "clamped_values", static_cast<double>(row.clampedValues));
+    out.add(p + "rejected_moves", static_cast<double>(row.rejectedMoves));
+    out.add(p + "sim_config_rejected", row.simRejected);
   }
-  util::writeFile("BENCH_llm_resilience.json", doc.dump(2) + "\n");
-  std::printf("wrote BENCH_llm_resilience.json\n");
+  out.write("BENCH_llm_resilience.json");
 
   std::printf("gate: sessions complete, quality within %.1fx of clean, zero "
               "out-of-range configs reach the simulator, sanitizer engages "

@@ -45,8 +45,6 @@
 #include "pfs/simulator.hpp"
 #include "pfs/topology.hpp"
 #include "sim/engine.hpp"
-#include "util/file.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -266,28 +264,20 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  util::Json doc = util::Json::makeArray();
-  const auto row = [&doc](const std::string& metric, double value) {
-    util::Json r = util::Json::makeObject();
-    r.set("name", "micro_engine");
-    r.set("metric", metric);
-    r.set("value", value);
-    doc.push(std::move(r));
-  };
-  row("heap_deep_queue_events_per_sec", heapEps);
-  row("scale1x_wall_seconds", base.wallSeconds);
-  row("scale1x_events", static_cast<double>(base.events));
-  row("scale1x_us_per_event", base.usPerEvent);
-  row("scale10x_wall_seconds", big.wallSeconds);
-  row("scale10x_events", static_cast<double>(big.events));
-  row("scale10x_us_per_event", big.usPerEvent);
-  row("scale10x_per_event_ratio", perEventRatio);
-  row("scale10x_wall_ratio", wallRatio);
+  bench::BenchRows rows{"micro_engine"};
+  rows.add("heap_deep_queue_events_per_sec", heapEps);
+  rows.add("scale1x_wall_seconds", base.wallSeconds);
+  rows.add("scale1x_events", static_cast<double>(base.events));
+  rows.add("scale1x_us_per_event", base.usPerEvent);
+  rows.add("scale10x_wall_seconds", big.wallSeconds);
+  rows.add("scale10x_events", static_cast<double>(big.events));
+  rows.add("scale10x_us_per_event", big.usPerEvent);
+  rows.add("scale10x_per_event_ratio", perEventRatio);
+  rows.add("scale10x_wall_ratio", wallRatio);
   if (usPerEvent100x > 0.0) {
-    row("scale100x_us_per_event", usPerEvent100x);
+    rows.add("scale100x_us_per_event", usPerEvent100x);
   }
-  util::writeFile("BENCH_engine.json", doc.dump(2) + "\n");
-  std::printf("wrote BENCH_engine.json\n");
+  rows.write("BENCH_engine.json");
 
   std::printf("%s\n", ok ? "micro_engine gate PASSED" : "micro_engine gate FAILED");
   return ok ? 0 : 1;

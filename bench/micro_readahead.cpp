@@ -38,8 +38,6 @@
 
 #include "common.hpp"
 #include "pfs/simulator.hpp"
-#include "util/file.hpp"
-#include "util/json.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -255,23 +253,15 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  util::Json doc = util::Json::makeArray();
-  const auto row = [&doc](const std::string& metric, double value) {
-    util::Json r = util::Json::makeObject();
-    r.set("name", "micro_readahead");
-    r.set("metric", metric);
-    r.set("value", value);
-    doc.push(std::move(r));
-  };
-  row("seqread_us_per_event_ra_on", on.usPerEvent);
-  row("seqread_us_per_event_ra_off", off.usPerEvent);
-  row("seqread_host_cost_ratio", hostCostRatio);
-  row("cold_seq_hit_rate", on.hitRate);
-  row("random_hit_rate", random.hitRate);
-  row("hit_rate_separation", separation);
-  row("read_phase_speedup", speedup);
-  util::writeFile("BENCH_readahead.json", doc.dump(2) + "\n");
-  std::printf("wrote BENCH_readahead.json\n");
+  bench::BenchRows rows{"micro_readahead"};
+  rows.add("seqread_us_per_event_ra_on", on.usPerEvent);
+  rows.add("seqread_us_per_event_ra_off", off.usPerEvent);
+  rows.add("seqread_host_cost_ratio", hostCostRatio);
+  rows.add("cold_seq_hit_rate", on.hitRate);
+  rows.add("random_hit_rate", random.hitRate);
+  rows.add("hit_rate_separation", separation);
+  rows.add("read_phase_speedup", speedup);
+  rows.write("BENCH_readahead.json");
 
   std::printf("%s\n",
               ok ? "micro_readahead gate PASSED" : "micro_readahead gate FAILED");

@@ -21,9 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "service/service.hpp"
-#include "util/file.hpp"
-#include "util/json.hpp"
 
 namespace {
 
@@ -94,11 +93,6 @@ FleetRun runFleet(bool quick, const std::string& faults, std::size_t workers) {
   return run;
 }
 
-struct Row {
-  std::string metric;
-  double value = 0.0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,7 +101,7 @@ int main(int argc, char** argv) {
     quick = quick || std::strcmp(argv[i], "--quick") == 0;
   }
   const std::string faultPlan = "llm:timeout:0.3@0-99";
-  std::vector<Row> rows;
+  bench::BenchRows rows{"service", 7};
   bool ok = true;
 
   // The headline run: 8 workers, no faults.
@@ -118,9 +112,9 @@ int main(int argc, char** argv) {
                                              static_cast<double>(sessions);
   std::printf("fleet: %zu sessions (%zu cells), coalescing %.0f%%\n", sessions,
               fleet.stats.freshRuns, hitRate * 100);
-  rows.push_back({"sessions", static_cast<double>(sessions)});
-  rows.push_back({"distinct_cells", static_cast<double>(fleet.stats.freshRuns)});
-  rows.push_back({"coalescing_hit_rate", hitRate});
+  rows.add("sessions", static_cast<double>(sessions));
+  rows.add("distinct_cells", static_cast<double>(fleet.stats.freshRuns));
+  rows.add("coalescing_hit_rate", hitRate);
   if (sessions < 8) {
     std::printf("FAIL: gate needs >= 8 concurrent sessions, got %zu\n", sessions);
     ok = false;
@@ -144,8 +138,8 @@ int main(int argc, char** argv) {
     const std::string docs1 = runFleet(quick, faults, 1).docs;
     const std::string& docs8 = faulted ? runFleet(quick, faults, 8).docs : fleet.docs;
     const bool identical = !docs1.empty() && docs1 == docs8;
-    rows.push_back({faulted ? "byte_identical_1v8_faulted" : "byte_identical_1v8",
-                    identical ? 1.0 : 0.0});
+    rows.add(faulted ? "byte_identical_1v8_faulted" : "byte_identical_1v8",
+             identical ? 1.0 : 0.0);
     std::printf("%s 1-vs-8-worker documents: %s (%zu bytes)\n",
                 faulted ? "faulted" : "fault-free",
                 identical ? "byte-identical" : "DIFFER", docs1.size());
@@ -156,17 +150,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::Json doc = util::Json::makeArray();
-  for (const Row& row : rows) {
-    util::Json r = util::Json::makeObject();
-    r.set("name", "service");
-    r.set("metric", row.metric);
-    r.set("value", row.value);
-    r.set("seed", static_cast<std::int64_t>(7));
-    doc.push(std::move(r));
-  }
-  util::writeFile("BENCH_service.json", doc.dump(2) + "\n");
-  std::printf("wrote BENCH_service.json (%zu rows)\n", rows.size());
+  rows.write("BENCH_service.json");
   std::printf("%s\n", ok ? "service gate PASSED" : "service gate FAILED");
   return ok ? 0 : 1;
 }

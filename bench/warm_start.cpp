@@ -22,11 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/engine.hpp"
 #include "exp/experience_store.hpp"
 #include "pfs/simulator.hpp"
-#include "util/file.hpp"
-#include "util/json.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -59,16 +58,10 @@ double median(std::vector<double> v) {
   return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
 }
 
-struct Row {
-  std::string metric;
-  double value = 0.0;
-  std::uint64_t seed = 0;
-};
-
 }  // namespace
 
 int main() {
-  std::vector<Row> rows;
+  bench::BenchRows rows{"warm_start"};
   bool ok = true;
 
   // Phase 1: population.
@@ -96,9 +89,9 @@ int main() {
     coldIters.push_back(coldN);
     warmIters.push_back(warmN);
     bestRatios.push_back(ratio);
-    rows.push_back({"cold_iterations_to_within_5pct", coldN, seed});
-    rows.push_back({"warm_iterations_to_within_5pct", warmN, seed});
-    rows.push_back({"warm_over_cold_best_ratio", ratio, seed});
+    rows.add("cold_iterations_to_within_5pct", coldN, seed);
+    rows.add("warm_iterations_to_within_5pct", warmN, seed);
+    rows.add("warm_over_cold_best_ratio", ratio, seed);
     std::printf("seed %llu: cold %.0f iters, warm %.0f iters (recalled=%d, "
                 "best ratio %.3f)\n",
                 static_cast<unsigned long long>(seed), coldN, warmN,
@@ -112,9 +105,9 @@ int main() {
   const double coldMedian = median(coldIters);
   const double warmMedian = median(warmIters);
   const double ratioMedian = median(bestRatios);
-  rows.push_back({"cold_median_iterations", coldMedian, 0});
-  rows.push_back({"warm_median_iterations", warmMedian, 0});
-  rows.push_back({"median_best_ratio", ratioMedian, 0});
+  rows.add("cold_median_iterations", coldMedian, 0);
+  rows.add("warm_median_iterations", warmMedian, 0);
+  rows.add("median_best_ratio", ratioMedian, 0);
   std::printf("median iterations to within 5%% of cold best: cold %.1f, warm %.1f\n",
               coldMedian, warmMedian);
   if (!(warmMedian < coldMedian)) {
@@ -133,9 +126,8 @@ int main() {
     const std::uint64_t seed = 21;
     const core::TuningRunResult cold = tuneOnce(kDissimilar, seed, nullptr);
     const core::TuningRunResult warm = tuneOnce(kDissimilar, seed, &store);
-    rows.push_back({"dissimilar_recalled", warm.warmStarted ? 1.0 : 0.0, seed});
-    rows.push_back({"dissimilar_best_ratio", warm.bestSeconds / cold.bestSeconds,
-                    seed});
+    rows.add("dissimilar_recalled", warm.warmStarted ? 1.0 : 0.0, seed);
+    rows.add("dissimilar_best_ratio", warm.bestSeconds / cold.bestSeconds, seed);
     std::printf("dissimilar %s: recalled=%d, cold best %.3fs, warm best %.3fs\n",
                 kDissimilar, warm.warmStarted ? 1 : 0, cold.bestSeconds,
                 warm.bestSeconds);
@@ -152,17 +144,7 @@ int main() {
     }
   }
 
-  util::Json doc = util::Json::makeArray();
-  for (const Row& row : rows) {
-    util::Json r = util::Json::makeObject();
-    r.set("name", "warm_start");
-    r.set("metric", row.metric);
-    r.set("value", row.value);
-    r.set("seed", static_cast<std::int64_t>(row.seed));
-    doc.push(std::move(r));
-  }
-  util::writeFile("BENCH_warm_start.json", doc.dump(2) + "\n");
-  std::printf("wrote BENCH_warm_start.json (%zu rows)\n", rows.size());
+  rows.write("BENCH_warm_start.json");
 
   std::printf("%s\n", ok ? "warm_start gate PASSED" : "warm_start gate FAILED");
   return ok ? 0 : 1;

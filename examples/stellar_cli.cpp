@@ -42,7 +42,9 @@
 //                       the primary's circuit breaker opens
 //   --session-journal <file>  crash-safe JSONL session journal: measurements
 //                       are recorded as they complete; re-running the same
-//                       command resumes the session bit-identically
+//                       command resumes the session bit-identically, and a
+//                       different session (workload, --scale, --seed, model,
+//                       faults) is refused with an error
 //   --max-measurements <n>  interrupt the session (exit 3) after n fresh
 //                       journaled measurements — deterministic kill testing
 //   --store <file>      persistent experience store (JSONL); completed runs
@@ -50,13 +52,13 @@
 //   --tenant <id>       file completed runs under this tenant, sharing the
 //                       stellard service layout: records (tenant-tagged,
 //                       keyed by their cell) land in the per-tenant shard
-//                       journal `<store>.tenant-<id>` and the session
-//                       journal defaults to `<store>.sessions/<cell>.jsonl`,
-//                       so a later stellard commit absorbs them
+//                       journal `<store>.tenant-<id>`, so a later stellard
+//                       commit absorbs them (session journals stay where
+//                       --session-journal puts them: `<store>.sessions/`
+//                       holds stellard's own)
 //   --warm-start        recall prior experience from --store to warm-start
 //                       the tuning agent on similar workloads
 //   --campaign <spec>   run the campaign described by this JSON spec file
-//   --manifest <file>   campaign resume manifest (default: <store>.manifest)
 //   --jobs <n>          campaign worker threads (default: hardware)
 //   --max-cells <n>     stop a campaign after n cells (resume testing)
 //   --help, -h          print this help and exit 0
@@ -98,7 +100,6 @@ struct CliOptions {
   std::string tenant;
   bool warmStart = false;
   std::string campaignSpec;
-  std::string manifestPath;
   std::size_t jobs = 0;
   std::size_t maxCells = 0;
   std::string sanitize;
@@ -121,7 +122,7 @@ struct CliOptions {
                "  suite [--scale S] [--seed N] [--rules FILE]\n"
                "        [--trace FILE] [--metrics] [--faults SPEC]\n"
                "        [--store FILE] [--tenant ID] [--warm-start]\n"
-               "  campaign SPEC.json [--store FILE] [--manifest FILE]\n"
+               "  campaign SPEC.json [--store FILE]\n"
                "           [--jobs N] [--max-cells N] [--metrics]\n"
                "           (--campaign=SPEC.json is accepted as a command too)\n"
                "  --help, -h  print this help and exit 0\n");
@@ -190,8 +191,6 @@ CliOptions parseOptions(const std::vector<std::string>& args, std::size_t start)
       opts.warmStart = true;
     } else if (arg == "--campaign") {
       opts.campaignSpec = value();
-    } else if (arg == "--manifest") {
-      opts.manifestPath = value();
     } else if (arg == "--jobs") {
       opts.jobs = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--max-cells") {
@@ -464,20 +463,12 @@ int cmdTune(const std::string& workload, const CliOptions& cli) {
   if (cli.warmStart && store != nullptr) {
     opts.warmStart = store.get();
   }
-  std::string journalPath = cli.sessionJournal;
-  if (journalPath.empty() && !cli.tenant.empty() && !cli.storePath.empty()) {
-    // Tenanted runs default to the stellard session-journal layout, so a
-    // CLI run killed mid-session resumes under either front end.
-    journalPath = cli.storePath + ".sessions/" +
-                  service::cellFileStem(cellKeyFor(cli, workload)) + ".jsonl";
-  }
   std::unique_ptr<core::SessionJournal> journal;
-  if (!journalPath.empty()) {
-    util::ensureParentDir(journalPath);
-    journal = std::make_unique<core::SessionJournal>(journalPath);
+  if (!cli.sessionJournal.empty()) {
+    journal = std::make_unique<core::SessionJournal>(cli.sessionJournal);
     std::fprintf(cli.json ? stderr : stdout,
                  "journal:       %s (%zu measurements, %zu corrupt lines skipped%s)\n",
-                 journalPath.c_str(), journal->measurementCount(),
+                 cli.sessionJournal.c_str(), journal->measurementCount(),
                  journal->corruptLinesSkipped(),
                  journal->complete() ? ", complete" : "");
     opts.journal = journal.get();
@@ -495,13 +486,16 @@ int cmdTune(const std::string& workload, const CliOptions& cli) {
     return 3;
   }
   fileRun(cli, store.get(), &bundle.registry, run);
+  util::Json doc = run.toJson();
+  if (journal != nullptr) {
+    journal->markComplete(doc);  // after filing: a kill before this re-files on resume
+  }
   // Re-measure the winning configuration under the harness protocol —
   // the validation numbers the paper reports, and the "harness" spans of
   // the trace.
   const core::RepeatedMeasure validated = core::measureConfig(
       simulator, job, run.bestConfig, {.repeats = 4, .seedBase = cli.seed ^ 0xBE57});
   if (cli.json) {
-    util::Json doc = run.toJson();
     doc.set("validated_best_mean_seconds", validated.summary.mean);
     doc.set("validated_best_ci90_seconds", validated.summary.ci90);
     std::printf("%s\n", doc.dump(2).c_str());
@@ -568,7 +562,6 @@ int cmdCampaign(const std::string& specPath, CliOptions cli) {
   bundle.traceFile = cli.traceFile;
   service::ServiceOptions options;
   options.storePath = cli.storePath;
-  options.manifestPath = cli.manifestPath;
   options.workers = cli.jobs;  // 0 = hardware concurrency
   options.maxFreshSessions = cli.maxCells;
   options.store.counters = &bundle.registry;

@@ -185,16 +185,28 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
     }
   };
 
-  // --- crash-safe session journal (ISSUE 7) ---------------------------------
+  // --- crash-safe session journal ------------------------------------------
   // The header binds the journal file to this exact session; resuming with a
-  // different workload / seed / model is refused. The initial run is never
-  // journaled (darshan::characterize needs the full RunResult, which the
-  // journal does not carry) — it is simply re-executed on resume, which is
-  // deterministic and therefore harmless.
+  // different workload / job shape / seed / model is refused. The initial
+  // run is never journaled (darshan::characterize needs the full RunResult,
+  // which the journal does not carry) — it is simply re-executed on resume,
+  // which is deterministic and therefore harmless.
   if (options_.journal != nullptr) {
+    std::uint64_t bytes = 0;
+    for (const std::vector<pfs::IoOp>& program : job.ranks) {
+      for (const pfs::IoOp& op : program) {
+        if (op.kind == pfs::OpKind::Read || op.kind == pfs::OpKind::Write) {
+          bytes += op.size;
+        }
+      }
+    }
     util::Json header = util::Json::makeObject();
     header.set("type", "header");
     header.set("workload", job.name);
+    header.set("ranks", static_cast<std::int64_t>(job.rankCount()));
+    header.set("files", static_cast<std::int64_t>(job.files.size()));
+    header.set("ops", static_cast<std::int64_t>(job.totalOps()));
+    header.set("bytes", static_cast<std::int64_t>(bytes));
     header.set("seed", static_cast<std::int64_t>(options_.seed));
     header.set("agent_model", options_.agent.model.name);
     header.set("agent_seed", static_cast<std::int64_t>(options_.agent.seed));
@@ -208,9 +220,11 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
   }
 
   // Journal-aware measurement: every tool-loop simulator run gets a
-  // monotonic index. A journaled index replays instead of re-running; a
-  // fresh run is recorded before its result is acted on, so a crash at any
-  // point resumes bit-identically. The measurement cap is the deterministic
+  // monotonic index. A journaled index replays instead of re-running when it
+  // measured the same config with the same seed (a session whose decisions
+  // changed, e.g. under a different rule set, measures afresh); a fresh run
+  // is recorded before its result is acted on, so a crash at any point
+  // resumes bit-identically. The measurement cap is the deterministic
   // stand-in for that crash.
   std::size_t measIndex = 0;
   std::size_t freshRuns = 0;
@@ -218,7 +232,8 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
                            std::uint64_t seed) -> pfs::RunResult {
     const std::size_t index = measIndex++;
     if (options_.journal != nullptr) {
-      if (const auto replayed = options_.journal->replay(index)) {
+      const auto replayed = options_.journal->replay(index);
+      if (replayed && replayed->config == cfg && replayed->seed == seed) {
         ++result.resilience.journalReplayedMeasurements;
         pfs::RunResult run;
         run.wallSeconds = replayed->wallSeconds;
@@ -229,9 +244,6 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
       }
     }
     if (options_.maxMeasurements != 0 && freshRuns >= options_.maxMeasurements) {
-      if (options_.journal != nullptr) {
-        options_.journal->syncTranscript(result.transcript);
-      }
       throw SessionInterrupted("measurement cap (" +
                                std::to_string(options_.maxMeasurements) +
                                ") reached at measurement " + std::to_string(index));
@@ -240,10 +252,8 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
     ++freshRuns;
     if (options_.journal != nullptr) {
       options_.journal->recordMeasurement(
-          index, JournaledMeasurement{run.wallSeconds,
-                                      pfs::runOutcomeName(run.outcome),
-                                      run.failureReason});
-      options_.journal->syncTranscript(result.transcript);
+          index, JournaledMeasurement{run.wallSeconds, pfs::runOutcomeName(run.outcome),
+                                      run.failureReason, cfg, seed});
     }
     return run;
   };
@@ -619,17 +629,6 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
     if (!mergeReport.empty()) {
       result.transcript.add("tuning-agent", "rule set merge", mergeReport);
     }
-  }
-
-  if (options_.journal != nullptr) {
-    options_.journal->syncTranscript(result.transcript);
-    util::Json summary = util::Json::makeObject();
-    summary.set("default_seconds", result.defaultSeconds);
-    summary.set("best_seconds", result.bestSeconds);
-    summary.set("end_reason", result.endReason);
-    summary.set("resilience_rung", result.resilienceRung);
-    summary.set("best_config", result.bestConfig.toJson());
-    options_.journal->markComplete(summary);
   }
 
   if (tuneSpan.active()) {

@@ -96,7 +96,11 @@ struct StellarOptions {
   llm::ModelProfile fallbackModel = llm::llama31_70b();
   /// Crash-safe session journal (nullable, non-owning; must outlive the
   /// engine). Measurements are recorded as they complete and replayed on
-  /// resume, so a killed session re-converges bit-identically.
+  /// resume, so a killed session re-converges bit-identically. The engine
+  /// never marks it complete: the caller does (SessionJournal::markComplete
+  /// with the result document) once it has filed the result, so a kill in
+  /// between re-runs the session from its measurements instead of losing
+  /// what the caller would have filed.
   SessionJournal* journal = nullptr;
   /// Deterministic interrupt: once this many *fresh* journaled simulator
   /// measurements have run in this process, tune() throws

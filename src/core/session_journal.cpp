@@ -1,7 +1,7 @@
 #include "core/session_journal.hpp"
 
-#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -18,17 +18,16 @@ constexpr const char* kComponent = "session-journal";
 // replayed measurement that differs in its last bits could flip a
 // comparison downstream, breaking the bit-identical-resume guarantee. The
 // journal therefore carries the exact IEEE-754 bit pattern next to the
-// human-readable value and prefers it on load.
-std::string doubleBits(double value) {
+// human-readable value and prefers it on load. Run seeds are 64-bit and
+// would not survive a double either, so they are stored the same way.
+std::string hexBits(std::uint64_t bits) {
   char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(value)));
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(bits));
   return buf;
 }
 
-double doubleFromBits(const std::string& hex) {
-  return std::bit_cast<double>(
-      static_cast<std::uint64_t>(std::strtoull(hex.c_str(), nullptr, 16)));
+std::uint64_t bitsFromHex(const util::Json& hex) {
+  return std::strtoull(hex.asString().c_str(), nullptr, 16);
 }
 
 }  // namespace
@@ -60,17 +59,20 @@ void SessionJournal::load() {
       } else if (type == "measurement") {
         JournaledMeasurement m;
         m.wallSeconds = doc.contains("wall_bits")
-                            ? doubleFromBits(doc.at("wall_bits").asString())
+                            ? std::bit_cast<double>(bitsFromHex(doc.at("wall_bits")))
                             : doc.getNumber("wall_seconds");
         m.outcome = doc.getString("outcome");
         m.failureReason = doc.getString("failure_reason");
-        // Last write wins: a re-appended index (should not happen, but a
-        // crash between decide and record can duplicate) stays consistent.
+        m.config = pfs::PfsConfig::fromJson(doc.at("config"));
+        m.seed = bitsFromHex(doc.at("seed"));
+        // Last write wins: an index re-measured because its config or seed
+        // no longer matched supersedes the line before it.
         measurements_[doc.at("index").asInteger<std::size_t>()] = std::move(m);
-      } else if (type == "transcript") {
-        ++transcriptWritten_;
       } else if (type == "final") {
-        complete_ = true;
+        if (!doc.at("result").isObject()) {
+          throw util::JsonError("final line without a result document");
+        }
+        result_ = doc.at("result");
       } else {
         throw util::JsonError("unknown line type '" + type + "'");
       }
@@ -124,8 +126,10 @@ void SessionJournal::recordMeasurement(std::size_t index,
   util::Json line = util::Json::makeObject();
   line.set("type", "measurement");
   line.set("index", static_cast<std::int64_t>(index));
+  line.set("config", measurement.config.toJson());
+  line.set("seed", hexBits(measurement.seed));
   line.set("wall_seconds", measurement.wallSeconds);
-  line.set("wall_bits", doubleBits(measurement.wallSeconds));
+  line.set("wall_bits", hexBits(std::bit_cast<std::uint64_t>(measurement.wallSeconds)));
   line.set("outcome", measurement.outcome);
   if (!measurement.failureReason.empty()) {
     line.set("failure_reason", measurement.failureReason);
@@ -134,28 +138,15 @@ void SessionJournal::recordMeasurement(std::size_t index,
   measurements_[index] = measurement;
 }
 
-void SessionJournal::syncTranscript(const agents::Transcript& transcript) {
-  const auto& events = transcript.events();
-  for (std::size_t i = transcriptWritten_; i < events.size(); ++i) {
-    util::Json line = util::Json::makeObject();
-    line.set("type", "transcript");
-    line.set("actor", events[i].actor);
-    line.set("title", events[i].title);
-    line.set("body", events[i].body);
-    appendLine(line);
-  }
-  transcriptWritten_ = std::max(transcriptWritten_, events.size());
-}
-
-void SessionJournal::markComplete(const util::Json& summary) {
-  if (complete_) {
+void SessionJournal::markComplete(const util::Json& result) {
+  if (result_) {
     return;
   }
   util::Json line = util::Json::makeObject();
   line.set("type", "final");
-  line.set("summary", summary);
+  line.set("result", result);
   appendLine(line);
-  complete_ = true;
+  result_ = result;
 }
 
 }  // namespace stellar::core

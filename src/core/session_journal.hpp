@@ -1,30 +1,34 @@
-// SessionJournal: crash-safe persistence for one tuning session (ISSUE 7).
+// SessionJournal: the one durable record of a tuning session.
 //
 // Everything in the engine's tool loop is deterministic given the seed and
 // workload — the only facts a resumed session cannot re-derive for free are
 // the measurement results (simulator runs are the expensive part on a real
 // system). So the journal records, append-only JSONL, exactly what a
 // resumed process needs to fast-forward: a header binding the journal to a
-// session identity (workload, seeds, models, fault spec), one line per
-// measurement keyed by a monotonic index, the transcript as it grows, and a
-// final summary line.
+// session identity (workload, job shape, seeds, models, fault spec), one
+// line per measurement keyed by a monotonic index and bound to the
+// configuration and run seed it measured, and a final line carrying the
+// session's canonical result document, which the caller appends once it
+// has filed the result.
 //
 // On resume the engine replays journaled measurements instead of re-running
 // the simulator, re-executes every (deterministic) decision in between, and
-// arrives at a bit-identical final transcript and configuration — the
-// KILL-RESUME metamorphic law in tests/core. The file discipline matches
-// exp::ExperienceStore: one util::appendToFile (a single fwrite) per line,
-// torn or corrupt tail lines skipped (counted) on load, so a SIGKILL
-// mid-write never poisons the session.
+// arrives at a bit-identical result — the KILL-RESUME metamorphic law in
+// tests/core. A complete journal's result document is what stellard replays
+// for a finished cell. The file discipline matches exp::ExperienceStore:
+// one util::appendToFile (a single fwrite) per line, torn or corrupt lines
+// skipped (counted) on load, so a SIGKILL mid-write never poisons the
+// session.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "agents/transcript.hpp"
+#include "pfs/params.hpp"
 #include "util/json.hpp"
 
 namespace stellar::core {
@@ -41,6 +45,8 @@ struct JournaledMeasurement {
   double wallSeconds = 0.0;
   std::string outcome;  ///< pfs::runOutcomeName of the (possibly failed) run
   std::string failureReason;
+  pfs::PfsConfig config;   ///< the configuration that was measured
+  std::uint64_t seed = 0;  ///< the run seed it was measured with
 };
 
 class SessionJournal {
@@ -56,25 +62,23 @@ class SessionJournal {
   void bind(const util::Json& header);
 
   /// The journaled result of measurement `index`, if this session already
-  /// ran it.
+  /// ran it. The caller replays it only if its config and seed match the
+  /// run it is about to make.
   [[nodiscard]] std::optional<JournaledMeasurement> replay(std::size_t index) const;
   void recordMeasurement(std::size_t index, const JournaledMeasurement& measurement);
 
-  /// Appends transcript events not yet journaled. A resumed run regenerates
-  /// the journaled prefix verbatim (decisions are deterministic), so only
-  /// the tail past what load() saw is written.
-  void syncTranscript(const agents::Transcript& transcript);
-
-  /// Appends the final summary line; the session is complete.
-  void markComplete(const util::Json& summary);
+  /// Appends the final line carrying the session's result document; the
+  /// session is complete. Sticky: later calls append nothing.
+  void markComplete(const util::Json& result);
 
   [[nodiscard]] bool bound() const noexcept { return header_.has_value(); }
-  [[nodiscard]] bool complete() const noexcept { return complete_; }
+  [[nodiscard]] bool complete() const noexcept { return result_.has_value(); }
+  /// The result document of a complete session.
+  [[nodiscard]] const std::optional<util::Json>& result() const noexcept {
+    return result_;
+  }
   [[nodiscard]] std::size_t measurementCount() const noexcept {
     return measurements_.size();
-  }
-  [[nodiscard]] std::size_t transcriptEventsJournaled() const noexcept {
-    return transcriptWritten_;
   }
   [[nodiscard]] std::size_t corruptLinesSkipped() const noexcept {
     return corruptSkipped_;
@@ -88,8 +92,7 @@ class SessionJournal {
   std::string path_;
   std::optional<util::Json> header_;
   std::map<std::size_t, JournaledMeasurement> measurements_;
-  std::size_t transcriptWritten_ = 0;
-  bool complete_ = false;
+  std::optional<util::Json> result_;
   std::size_t corruptSkipped_ = 0;
   /// The loaded file ended without '\n' (torn tail): the next append must
   /// start on a fresh line.

@@ -1,34 +1,20 @@
-// Trace/metric exporters.
-//
-//  - JSONL: one JSON object per line, lossless (fromJsonl round-trips);
-//    the archival format for trace diffing between PRs.
-//  - Chrome trace ("chrome://tracing" / Perfetto JSON): spans become
-//    complete ("X") events, instants become "i" events; open the file
-//    directly in the trace viewer.
-//  - Counter registry: the toJson() document written via util::file.
+// Trace exporter: Chrome trace ("chrome://tracing" / Perfetto JSON). Spans
+// become complete ("X") events, instants become "i" events; open the file
+// directly in the trace viewer.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace stellar::obs {
 
-/// Lossless line-per-record serialization.
-[[nodiscard]] std::string toJsonl(const std::vector<TraceRecord>& records);
-
-/// Parses toJsonl output (blank lines ignored). Throws util::JsonError on
-/// malformed lines.
-[[nodiscard]] std::vector<TraceRecord> fromJsonl(const std::string& text);
-
 /// {"traceEvents":[...], "displayTimeUnit":"ms"} document.
 [[nodiscard]] util::Json toChromeTrace(const std::vector<TraceRecord>& records);
 
-/// Convenience file writers (util::file; throw std::runtime_error on I/O).
-void writeJsonl(const Tracer& tracer, const std::string& path);
+/// Writes toChromeTrace(tracer.snapshot()) to `path` (util::file; throws
+/// std::runtime_error on I/O).
 void writeChromeTrace(const Tracer& tracer, const std::string& path);
-void writeCountersJson(const CounterRegistry& registry, const std::string& path);
 
 }  // namespace stellar::obs

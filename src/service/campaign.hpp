@@ -6,14 +6,15 @@
 // commits, and folds the session results into one aggregate document.
 //
 // Everything else is the service's (DESIGN.md §5e, §9): the worker pool,
-// the resume manifest (`<store>.manifest`), the session journals
-// (`<store>.sessions/`), the tenant shard (`<store>.tenant-campaign`), the
-// immutable recall snapshot, deferred warm-start outcomes and the commit.
-// A campaign therefore inherits the service's laws:
+// the session journals (`<store>.sessions/`, one per cell, whose final line
+// carries the finished cell's result), the tenant shard
+// (`<store>.tenant-campaign`), the immutable recall snapshot, deferred
+// warm-start outcomes and the commit. A campaign therefore inherits the
+// service's laws:
 //   - a cell's result is independent of worker count and dispatch order;
 //   - a campaign cut short by ServiceOptions::maxFreshSessions resumes from
-//     the manifest, and the resumed aggregate document is byte-identical
-//     to an uninterrupted run's;
+//     the session journals, and the resumed aggregate document is
+//     byte-identical to an uninterrupted run's;
 //   - the store commit waits until no cell of the run is interrupted.
 // One rule is the campaign's own: a cell never recalls a record filed under
 // one of its spec's cell keys (ServiceOptions::recallExcludes), so a cell
@@ -62,7 +63,7 @@ struct CampaignSpec {
   [[nodiscard]] static CampaignSpec loadFile(const std::string& path);
 };
 
-/// Outcome of one completed (fresh or manifest-replayed) cell.
+/// Outcome of one completed (fresh or journal-replayed) cell.
 struct CellResult {
   std::string key;
   std::string workload;
@@ -86,7 +87,7 @@ struct CampaignResult {
   /// All completed cells, sorted by key (deterministic across resumes).
   std::vector<CellResult> cells;
   std::size_t executed = 0;  ///< engine runs dispatched in this invocation
-  std::size_t skipped = 0;   ///< cells replayed from the manifest
+  std::size_t skipped = 0;   ///< cells replayed from their session journals
   bool complete = false;     ///< no cell of the spec was interrupted
 
   /// The campaign's one machine-readable output document. Deliberately

@@ -7,9 +7,7 @@
 #include "faults/fault_plan.hpp"
 #include "llm/model_profile.hpp"
 #include "obs/trace.hpp"
-#include "util/file.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace stellar::service {
@@ -29,18 +27,11 @@ TuningService::TuningService(ServiceOptions options)
     : options_(std::move(options)),
       fleet_(options_.storePath, options_.store, options_.recallExcludes),
       scheduler_(options_.quantum) {
-  if (options_.manifestPath.empty() && !options_.storePath.empty()) {
-    options_.manifestPath = options_.storePath + ".manifest";
-  }
-  if (options_.sessionDir.empty() && !options_.storePath.empty()) {
-    options_.sessionDir = options_.storePath + ".sessions";
-  }
   {
     const util::MutexLock lock{mutex_};
     for (const auto& [tenant, policy] : options_.tenants) {
       scheduler_.setPolicy(tenant, policy);
     }
-    loadManifestLocked();
   }
   pool_ = std::make_unique<util::ThreadPool>(options_.workers);
 }
@@ -50,32 +41,6 @@ TuningService::~TuningService() {
   // Destroying the pool runs every already-dispatched cell to completion
   // and joins; only then do the maps the tasks touch go away.
   pool_.reset();
-}
-
-void TuningService::loadManifestLocked() {
-  if (options_.manifestPath.empty() || !util::fileExists(options_.manifestPath)) {
-    return;
-  }
-  std::size_t lineNo = 0;
-  for (const std::string& line :
-       util::split(util::readFile(options_.manifestPath), '\n')) {
-    ++lineNo;
-    if (util::trim(line).empty()) {
-      continue;
-    }
-    try {
-      util::Json doc = util::Json::parse(line);
-      const std::string key = doc.getString("cell");
-      if (key.empty()) {
-        throw util::JsonError("manifest line without a cell key");
-      }
-      manifest_[key] = std::move(doc);  // last write wins
-    } catch (const util::JsonError& e) {
-      util::logLine(util::LogLevel::Warn, kComponent,
-                    options_.manifestPath + ":" + std::to_string(lineNo) +
-                        ": skipping corrupt manifest line (" + e.what() + ")");
-    }
-  }
 }
 
 SubmitResult TuningService::submit(const SubmitOptions& request) {
@@ -147,18 +112,17 @@ SubmitResult TuningService::submit(const SubmitOptions& request) {
     cell.key = session.key;
     cell.request = request;
     cell.members.push_back(id);
-    const auto replayIt = manifest_.find(session.key);
-    if (replayIt != manifest_.end()) {
-      // Resume: a prior invocation settled this cell; replay its line
-      // instead of re-running the engine.
-      const util::Json& doc = replayIt->second;
+    std::unique_ptr<core::SessionJournal> journal;
+    if (!options_.storePath.empty()) {
+      journal = std::make_unique<core::SessionJournal>(
+          options_.storePath + ".sessions/" + cellFileStem(session.key) + ".jsonl");
+    }
+    if (journal != nullptr && journal->complete()) {
+      // Resume: a prior invocation finished this cell; replay the result
+      // document its journal carries instead of re-running the engine.
       cell.replayed = true;
-      cell.state = doc.getString("state") == "failed" ? SessionState::Failed
-                                                      : SessionState::Completed;
-      cell.error = doc.getString("error");
-      if (doc.contains("result")) {
-        cell.docLine = doc.at("result").dump();
-      }
+      cell.state = SessionState::Completed;
+      cell.docLine = journal->result()->dump();
       session.completeNanos = stamp;
       accountTerminalLocked(cell);
     } else if (options_.maxFreshSessions != 0 &&
@@ -172,6 +136,7 @@ SubmitResult TuningService::submit(const SubmitOptions& request) {
       session.completeNanos = stamp;
       accountTerminalLocked(cell);
     } else {
+      cell.journal = std::move(journal);
       ++freshCells_;
       scheduler_.setPolicy(request.tenant, policy);
       scheduler_.push(request.tenant, id);
@@ -225,16 +190,15 @@ void TuningService::pumpLocked() {
     ++runningCells_;
     ++stats_.freshRuns;
     noteCounter("service.dispatch.fresh_runs");
-    std::string key = cell.key;
-    SubmitOptions request = cell.request;
-    (void)pool_->submit([this, key = std::move(key),
-                         request = std::move(request)]() mutable {
-      runCell(std::move(key), std::move(request));
+    (void)pool_->submit([this, key = cell.key, request = cell.request,
+                         journal = std::move(cell.journal)]() mutable {
+      runCell(std::move(key), std::move(request), std::move(journal));
     });
   }
 }
 
-void TuningService::runCell(std::string key, SubmitOptions request) {
+void TuningService::runCell(std::string key, SubmitOptions request,
+                            std::unique_ptr<core::SessionJournal> journal) {
   auto span = obs::beginSpan(options_.tracer, "service", key.c_str());
   try {
     faults::FaultPlan plan;
@@ -258,14 +222,7 @@ void TuningService::runCell(std::string key, SubmitOptions request) {
       recall = std::make_unique<SnapshotRecallProvider>(snapshot, &fleet_);
       engineOpts.warmStart = recall.get();
     }
-    std::unique_ptr<core::SessionJournal> journal;
-    if (!options_.sessionDir.empty()) {
-      const std::string path =
-          options_.sessionDir + "/" + cellFileStem(key) + ".jsonl";
-      util::ensureParentDir(path);
-      journal = std::make_unique<core::SessionJournal>(path);
-      engineOpts.journal = journal.get();
-    }
+    engineOpts.journal = journal.get();
     core::StellarEngine engine{pfs::PfsSimulator{std::move(simOpts)},
                                std::move(engineOpts)};
     const core::TuningRunResult run = engine.tune(workloads::byName(
@@ -275,33 +232,24 @@ void TuningService::runCell(std::string key, SubmitOptions request) {
         exp::recordFromRun(run, request.seed, request.model, request.faults);
     record.id = key;  // cell identity: a re-run dedups, not duplicates
     fleet_.appendRecord(request.tenant, std::move(record));
-    finishCell(key, SessionState::Completed, "", run.toJson().dump());
+    const util::Json doc = run.toJson();
+    if (journal != nullptr) {
+      // Complete only once the record is filed: a kill in between re-runs
+      // the cell from its journaled measurements and files it again.
+      journal->markComplete(doc);
+    }
+    finishCell(key, SessionState::Completed, "", doc.dump());
   } catch (const std::exception& e) {
     // Deterministic per-cell failures (unknown workload/model, bad fault
-    // spec) settle the cell as Failed; the task never leaks an exception
-    // into the pool.
+    // spec, a journal left by another session) settle the cell as Failed
+    // and are not journaled, so a resumed service fails them the same way;
+    // the task never leaks an exception into the pool.
     finishCell(key, SessionState::Failed, e.what(), "");
   }
 }
 
 void TuningService::finishCell(const std::string& key, SessionState state,
                                std::string error, std::string docLine) {
-  if (!options_.manifestPath.empty()) {
-    util::Json line = util::Json::makeObject();
-    line.set("cell", key);
-    line.set("state", sessionStateName(state));
-    if (!error.empty()) {
-      line.set("error", error);
-    }
-    if (!docLine.empty()) {
-      line.set("result", util::Json::parse(docLine));
-    }
-    // Canonicalize through dump+parse so a fresh cell and a resumed cell
-    // (parsed from its manifest line) settle to the same bytes.
-    const util::MutexLock lock{manifestMutex_};
-    util::appendToFile(options_.manifestPath,
-                       util::Json::parse(line.dump()).dump() + "\n");
-  }
   {
     const util::MutexLock lock{mutex_};
     Cell& cell = cells_.at(key);
@@ -381,7 +329,7 @@ SessionResult TuningService::resultLocked(SessionId id) {
   result.key = session.key;
   result.state = cell.state;
   result.coalesced = session.coalesced;
-  result.replayedFromManifest = cell.replayed;
+  result.replayed = cell.replayed;
   result.error = cell.error;
   if (!cell.docLine.empty()) {
     result.cellDoc = util::Json::parse(cell.docLine);

@@ -5,8 +5,9 @@
 // TuningRunResult document. Four layers stack under the API:
 //
 //   1. Async sessions — submissions are admitted, queued, and executed on
-//      a util::ThreadPool; per-cell SessionJournals (PR 7) plus a service
-//      manifest make a killed service resumable bit-identically.
+//      a util::ThreadPool; per-cell SessionJournals make a killed service
+//      resumable bit-identically (a cell whose journal is complete replays
+//      the result document it carries).
 //   2. Coalescing — sessions that agree on the cell key (workload
 //      fingerprint, cluster scale, knob space; see session.hpp) share one
 //      engine run; results fan out to every member session.
@@ -29,7 +30,7 @@
 //     minus retired via wait), which the driver's schedule fully
 //     determines — never on instantaneous queue depth or time;
 //   - `coalesced` means "not the first submission of this key in this
-//     instance", independent of completion timing or manifest replay;
+//     instance", independent of completion timing or journal replay;
 //   - result documents exclude wall-clock stamps and the replay flag.
 #pragma once
 
@@ -42,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "core/session_journal.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "service/fairness.hpp"
@@ -53,18 +55,15 @@
 namespace stellar::service {
 
 struct ServiceOptions {
-  /// Fleet experience store path; "" = memory-only (no manifest, no
-  /// session journals — tests and benches that want a blank slate).
+  /// Fleet experience store path; "" = memory-only (no session journals —
+  /// tests and benches that want a blank slate). Each cell's journal is
+  /// `<storePath>.sessions/<cellFileStem(key)>.jsonl`.
   std::string storePath;
   exp::StoreOptions store;
   /// Record ids left out of every recall snapshot (the base store keeps
   /// them). runCampaign lists its own cells' keys, so a cell that re-runs
   /// never warm-starts from a sibling committed earlier; empty otherwise.
   std::set<std::string> recallExcludes;
-  /// Crash-resume manifest; defaults to `<storePath>.manifest`.
-  std::string manifestPath;
-  /// Per-cell session-journal directory; defaults to `<storePath>.sessions`.
-  std::string sessionDir;
   /// Worker threads == max concurrently running cells.
   std::size_t workers = 4;
   /// Global admission bound on outstanding (unretired) sessions.
@@ -95,7 +94,7 @@ struct ServiceStats {
   std::size_t completed = 0;    ///< sessions finished with a result doc
   std::size_t failed = 0;       ///< sessions finished with an error
   std::size_t rejected = 0;     ///< submissions refused by admission control
-  std::size_t replayed = 0;     ///< sessions satisfied from the manifest
+  std::size_t replayed = 0;     ///< sessions satisfied from a complete journal
   std::size_t interrupted = 0;  ///< sessions cut off by stop()/fresh cap
   std::size_t freshRuns = 0;    ///< engine runs actually dispatched
   std::size_t commits = 0;
@@ -157,6 +156,8 @@ class TuningService {
     std::string error;
     std::string docLine;  ///< canonical dumped result JSON ("" = none)
     std::vector<SessionId> members;
+    /// Loaded once at submit; handed to the cell's run at dispatch.
+    std::unique_ptr<core::SessionJournal> journal;
   };
 
   struct Session {
@@ -168,7 +169,6 @@ class TuningService {
     std::uint64_t completeNanos = 0;
   };
 
-  void loadManifestLocked() STELLAR_REQUIRES(mutex_);
   void pumpLocked() STELLAR_REQUIRES(mutex_);
   void finishCell(const std::string& key, SessionState state, std::string error,
                   std::string docLine) STELLAR_EXCLUDES(mutex_);
@@ -176,7 +176,8 @@ class TuningService {
                         std::string docLine) STELLAR_REQUIRES(mutex_);
   /// Stats/counter bookkeeping for one member reaching a terminal cell.
   void accountTerminalLocked(const Cell& cell) STELLAR_REQUIRES(mutex_);
-  void runCell(std::string key, SubmitOptions request);
+  void runCell(std::string key, SubmitOptions request,
+               std::unique_ptr<core::SessionJournal> journal);
   [[nodiscard]] SessionResult resultLocked(SessionId id) STELLAR_REQUIRES(mutex_);
   [[nodiscard]] TenantPolicy policyFor(const std::string& tenant) const;
   [[nodiscard]] std::uint64_t now() const;
@@ -189,8 +190,6 @@ class TuningService {
   std::condition_variable terminal_;  ///< waits on mutex_.native()
   std::map<std::string, Cell> cells_ STELLAR_GUARDED_BY(mutex_);
   std::map<SessionId, Session> sessions_ STELLAR_GUARDED_BY(mutex_);
-  /// Manifest replay: cell key -> settled line from a prior invocation.
-  std::map<std::string, util::Json> manifest_ STELLAR_GUARDED_BY(mutex_);
   DrrScheduler scheduler_ STELLAR_GUARDED_BY(mutex_);
   SessionId nextId_ STELLAR_GUARDED_BY(mutex_) = 1;
   std::size_t outstanding_ STELLAR_GUARDED_BY(mutex_) = 0;
@@ -199,7 +198,6 @@ class TuningService {
   std::size_t freshCells_ STELLAR_GUARDED_BY(mutex_) = 0;  ///< fresh-cap ledger
   bool stopping_ STELLAR_GUARDED_BY(mutex_) = false;
   ServiceStats stats_ STELLAR_GUARDED_BY(mutex_);
-  util::Mutex manifestMutex_;
   /// Declared last: destroyed first, so the pool drains and joins while
   /// every member the tasks touch is still alive.
   std::unique_ptr<util::ThreadPool> pool_;

@@ -26,7 +26,7 @@ using SessionId = std::uint64_t;
 enum class SessionState {
   Queued,       ///< admitted, waiting for a dispatch slot
   Running,      ///< the cell's engine run is in flight
-  Completed,    ///< result available (fresh run, fan-out, or manifest replay)
+  Completed,    ///< result available (fresh run, fan-out, or journal replay)
   Failed,       ///< the cell's run threw deterministically (bad request data)
   Interrupted,  ///< the service was stopped/capped before the cell ran
 };
@@ -93,11 +93,11 @@ struct SessionResult {
   std::string key;
   SessionState state = SessionState::Queued;
   bool coalesced = false;  ///< a prior submission already owned this cell
-  /// The cell result came from the resume manifest instead of a fresh run.
-  /// Deliberately excluded from toJson(): it is the one field that
-  /// distinguishes a resumed service from an uninterrupted one, and the
-  /// resume law byte-compares the documents across both.
-  bool replayedFromManifest = false;
+  /// The cell result came from its complete session journal instead of a
+  /// fresh run. Deliberately excluded from toJson(): it is the one field
+  /// that distinguishes a resumed service from an uninterrupted one, and
+  /// the resume law byte-compares the documents across both.
+  bool replayed = false;
   std::string error;  ///< set for Failed/Interrupted sessions
   /// Canonical engine-run document of the cell (dump+parse normalized);
   /// null for Failed/Interrupted sessions. Shared across fan-out.

@@ -23,31 +23,6 @@ void FlowLimiterBank::release(std::size_t lane) {
   if (inFlight_[lane] > 0) {
     --inFlight_[lane];
   }
-  admitWaiters(lane);
-}
-
-void FlowLimiterBank::setLimit(std::uint32_t limit) {
-  limit_ = std::max<std::uint32_t>(1, limit);
-  // waiting_ is ordered by lane id, so draining in iteration order is
-  // deterministic. Snapshot the backlogged lanes first because
-  // admitWaiters erases queues that drain completely.
-  std::vector<std::size_t> lanes;
-  lanes.reserve(waiting_.size());
-  for (const auto& [lane, queue] : waiting_) {
-    (void)queue;
-    lanes.push_back(lane);
-  }
-  for (const std::size_t lane : lanes) {
-    admitWaiters(lane);
-  }
-}
-
-std::size_t FlowLimiterBank::waiters(std::size_t lane) const {
-  const auto it = waiting_.find(lane);
-  return it == waiting_.end() ? 0 : it->second.size();
-}
-
-void FlowLimiterBank::admitWaiters(std::size_t lane) {
   const auto it = waiting_.find(lane);
   if (it == waiting_.end()) {
     return;
@@ -62,6 +37,11 @@ void FlowLimiterBank::admitWaiters(std::size_t lane) {
   if (queue.empty()) {
     waiting_.erase(it);
   }
+}
+
+std::size_t FlowLimiterBank::waiters(std::size_t lane) const {
+  const auto it = waiting_.find(lane);
+  return it == waiting_.end() ? 0 : it->second.size();
 }
 
 }  // namespace stellar::sim

@@ -42,24 +42,16 @@ class FlowLimiterBank {
 
   void release(std::size_t lane);
 
-  /// Applies a new shared limit to every lane.
-  void setLimit(std::uint32_t limit);
-
   [[nodiscard]] std::uint32_t limit() const noexcept { return limit_; }
   [[nodiscard]] std::size_t laneCount() const noexcept { return inFlight_.size(); }
   [[nodiscard]] std::uint32_t inFlight(std::size_t lane) const { return inFlight_[lane]; }
   [[nodiscard]] std::size_t waiters(std::size_t lane) const;
 
  private:
-  void admitWaiters(std::size_t lane);
-
   SimEngine& engine_;
   std::uint32_t limit_;
   std::vector<std::uint32_t> inFlight_;
-  // Waiter queues exist only for backlogged lanes. Ordered map, not
-  // unordered: setLimit drains backlogged lanes in iteration order, and
-  // wakeup order must be a pure function of lane ids (stellar-lint
-  // DET-UNORDERED-ITER; pinned by the testkit ML-DET law).
+  // Waiter queues exist only for backlogged lanes.
   std::map<std::size_t, std::deque<Callback>> waiting_;
 };
 

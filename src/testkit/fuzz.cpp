@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/session_journal.hpp"
 #include "exp/experience_store.hpp"
 #include "faults/fault_plan.hpp"
 #include "rules/rules.hpp"
@@ -24,8 +25,8 @@ constexpr std::size_t kMaxInputBytes = 4 * 1024 * 1024;
 thread_local std::size_t g_lastCorpusFiles = 0;
 
 /// Writes `content` to a unique temp file and returns its path; the
-/// Journal target loads through the filesystem because that is the real
-/// ExperienceStore entry point (partial trailing lines, etc.).
+/// journal targets load through the filesystem because that is the real
+/// entry point of both journals (partial trailing lines, etc.).
 class TempFile {
  public:
   explicit TempFile(std::string_view content, std::uint64_t tag) {
@@ -54,6 +55,7 @@ const char* fuzzTargetName(FuzzTarget target) noexcept {
     case FuzzTarget::Rules: return "rules";
     case FuzzTarget::Campaign: return "campaign";
     case FuzzTarget::Journal: return "journal";
+    case FuzzTarget::SessionJournal: return "session-journal";
   }
   return "?";
 }
@@ -61,7 +63,7 @@ const char* fuzzTargetName(FuzzTarget target) noexcept {
 bool fuzzTargetByName(std::string_view name, FuzzTarget& out) noexcept {
   for (const FuzzTarget t : {FuzzTarget::Json, FuzzTarget::FaultSpec,
                              FuzzTarget::Rules, FuzzTarget::Campaign,
-                             FuzzTarget::Journal}) {
+                             FuzzTarget::Journal, FuzzTarget::SessionJournal}) {
     if (name == fuzzTargetName(t)) {
       out = t;
       return true;
@@ -109,6 +111,16 @@ bool fuzzOne(FuzzTarget target, std::string_view input,
         (void)store.corruptLinesSkipped();
         return true;
       }
+      case FuzzTarget::SessionJournal: {
+        // Same contract: a session journal loads whatever a kill left, and
+        // only a final line with a result document makes it complete.
+        const TempFile file{bytes, util::hash64(bytes)};
+        const core::SessionJournal journal{file.path()};
+        if (journal.complete() && !journal.result()->isObject()) {
+          return record("complete journal without a result document");
+        }
+        return true;
+      }
     }
   } catch (const util::JsonError&) {
     return true;  // documented parse failure
@@ -133,7 +145,7 @@ std::vector<FuzzFinding> fuzzCorpus(const std::string& corpusDir, std::uint64_t 
   std::vector<FuzzFinding> findings;
   g_lastCorpusFiles = 0;
 
-  // The Journal target deliberately loads corrupt stores; their per-line
+  // The journal targets deliberately load corrupt files; their per-line
   // "skipping corrupt line" warnings are expected behavior, not signal.
   const util::LogLevel savedLevel = util::logLevel();
   util::setLogLevel(util::LogLevel::Error);

@@ -21,12 +21,14 @@ enum class FuzzTarget : std::uint8_t {
   Rules,      ///< rules::RuleSet::fromJson over parsed JSON
   Campaign,   ///< service::CampaignSpec / SubmitOptions request documents
   Journal,    ///< exp::ExperienceStore JSONL journal loading
+  SessionJournal,  ///< core::SessionJournal loading (stellard's resume record)
 };
 
 [[nodiscard]] const char* fuzzTargetName(FuzzTarget target) noexcept;
 
 /// Maps a corpus subdirectory name ("json", "faultspec", "rules",
-/// "campaign", "journal") to its target; returns false for unknown names.
+/// "campaign", "journal", "session-journal") to its target; returns false
+/// for unknown names.
 [[nodiscard]] bool fuzzTargetByName(std::string_view name, FuzzTarget& out) noexcept;
 
 struct FuzzFinding {

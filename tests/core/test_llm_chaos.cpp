@@ -12,6 +12,7 @@
 #include "faults/fault_plan.hpp"
 #include "obs/counters.hpp"
 #include "pfs/simulator.hpp"
+#include "rules/rules.hpp"
 #include "workloads/workloads.hpp"
 
 namespace stellar::core {
@@ -116,7 +117,7 @@ TEST(LlmChaos, ChaosMachineryNeverPerturbsCleanRuns) {
   EXPECT_EQ(after.resilienceRung, "primary");
   EXPECT_EQ(after.resilience.llmWastedAttempts, 0u);
   EXPECT_EQ(after.resilience.sanitizerIssues, 0u);
-  EXPECT_TRUE(journal.complete());
+  EXPECT_GT(journal.measurementCount(), 0u);  // the journal was live
 }
 
 // ---- KILL-RESUME metamorphic law ----------------------------------------
@@ -211,6 +212,64 @@ TEST(LlmChaos, JournalRefusesAForeignSession) {
   StellarEngine engine{simulator, options};
   EXPECT_THROW((void)engine.tune(workloads::byName("IOR_64K", benchLikeOpts())),
                std::runtime_error);
+}
+
+TEST(LlmChaos, JournalRefusesTheSameWorkloadAtAnotherScale) {
+  const std::string path = journalPath("scale");
+  const auto tuneAt = [&path](double scale) {
+    pfs::PfsSimulator simulator;
+    SessionJournal journal{path};
+    StellarOptions options = chaosOptions();
+    options.journal = &journal;
+    StellarEngine engine{simulator, options};
+    workloads::WorkloadOptions opts = benchLikeOpts();
+    opts.scale = scale;
+    return engine.tune(workloads::byName("IOR_64K", opts));
+  };
+  (void)tuneAt(0.05);
+  // Same workload name, seeds and models, but twice the job: replaying the
+  // small job's measurements would report its times as the large job's.
+  try {
+    (void)tuneAt(0.1);
+    ADD_FAILURE() << "the scale-0.05 journal was replayed into a scale-0.1 session";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("belongs to a different session"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LlmChaos, ChangedDecisionsMeasureAfreshInsteadOfReplaying) {
+  // A rule set learned on two other sessions changes which configurations a
+  // session tries, but not the session's identity. Its journal replay must
+  // then hand no attempt a measurement of a different configuration.
+  const auto tune = [](const std::string& workload, std::uint64_t seed,
+                       rules::RuleSet& rules, SessionJournal* journal) {
+    pfs::PfsSimulator simulator;
+    StellarOptions options;
+    options.seed = seed;
+    options.agent.seed = seed;
+    options.journal = journal;
+    StellarEngine engine{simulator, options};
+    return engine.tune(workloads::byName(workload, benchLikeOpts()), &rules);
+  };
+  rules::RuleSet learned;
+  (void)tune("IOR_16M", 1, learned, nullptr);
+  (void)tune("IOR_64K", 3, learned, nullptr);
+  ASSERT_GT(learned.size(), 0u);
+
+  const std::string path = journalPath("changed_decisions");
+  {
+    SessionJournal journal{path};
+    rules::RuleSet none;
+    (void)tune("IOR_64K", 42, none, &journal);  // cold session, journaled
+  }
+  rules::RuleSet rulesA = learned;
+  rules::RuleSet rulesB = learned;
+  const TuningRunResult whole = tune("IOR_64K", 42, rulesA, nullptr);
+  SessionJournal journal{path};
+  const TuningRunResult resumed = tune("IOR_64K", 42, rulesB, &journal);
+  EXPECT_EQ(whole.toJson().dump(), resumed.toJson().dump());
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // SessionJournal: append/load round-trips, header binding, torn-line
-// recovery, and the exact-bits wall-time encoding (ISSUE 7).
+// recovery, the exact-bits wall-time and seed encoding, and the sticky
+// final result.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
-#include "agents/transcript.hpp"
 #include "core/session_journal.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -40,8 +40,8 @@ TEST(SessionJournal, MeasurementsRoundTripAcrossReload) {
   {
     SessionJournal journal{path};
     journal.bind(makeHeader("IOR_16M"));
-    journal.recordMeasurement(0, {29.1234, "ok", ""});
-    journal.recordMeasurement(1, {5.678, "failed", "config rejected"});
+    journal.recordMeasurement(0, {29.1234, "ok", "", {}, 0});
+    journal.recordMeasurement(1, {5.678, "failed", "config rejected", {}, 0});
   }
   SessionJournal reloaded{path};
   EXPECT_TRUE(reloaded.bound());
@@ -65,7 +65,7 @@ TEST(SessionJournal, WallSecondsRoundTripExactBits) {
   {
     SessionJournal journal{path};
     journal.bind(makeHeader("IOR_16M"));
-    journal.recordMeasurement(0, {gnarly, "ok", ""});
+    journal.recordMeasurement(0, {gnarly, "ok", "", {}, 0});
   }
   SessionJournal reloaded{path};
   const auto m = reloaded.replay(0);
@@ -94,7 +94,7 @@ TEST(SessionJournal, TornTailLineIsSkippedNotFatal) {
   {
     SessionJournal journal{path};
     journal.bind(makeHeader("IOR_16M"));
-    journal.recordMeasurement(0, {1.5, "ok", ""});
+    journal.recordMeasurement(0, {1.5, "ok", "", {}, 0});
   }
   // A SIGKILL mid-write leaves a truncated JSON line at the tail.
   {
@@ -110,7 +110,7 @@ TEST(SessionJournal, TornTailLineIsSkippedNotFatal) {
   EXPECT_EQ(reloaded.replay(1), std::nullopt);
   // The journal stays writable: the resumed run re-measures index 1.
   reloaded.bind(makeHeader("IOR_16M"));
-  reloaded.recordMeasurement(1, {2.5, "ok", ""});
+  reloaded.recordMeasurement(1, {2.5, "ok", "", {}, 0});
   SessionJournal again{path};
   EXPECT_EQ(again.measurementCount(), 2u);
 }
@@ -120,7 +120,7 @@ TEST(SessionJournal, OutOfRangeIndexIsSkippedAsCorrupt) {
   {
     SessionJournal journal{path};
     journal.bind(makeHeader("IOR_16M"));
-    journal.recordMeasurement(0, {1.5, "ok", ""});
+    journal.recordMeasurement(0, {1.5, "ok", "", {}, 0});
   }
   // No writer emits these indexes; a corrupt or hand-edited journal can.
   util::appendToFile(path,
@@ -135,51 +135,69 @@ TEST(SessionJournal, OutOfRangeIndexIsSkippedAsCorrupt) {
   EXPECT_EQ(reloaded.replay(0)->wallSeconds, 1.5);
 }
 
-TEST(SessionJournal, TranscriptSyncWritesOnlyTheTail) {
-  const std::string path = journalPath("transcript");
-  agents::Transcript transcript;
-  transcript.add("engine", "start", "first event");
-  transcript.add("agent", "decision", "second event");
-  {
-    SessionJournal journal{path};
-    journal.bind(makeHeader("IOR_16M"));
-    journal.syncTranscript(transcript);
-    EXPECT_EQ(journal.transcriptEventsJournaled(), 2u);
-    // Syncing again with no new events appends nothing.
-    journal.syncTranscript(transcript);
-    EXPECT_EQ(journal.transcriptEventsJournaled(), 2u);
-  }
-  const std::string before = util::readFile(path);
-  // A resumed run regenerates the same events, then adds one more: only
-  // the new tail is appended.
-  SessionJournal resumed{path};
-  EXPECT_EQ(resumed.transcriptEventsJournaled(), 2u);
-  transcript.add("agent", "decision", "third event");
-  resumed.syncTranscript(transcript);
-  const std::string after = util::readFile(path);
-  EXPECT_EQ(after.substr(0, before.size()), before);
-  EXPECT_NE(after.find("third event"), std::string::npos);
-  EXPECT_EQ(after.find("second event"), after.rfind("second event"));  // once
-}
-
 TEST(SessionJournal, MarkCompleteIsSticky) {
   const std::string path = journalPath("complete");
+  util::Json result = util::Json::makeObject();
+  result.set("best_seconds", 5.5);
   {
     SessionJournal journal{path};
     journal.bind(makeHeader("IOR_16M"));
-    util::Json summary = util::Json::makeObject();
-    summary.set("best_seconds", 5.5);
-    journal.markComplete(summary);
-    journal.markComplete(summary);  // idempotent
+    journal.markComplete(result);
+    util::Json later = util::Json::makeObject();
+    later.set("best_seconds", 9.9);
+    journal.markComplete(later);  // sticky: the first result stays
+    ASSERT_TRUE(journal.result().has_value());
+    EXPECT_EQ(journal.result()->dump(), result.dump());
   }
   SessionJournal reloaded{path};
   EXPECT_TRUE(reloaded.complete());
+  ASSERT_TRUE(reloaded.result().has_value());
+  EXPECT_EQ(reloaded.result()->dump(), result.dump());
+  // One final line on disk, not two.
+  const std::string text = util::readFile(path);
+  EXPECT_EQ(text.find("\"final\""), text.rfind("\"final\""));
+}
+
+TEST(SessionJournal, MeasurementsBindTheirConfigAndSeedExactly) {
+  const std::string path = journalPath("binding");
+  pfs::PfsConfig config;
+  config.stripe_count = 8;
+  config.osc_max_rpcs_in_flight = 32;
+  // Above 2^53: a JSON number (a double) would round it.
+  const std::uint64_t seed = 0xFEDCBA9876543211ULL;
+  {
+    SessionJournal journal{path};
+    journal.bind(makeHeader("IOR_16M"));
+    journal.recordMeasurement(0, {1.5, "ok", "", config, seed});
+  }
+  SessionJournal reloaded{path};
+  const auto m = reloaded.replay(0);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->config, config);
+  EXPECT_EQ(m->seed, seed);
+}
+
+TEST(SessionJournal, UnboundMeasurementAndResultlessFinalAreCorrupt) {
+  // A measurement line must name what it measured, and a final line must
+  // carry the result it marks complete; otherwise neither can be replayed.
+  const std::string path = journalPath("unbound");
+  util::writeFile(
+      path, makeHeader("IOR_16M").dump() + "\n" +
+                R"({"type":"measurement","index":0,"wall_seconds":2.5,"outcome":"ok"})"
+                "\n"
+                R"({"type":"final","summary":{"best_seconds":2.5}})"
+                "\n");
+  SessionJournal journal{path};
+  EXPECT_TRUE(journal.bound());
+  EXPECT_EQ(journal.corruptLinesSkipped(), 2u);
+  EXPECT_EQ(journal.measurementCount(), 0u);
+  EXPECT_FALSE(journal.complete());
 }
 
 TEST(SessionJournal, EmptyPathIsMemoryOnly) {
   SessionJournal journal{""};
   journal.bind(makeHeader("IOR_16M"));
-  journal.recordMeasurement(0, {1.0, "ok", ""});
+  journal.recordMeasurement(0, {1.0, "ok", "", {}, 0});
   EXPECT_EQ(journal.measurementCount(), 1u);
   ASSERT_TRUE(journal.replay(0).has_value());
 }

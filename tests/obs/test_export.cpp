@@ -26,41 +26,6 @@ std::vector<obs::TraceRecord> sampleRecords() {
 
 }  // namespace
 
-TEST(Export, JsonlRoundTripsLosslessly) {
-  const std::vector<obs::TraceRecord> records = sampleRecords();
-  const std::string jsonl = toJsonl(records);
-  // One line per record.
-  std::size_t lines = 0;
-  for (char c : jsonl) {
-    lines += c == '\n' ? 1 : 0;
-  }
-  EXPECT_EQ(lines, records.size());
-
-  const std::vector<obs::TraceRecord> parsed = obs::fromJsonl(jsonl);
-  ASSERT_EQ(parsed.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(parsed[i].phase, records[i].phase);
-    EXPECT_EQ(parsed[i].category, records[i].category);
-    EXPECT_EQ(parsed[i].name, records[i].name);
-    // Timestamps survive to the JSON writer's precision (sub-nanosecond
-    // at microsecond scale), not bit-exactly.
-    EXPECT_NEAR(parsed[i].startUs, records[i].startUs, 1e-6);
-    EXPECT_NEAR(parsed[i].durUs, records[i].durUs, 1e-6);
-    EXPECT_EQ(parsed[i].tid, records[i].tid);
-    EXPECT_EQ(parsed[i].depth, records[i].depth);
-    ASSERT_EQ(parsed[i].args.size(), records[i].args.size());
-    for (std::size_t j = 0; j < records[i].args.size(); ++j) {
-      EXPECT_EQ(parsed[i].args[j].key, records[i].args[j].key);
-      EXPECT_TRUE(parsed[i].args[j].value == records[i].args[j].value);
-    }
-  }
-}
-
-TEST(Export, FromJsonlSkipsBlankLinesAndThrowsOnGarbage) {
-  EXPECT_TRUE(obs::fromJsonl("\n\n").empty());
-  EXPECT_THROW((void)obs::fromJsonl("not json\n"), stellar::util::JsonError);
-}
-
 TEST(Export, ChromeTraceShape) {
   const Json doc = obs::toChromeTrace(sampleRecords());
   ASSERT_TRUE(doc.contains("traceEvents"));

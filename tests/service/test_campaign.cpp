@@ -1,12 +1,13 @@
 // Campaigns run on TuningService: spec expansion and JSON, kill/resume byte
-// identity of the aggregate document, torn manifests, memory-only runs and
-// failed cells.
+// identity of the aggregate document, torn session journals, memory-only
+// runs and failed cells.
 #include "service/campaign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "exp/experience_store.hpp"
 #include "util/file.hpp"
@@ -115,7 +116,7 @@ TEST(CampaignRunner, ResumeAfterKillIsByteIdenticalAndSkipsCompletedCells) {
   }
 }
 
-TEST(CampaignRunner, CorruptManifestLineReExecutesOnlyThatCell) {
+TEST(CampaignRunner, TornJournalFinalLineReExecutesOnlyThatCell) {
   const CampaignSpec spec = smallSpec();
   const fs::path dir = freshDir("corrupt");
   ServiceOptions options;
@@ -124,17 +125,14 @@ TEST(CampaignRunner, CorruptManifestLineReExecutesOnlyThatCell) {
   ASSERT_TRUE(full.complete);
   const std::string docFull = full.aggregateJson(spec).dump(2);
 
-  // Damage the second manifest line (torn write).
-  const std::string manifestPath = options.storePath + ".manifest";
-  ASSERT_TRUE(util::fileExists(manifestPath));
-  std::string manifest = util::readFile(manifestPath);
-  const std::size_t firstEol = manifest.find('\n');
-  ASSERT_NE(firstEol, std::string::npos);
-  const std::size_t secondEol = manifest.find('\n', firstEol + 1);
-  ASSERT_NE(secondEol, std::string::npos);
-  std::string damaged = manifest.substr(0, firstEol + 1) +
-                        "{\"torn\":\n" + manifest.substr(secondEol + 1);
-  util::writeFile(manifestPath, damaged);
+  // Tear the final line of the second cell journal (a kill mid-write).
+  const std::vector<std::string> journals =
+      util::listDir(options.storePath + ".sessions");
+  ASSERT_EQ(journals.size(), 4U);
+  const std::string journal = util::readFile(journals[1]);
+  const std::size_t finalLine = journal.rfind("{\"type\":\"final\"");
+  ASSERT_NE(finalLine, std::string::npos);
+  util::writeFile(journals[1], journal.substr(0, finalLine) + "{\"type\":\"fin");
 
   const CampaignResult rerun = runCampaign(spec, options);
   ASSERT_TRUE(rerun.complete);

@@ -1,9 +1,10 @@
 // Crash safety: a service killed with half its queue drained resumes from
-// the manifest and produces byte-identical per-session documents — the
-// service-level analogue of the engine's KILL-RESUME law.
+// its session journals and produces byte-identical per-session documents —
+// the service-level analogue of the engine's KILL-RESUME law.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -42,13 +43,15 @@ std::vector<SubmitOptions> schedule() {
 }
 
 std::string runSchedule(const std::string& storePath, std::size_t workers,
-                        std::size_t maxFresh) {
+                        std::size_t maxFresh,
+                        const std::vector<SubmitOptions>& requests = schedule(),
+                        ServiceStats* stats = nullptr) {
   ServiceOptions options;
   options.storePath = storePath;
   options.workers = workers;
   options.maxFreshSessions = maxFresh;
   TuningService service{options};
-  for (const SubmitOptions& request : schedule()) {
+  for (const SubmitOptions& request : requests) {
     const SubmitResult submitted = service.submit(request);
     EXPECT_TRUE(submitted.accepted());
   }
@@ -56,7 +59,19 @@ std::string runSchedule(const std::string& storePath, std::size_t workers,
   for (const SessionResult& result : service.drainAll()) {
     all += result.toJson().dump() + "\n";
   }
+  if (stats != nullptr) {
+    *stats = service.stats();
+  }
   return all;
+}
+
+/// Every session journal under the store, file name -> contents.
+std::map<std::string, std::string> journals(const std::string& storePath) {
+  std::map<std::string, std::string> out;
+  for (const std::string& path : util::listDir(storePath + ".sessions")) {
+    out[fs::path{path}.filename().string()] = util::readFile(path);
+  }
+  return out;
 }
 
 TEST(Resume, KilledServiceResumesByteIdentically) {
@@ -74,8 +89,8 @@ TEST(Resume, KilledServiceResumesByteIdentically) {
   EXPECT_NE(partial.find("interrupted"), std::string::npos);
   EXPECT_NE(partial, expected);
 
-  // Run 2: same schedule, no cap — completed cells replay from the
-  // manifest, interrupted ones run fresh; the documents match the
+  // Run 2: same schedule, no cap — completed cells replay from their
+  // journals, interrupted ones run fresh; the documents match the
   // uninterrupted run byte for byte.
   const std::string resumed =
       runSchedule((killed / "store.jsonl").string(), 2, 0);
@@ -126,20 +141,19 @@ TEST(Resume, CommitWaitsUntilNoSessionIsInterrupted) {
 }
 
 TEST(Resume, ResumeIsIdenticalAcrossWorkerCounts) {
-  const fs::path a = freshDir("w1");
-  const fs::path b = freshDir("w8");
-  (void)runSchedule((a / "store.jsonl").string(), 1, 2);
-  (void)runSchedule((b / "store.jsonl").string(), 8, 2);
-  const std::string resumedA = runSchedule((a / "store.jsonl").string(), 1, 0);
-  const std::string resumedB = runSchedule((b / "store.jsonl").string(), 8, 0);
-  EXPECT_EQ(resumedA, resumedB);
+  const std::string a = (freshDir("w1") / "store.jsonl").string();
+  const std::string b = (freshDir("w8") / "store.jsonl").string();
+  (void)runSchedule(a, 1, 2);
+  (void)runSchedule(b, 8, 2);
   // The fresh-cell cap counts in submission order, so even the PARTIAL
-  // runs interrupt the same cells at 1 and 8 workers.
-  const std::string partialA =
-      util::readFile((a / "store.jsonl.manifest").string());
-  const std::string partialB =
-      util::readFile((b / "store.jsonl.manifest").string());
-  EXPECT_EQ(partialA.empty(), partialB.empty());
+  // runs complete the same cells at 1 and 8 workers, byte for byte.
+  const std::map<std::string, std::string> partialA = journals(a);
+  EXPECT_EQ(partialA.size(), 2U);
+  EXPECT_EQ(partialA, journals(b));
+  const std::string resumedA = runSchedule(a, 1, 0);
+  const std::string resumedB = runSchedule(b, 8, 0);
+  EXPECT_EQ(resumedA, resumedB);
+  EXPECT_EQ(journals(a), journals(b));
 }
 
 TEST(Resume, ReplayedSessionsAreCountedAndSkipEngineRuns) {
@@ -155,23 +169,58 @@ TEST(Resume, ReplayedSessionsAreCountedAndSkipEngineRuns) {
   }
   (void)service.drainAll();
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.freshRuns, 0U);  // everything came from the manifest
+  EXPECT_EQ(stats.freshRuns, 0U);  // everything came from the journals
   EXPECT_EQ(stats.replayed, 4U);   // every member session, fan-out included
   EXPECT_EQ(stats.completed, 4U);
 }
 
-TEST(Resume, CorruptManifestLinesAreSkippedNotFatal) {
-  const fs::path dir = freshDir("corrupt");
+TEST(Resume, TornJournalFinalLineReRunsFromItsMeasurements) {
+  const fs::path dir = freshDir("torn");
   const std::string store = (dir / "store.jsonl").string();
   const std::string expected = runSchedule(store, 2, 0);
 
-  // Tear the manifest: garbage line plus a truncated JSON tail.
-  const std::string manifest = store + ".manifest";
-  util::writeFile(manifest, util::readFile(manifest) +
-                                "not json at all\n{\"cell\":\"IOR_64K|7");
+  // Tear the final line of IOR_64K seed 7's journal (the cell two sessions
+  // share), as a kill mid-write would.
+  const std::string path = store + ".sessions/" +
+                           cellFileStem(cellKey(schedule().front())) + ".jsonl";
+  const std::string intact = util::readFile(path);
+  const std::size_t finalLine = intact.rfind("{\"type\":\"final\"");
+  ASSERT_NE(finalLine, std::string::npos);
+  util::writeFile(path, intact.substr(0, finalLine + 40));
 
-  const std::string resumed = runSchedule(store, 2, 0);
-  EXPECT_EQ(resumed, expected);  // intact lines still replay
+  ServiceStats stats;
+  const std::string resumed = runSchedule(store, 2, 0, schedule(), &stats);
+  EXPECT_EQ(resumed, expected);
+  EXPECT_EQ(stats.freshRuns, 1U);  // only the torn cell runs again...
+  EXPECT_EQ(stats.replayed, 2U);   // ...the other two cells replay
+  // ...and it replayed its journaled measurements instead of measuring
+  // again: the journal only gained a final line after the torn one.
+  const std::string after = util::readFile(path);
+  ASSERT_GT(after.size(), finalLine);
+  EXPECT_EQ(after.substr(0, finalLine), intact.substr(0, finalLine));
+  EXPECT_EQ(after.find("\"measurement\"", finalLine), std::string::npos);
+  EXPECT_EQ(journals(store).size(), 3U);
+}
+
+TEST(Resume, FailedCellIsNotRecordedAndFailsTheSameWayOnResume) {
+  const fs::path dir = freshDir("failed");
+  const std::string store = (dir / "store.jsonl").string();
+  std::vector<SubmitOptions> requests = schedule();
+  requests.resize(2);
+  requests[1].workload = "NoSuchWorkload";
+
+  ServiceStats first;
+  const std::string expected = runSchedule(store, 2, 0, requests, &first);
+  EXPECT_EQ(first.failed, 1U);
+  EXPECT_NE(expected.find("\"state\":\"failed\""), std::string::npos);
+  EXPECT_EQ(journals(store).size(), 1U);  // no journal for the failed cell
+
+  ServiceStats second;
+  const std::string resumed = runSchedule(store, 2, 0, requests, &second);
+  EXPECT_EQ(resumed, expected);
+  EXPECT_EQ(second.failed, 1U);
+  EXPECT_EQ(second.replayed, 1U);   // the good cell
+  EXPECT_EQ(second.freshRuns, 1U);  // the bad one fails again, before any run
 }
 
 TEST(Resume, SessionJournalsLandUnderTheStoreLayout) {

@@ -116,7 +116,7 @@ TEST(TuningServiceSession, SubmitWaitLifecycle) {
   EXPECT_EQ(result.id, id);
   EXPECT_EQ(result.tenant, "default");
   EXPECT_FALSE(result.coalesced);
-  EXPECT_FALSE(result.replayedFromManifest);
+  EXPECT_FALSE(result.replayed);
   ASSERT_FALSE(result.cellDoc.isNull());
   EXPECT_EQ(result.cellDoc.getString("workload"), "IOR_64K");
   EXPECT_EQ(service.poll(id), SessionState::Completed);
@@ -141,7 +141,7 @@ TEST(TuningServiceSession, ResultDocExcludesTimingAndReplayProvenance) {
   result.state = SessionState::Completed;
   result.submitNanos = 123;
   result.completeNanos = 456;
-  result.replayedFromManifest = true;
+  result.replayed = true;
   const std::string doc = result.toJson().dump();
   EXPECT_EQ(doc.find("nanos"), std::string::npos);
   EXPECT_EQ(doc.find("replay"), std::string::npos);

@@ -39,11 +39,6 @@ class FlowLimiter {
     admitWaiters();
   }
 
-  void setLimit(std::uint32_t limit) {
-    limit_ = std::max<std::uint32_t>(1, limit);
-    admitWaiters();
-  }
-
   [[nodiscard]] std::uint32_t limit() const noexcept { return limit_; }
   [[nodiscard]] std::uint32_t inFlight() const noexcept { return inFlight_; }
   [[nodiscard]] std::size_t waiters() const noexcept { return waiting_.size(); }
@@ -90,19 +85,6 @@ TEST(FlowLimiter, ReleaseAdmitsWaitersFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(FlowLimiter, RaisingLimitAdmitsWaiters) {
-  SimEngine engine;
-  FlowLimiter limiter{engine, 1};
-  int admitted = 0;
-  for (int i = 0; i < 4; ++i) {
-    limiter.acquire([&] { ++admitted; });
-  }
-  EXPECT_EQ(admitted, 1);
-  limiter.setLimit(3);
-  engine.run();
-  EXPECT_EQ(admitted, 3);
-}
-
 TEST(FlowLimiter, LimitFloorsAtOne) {
   SimEngine engine;
   FlowLimiter limiter{engine, 0};
@@ -146,22 +128,6 @@ TEST(FlowLimiterBank, ReleaseAdmitsWaitersFifoPerLane) {
   EXPECT_EQ(bank.waiters(1), 0u);
 }
 
-TEST(FlowLimiterBank, SetLimitAppliesToEveryBackloggedLane) {
-  SimEngine engine;
-  FlowLimiterBank bank{engine, 3, 1};
-  int admitted = 0;
-  for (std::size_t lane = 0; lane < 3; ++lane) {
-    for (int i = 0; i < 3; ++i) {
-      bank.acquire(lane, [&] { ++admitted; });
-    }
-  }
-  EXPECT_EQ(admitted, 3);  // one per lane
-  bank.setLimit(3);
-  engine.run();
-  EXPECT_EQ(admitted, 9);
-  EXPECT_EQ(bank.limit(), 3u);
-}
-
 TEST(FlowLimiterBank, LimitFloorsAtOne) {
   SimEngine engine;
   FlowLimiterBank bank{engine, 2, 0};
@@ -174,8 +140,6 @@ TEST(FlowLimiterBank, LimitFloorsAtOne) {
   EXPECT_EQ(admitted, 1);
   EXPECT_EQ(bank.inFlight(1), 1u);
   EXPECT_EQ(bank.waiters(1), 1u);
-  bank.setLimit(0);
-  EXPECT_EQ(bank.limit(), 1u);
   bank.release(1);
   engine.run();
   EXPECT_EQ(admitted, 2);

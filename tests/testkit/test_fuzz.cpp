@@ -29,7 +29,8 @@ TEST(Fuzz, CommittedCorpusProducesNoFindings) {
 
 TEST(Fuzz, CorpusCoversEveryTarget) {
   // A renamed or emptied subdirectory would silently skip a whole parser.
-  for (const char* dir : {"json", "faultspec", "rules", "campaign", "journal"}) {
+  for (const char* dir :
+       {"json", "faultspec", "rules", "campaign", "journal", "session-journal"}) {
     FuzzTarget target;
     ASSERT_TRUE(fuzzTargetByName(dir, target)) << dir;
     const std::filesystem::path sub =

@@ -19,9 +19,9 @@
 // any was rejected/failed/interrupted (partial service), 2 on usage errors.
 //
 // Re-running the same batch against the same --store resumes: completed
-// cells replay from `<store>.manifest` byte-identically, and `--commit`
-// absorbs the per-tenant experience shards so the *next* batch warm-starts
-// from fleet history.
+// cells replay from their session journals (`<store>.sessions/`)
+// byte-identically, and `--commit` absorbs the per-tenant experience shards
+// so the *next* batch warm-starts from fleet history.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/export.hpp"
+#include "obs/counters.hpp"
 #include "service/service.hpp"
 #include "util/file.hpp"
 #include "util/strings.hpp"
@@ -41,7 +41,6 @@ using namespace stellar;
 
 struct DaemonOptions {
   std::string storePath;
-  std::string manifestPath;
   std::size_t workers = 4;
   std::size_t maxOutstanding = 256;
   std::size_t maxFresh = 0;
@@ -56,9 +55,9 @@ struct DaemonOptions {
 [[noreturn]] void usage(int code = 2) {
   std::fprintf(code == 0 ? stdout : stderr,
                "usage: stellard --store FILE [options] [< requests.jsonl]\n"
-               "  --store FILE          fleet experience store (manifest and\n"
-               "                        session journals live next to it)\n"
-               "  --manifest FILE       resume manifest (default <store>.manifest)\n"
+               "  --store FILE          fleet experience store (tenant shards and\n"
+               "                        session journals live next to it; a rerun\n"
+               "                        replays the cells its journals completed)\n"
                "  --workers N           worker threads / concurrent sessions (default 4)\n"
                "  --max-outstanding N   global admission bound (default 256)\n"
                "  --max-fresh N         interrupt after N fresh cells (resume testing)\n"
@@ -98,8 +97,6 @@ DaemonOptions parseArgs(const std::vector<std::string>& args) {
     };
     if (arg == "--store") {
       opts.storePath = value();
-    } else if (arg == "--manifest") {
-      opts.manifestPath = value();
     } else if (arg == "--workers") {
       opts.workers = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--max-outstanding") {
@@ -174,7 +171,6 @@ int main(int argc, char** argv) {
   obs::CounterRegistry registry;
   service::ServiceOptions serviceOpts;
   serviceOpts.storePath = opts.storePath;
-  serviceOpts.manifestPath = opts.manifestPath;
   serviceOpts.workers = opts.workers;
   serviceOpts.maxOutstanding = opts.maxOutstanding;
   serviceOpts.maxFreshSessions = opts.maxFresh;
