@@ -41,7 +41,7 @@ constexpr double kScale = 0.05;
 constexpr double kTolerance = 0.05;
 
 core::TuningRunResult tuneOnce(const std::string& workload, std::uint64_t seed,
-                               core::WarmStartProvider* provider) {
+                               const core::WarmStartProvider* provider) {
   pfs::PfsSimulator simulator;
   core::StellarOptions options;
   options.seed = seed;

@@ -51,11 +51,12 @@
 //                       are filed into it
 //   --tenant <id>       file completed runs under this tenant, sharing the
 //                       stellard service layout: records (tenant-tagged,
-//                       keyed by their cell) land in the per-tenant shard
-//                       journal `<store>.tenant-<id>`, so a later stellard
-//                       commit absorbs them (session journals stay where
-//                       --session-journal puts them: `<store>.sessions/`
-//                       holds stellard's own)
+//                       keyed by their cell, carrying the run's warm-start
+//                       verdict) land in the per-tenant shard journal
+//                       `<store>.tenant-<id>` and --store itself is only
+//                       read; a later stellard commit absorbs them (session
+//                       journals stay where --session-journal puts them:
+//                       `<store>.sessions/` holds stellard's own)
 //   --warm-start        recall prior experience from --store to warm-start
 //                       the tuning agent on similar workloads
 //   --campaign <spec>   run the campaign described by this JSON spec file
@@ -76,6 +77,7 @@
 #include "faults/fault_plan.hpp"
 #include "obs/export.hpp"
 #include "service/campaign.hpp"
+#include "service/fleet_store.hpp"
 #include "service/session.hpp"
 #include "util/file.hpp"
 #include "util/units.hpp"
@@ -298,28 +300,25 @@ void fileRun(const CliOptions& cli, exp::ExperienceStore* store,
   exp::ExperienceRecord record =
       exp::recordFromRun(run, cli.seed, cli.model, cli.faultsSpec);
   if (!cli.tenant.empty()) {
-    // Tenanted runs share the stellard service layout: the record is
-    // tenant-tagged, keyed by its cell (re-runs dedup last-wins), and lands
-    // in the per-tenant shard journal next to the base store, where the
-    // next stellard/FleetStore commit absorbs it into the recall set.
+    // Tenanted runs share the stellard service layout: the record, with the
+    // run's verdict on what it recalled, is tenant-tagged, keyed by its cell
+    // (re-runs dedup last-wins), and lands in the per-tenant shard journal
+    // next to the base store. The base store is left alone: the next
+    // stellard/FleetStore commit absorbs the record and applies the verdict.
     record.tenant = cli.tenant;
     record.id = cellKeyFor(cli, run.workload);
-    exp::StoreOptions shardOptions;
-    shardOptions.counters = counters;
-    exp::ExperienceStore shard{cli.storePath + ".tenant-" + cli.tenant,
-                               shardOptions};
-    const std::string id = shard.append(std::move(record));
+    const std::string shard = service::tenantShardPath(cli.storePath, cli.tenant);
+    service::appendShardLine(shard, record);
     if (counters != nullptr) {
       counters->counter("service.store.shard_appends", {{"tenant", cli.tenant}})
           .add(1.0);
     }
     std::fprintf(cli.json ? stderr : stdout,
-                 "experience:    filed %s for tenant %s in %s\n", id.c_str(),
-                 cli.tenant.c_str(), shard.path().c_str());
+                 "experience:    filed %s for tenant %s in %s\n", record.id.c_str(),
+                 cli.tenant.c_str(), shard.c_str());
     return;
   }
-  const std::string id = store->append(std::move(record));
-  store->compact();
+  const std::string id = store->absorb({record}).front();
   std::fprintf(cli.json ? stderr : stdout, "experience:    filed %s (%zu records)\n",
                id.c_str(), store->size());
 }

@@ -10,6 +10,9 @@ namespace stellar::agents {
 
 namespace {
 
+/// Relative improvement considered real.
+constexpr double kMinGain = 0.03;
+
 std::uint64_t hashText(std::string_view s, std::uint64_t seed) {
   std::uint64_t h = seed;
   for (const char c : s) {
@@ -704,7 +707,7 @@ TuningAgent::Action TuningAgent::decide() {
     const Attempt& last = attempts_.back();
     const double lastGain =
         last.valid ? 1.0 - last.seconds / defaultSeconds_ : 0.0;
-    if (lastGain < bestGain + opts_.minGain) {
+    if (lastGain < bestGain + kMinGain) {
       Action action;
       action.kind = ActionKind::EndTuning;
       action.rationale =
@@ -868,7 +871,7 @@ void TuningAgent::observeRunResult(double seconds, bool valid, const std::string
 
 std::vector<rules::Rule> TuningAgent::reflectAndSummarize() const {
   std::vector<rules::Rule> learned;
-  if (bestSeconds_ >= defaultSeconds_ * (1.0 - opts_.minGain)) {
+  if (bestSeconds_ >= defaultSeconds_ * (1.0 - kMinGain)) {
     return learned;  // nothing worth generalizing
   }
   const rules::WorkloadContext context =

@@ -46,7 +46,6 @@ struct TuningAgentOptions {
   bool useAnalysis = true;
   bool useDescriptions = true;
   int maxAttempts = 5;       ///< the paper's 5-configuration cap
-  double minGain = 0.03;     ///< relative improvement considered real
   std::uint64_t seed = 1;
 };
 

@@ -5,6 +5,7 @@
 
 #include "darshan/recorder.hpp"
 #include "dataframe/from_darshan.hpp"
+#include "llm/llm_client.hpp"
 #include "llm/llm_fault_model.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
@@ -117,49 +118,36 @@ std::map<std::string, llm::ParamKnowledge> StellarEngine::buildKnowledge() const
     return fact != nullptr && fact->userAccessible;
   };
 
-  if (options_.useRagExtraction) {
-    for (const ExtractedParam& param : extraction().tunables) {
-      if (!inScope(param.name)) {
-        continue;
-      }
-      llm::ParamKnowledge k = param.knowledge;
-      if (!options_.agent.useDescriptions) {
-        // No-Descriptions ablation (§5.4): the grounded value ranges are
-        // kept, but the semantic understanding falls back to model memory
-        // — hallucination-prone.
-        const manual::ParamFact* fact = manual::findParamFact(param.name);
-        if (fact != nullptr) {
-          // Without any description the model has nothing to anchor its
-          // semantics on, so recall is substantially more hallucination
-          // prone than an ordinary memory lookup.
-          llm::ModelProfile blinded = options_.agent.model;
-          blinded.hallucinationRate =
-              std::max(0.25, blinded.hallucinationRate * 4.0);
-          llm::ParamKnowledge recalled = llm::recallFromMemory(
-              *fact, blinded, facts, options_.seed ^ 0xD15AB1EDULL);
-          recalled.minValue = k.minValue;  // ranges stay grounded
-          recalled.maxValue = k.maxValue;
-          if (recalled.corruption == llm::CorruptionKind::WrongRange) {
-            // A range corruption is moot when ranges are grounded; what is
-            // lost is the description.
-            recalled.corruption = llm::CorruptionKind::WrongDefinition;
-          }
-          k = recalled;
-        }
-      }
-      knowledge.emplace(param.name, std::move(k));
-    }
-    return knowledge;
-  }
-
-  // No-RAG path: everything, descriptions and ranges, comes from memory.
-  for (const std::string& name : manual::groundTruthTunables()) {
-    const manual::ParamFact* fact = manual::findParamFact(name);
-    if (fact == nullptr || !inScope(name)) {
+  for (const ExtractedParam& param : extraction().tunables) {
+    if (!inScope(param.name)) {
       continue;
     }
-    knowledge.emplace(
-        name, llm::recallFromMemory(*fact, options_.agent.model, facts, options_.seed));
+    llm::ParamKnowledge k = param.knowledge;
+    if (!options_.agent.useDescriptions) {
+      // No-Descriptions ablation (§5.4): the grounded value ranges are
+      // kept, but the semantic understanding falls back to model memory
+      // — hallucination-prone.
+      const manual::ParamFact* fact = manual::findParamFact(param.name);
+      if (fact != nullptr) {
+        // Without any description the model has nothing to anchor its
+        // semantics on, so recall is substantially more hallucination
+        // prone than an ordinary memory lookup.
+        llm::ModelProfile blinded = options_.agent.model;
+        blinded.hallucinationRate =
+            std::max(0.25, blinded.hallucinationRate * 4.0);
+        llm::ParamKnowledge recalled = llm::recallFromMemory(
+            *fact, blinded, facts, options_.seed ^ 0xD15AB1EDULL);
+        recalled.minValue = k.minValue;  // ranges stay grounded
+        recalled.maxValue = k.maxValue;
+        if (recalled.corruption == llm::CorruptionKind::WrongRange) {
+          // A range corruption is moot when ranges are grounded; what is
+          // lost is the description.
+          recalled.corruption = llm::CorruptionKind::WrongDefinition;
+        }
+        k = recalled;
+      }
+    }
+    knowledge.emplace(param.name, std::move(k));
   }
   return knowledge;
 }
@@ -343,7 +331,7 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
   const faults::FaultPlan* faultPlan = simulator_.options().faults;
   const llm::LlmFaultModel llmFaults =
       faultPlan != nullptr ? llm::LlmFaultModel{*faultPlan} : llm::LlmFaultModel{};
-  llm::LlmClient llmClient{&llmFaults, result.meter, registry, options_.llmClient};
+  llm::LlmClient llmClient{&llmFaults, result.meter, registry};
 
   std::map<std::string, llm::ParamKnowledge> knowledge = buildKnowledge();
   std::vector<std::string> knownKnobs;
@@ -570,8 +558,8 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
   result.resilience.breakerTrips = llmClient.breakerTrips();
   result.resilience.backoffSeconds = llmClient.backoffSeconds();
 
-  // --- staleness feedback to the experience store ---------------------------
-  if (hint && options_.warmStart != nullptr) {
+  // --- staleness verdict on the recalled config -----------------------------
+  if (hint) {
     bool judged = false;
     bool regressed = false;
     bool confirmed = false;
@@ -594,8 +582,9 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
       break;
     }
     if (judged) {
-      options_.warmStart->observeWarmStartOutcome(result.warmStartSources,
-                                                  regressed, confirmed);
+      result.warmStartVerdict = regressed   ? WarmStartVerdict::Regressed
+                                : confirmed ? WarmStartVerdict::Confirmed
+                                            : WarmStartVerdict::None;
       if (registry != nullptr) {
         registry->counter("core.warm_start.outcomes",
                           {{"kind", regressed   ? "regressed"

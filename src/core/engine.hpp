@@ -15,7 +15,6 @@
 #include "agents/tuning_agent.hpp"
 #include "core/offline_extractor.hpp"
 #include "core/session_journal.hpp"
-#include "llm/llm_client.hpp"
 #include "llm/token_meter.hpp"
 #include "pfs/simulator.hpp"
 #include "rules/rules.hpp"
@@ -43,10 +42,12 @@ struct WarmStartHint {
   std::string provenance;              ///< human-readable recall summary
 };
 
-/// Cross-run memory interface. The engine only ever *consumes* hints and
-/// reports how a recalled configuration fared; persistence, similarity
-/// retrieval, and eviction live in src/exp (which depends on core, not the
-/// other way around).
+/// Cross-run memory interface. The engine only ever *reads* hints; how a
+/// recalled configuration fared goes into the run's result
+/// (TuningRunResult::warmStartVerdict), and whoever files the result
+/// carries it to the memory. Persistence, similarity retrieval, and
+/// eviction live in src/exp (which depends on core, not the other way
+/// around).
 class WarmStartProvider {
  public:
   virtual ~WarmStartProvider() = default;
@@ -55,21 +56,19 @@ class WarmStartProvider {
   /// when nothing sufficiently similar is stored.
   [[nodiscard]] virtual std::optional<WarmStartHint> warmStart(
       const agents::IoReport& report) const = 0;
+};
 
-  /// Staleness feedback after the tuning run judged the recalled config.
-  /// `regressed`: the recalled configuration measured *worse* than the
-  /// default (or failed validation) — the memory is misleading for this
-  /// context. `confirmed`: it landed within 5% of the run's final best.
-  virtual void observeWarmStartOutcome(const std::vector<std::string>& sourceIds,
-                                       bool regressed, bool confirmed) = 0;
+/// The run's judgement of the configuration it recalled (staleness
+/// feedback for the memory that produced it).
+enum class WarmStartVerdict {
+  None,       ///< no recall, a fault ate its measurement, or neither below
+  Regressed,  ///< measured worse than the default, or failed validation
+  Confirmed,  ///< landed within 5% of the run's final best
 };
 
 struct StellarOptions {
   agents::TuningAgentOptions agent;            ///< tuning-agent model + ablations
   llm::ModelProfile analysisModel = llm::gpt4o();
-  /// When false, parameter knowledge comes from model memory instead of
-  /// the RAG extraction (the hallucination-prone path of Fig. 2/Fig. 8).
-  bool useRagExtraction = true;
   TuningScope scope = TuningScope::SystemWide;
   std::uint64_t seed = 1;
   /// Measurement watchdog: simulated-seconds cap per run (0 = unlimited).
@@ -79,18 +78,15 @@ struct StellarOptions {
   /// Cross-run memory (nullable, non-owning; must outlive the engine).
   /// When set and the run has an I/O report, a sufficiently similar prior
   /// experience warm-starts the Tuning Agent: its best config becomes the
-  /// first attempt and its rules join the matched rule set. The provider
-  /// is told afterwards whether the recalled config regressed (staleness
-  /// eviction) or held up (confirmation).
-  WarmStartProvider* warmStart = nullptr;
+  /// first attempt and its rules join the matched rule set. The run's
+  /// verdict on the recalled config lands in TuningRunResult.
+  const WarmStartProvider* warmStart = nullptr;
 
   // --- agent-layer resilience (ISSUE 7) ------------------------------------
   /// Tool-call payload validation at the Tuning Agent boundary. Observe
   /// (default) records issues without touching the config — byte-for-byte
   /// the pre-sanitizer behavior; Enforce repairs it (drop / revert / clamp).
   agents::SanitizerMode sanitizer = agents::SanitizerMode::Observe;
-  /// Retry / backoff / circuit-breaker policy at the inference boundary.
-  llm::LlmClientOptions llmClient{};
   /// Cheaper model the resilience ladder falls back to when the primary
   /// model's circuit breaker opens (or decisions keep failing).
   llm::ModelProfile fallbackModel = llm::llama31_70b();
@@ -131,6 +127,9 @@ struct TuningRunResult {
   bool warmStarted = false;
   double warmStartSimilarity = 0.0;
   std::vector<std::string> warmStartSources;
+  /// The run's verdict on the recalled config (not serialized: it travels
+  /// to the memory inside the run's exp::ExperienceRecord).
+  WarmStartVerdict warmStartVerdict = WarmStartVerdict::None;
 
   /// Resilience ladder rung the session ended on: "primary" (the configured
   /// agent model carried the run), "fallback-model" (the cheaper model took

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <tuple>
 
 #include "util/file.hpp"
@@ -13,6 +14,23 @@ namespace stellar::exp {
 namespace {
 
 constexpr const char* kComponent = "exp.store";
+
+/// Minimum fingerprint similarity for a warm-start recall: separates
+/// same-family workloads (> 0.99 across seeds/scales) from different I/O
+/// characters (< 0.9, e.g. IOR vs MDWorkbench).
+constexpr double kRecallMinSimilarity = 0.95;
+/// Records merged into one warm-start hint.
+constexpr std::size_t kRecallTopK = 3;
+/// Strikes a once-confirmed record survives before it is stale.
+constexpr std::int32_t kEvictionRegressions = 2;
+
+/// Stale records are skipped by recall and dropped at compaction. Every
+/// confirmation beyond the initial one buys one extra strike before the
+/// record is considered misleading.
+bool stale(const ExperienceRecord& record) noexcept {
+  return record.regressions >=
+         kEvictionRegressions + std::max(0, record.confirmations - 1);
+}
 
 util::Json rulesToJson(const std::vector<rules::Rule>& rules) {
   util::Json arr = util::Json::makeArray();
@@ -28,6 +46,35 @@ std::vector<rules::Rule> rulesFromJson(const util::Json& json) {
     rules.push_back(rules::Rule::fromJson(r));
   }
   return rules;
+}
+
+// A record's `recall` object: {"verdict": "regressed"|"confirmed",
+// "sources": [ids]}. Present only while a verdict is set.
+util::Json recallToJson(const ExperienceRecord& rec) {
+  util::Json sources = util::Json::makeArray();
+  for (const std::string& id : rec.recalledIds) {
+    sources.push(id);
+  }
+  util::Json recall = util::Json::makeObject();
+  recall.set("verdict", rec.recallVerdict == core::WarmStartVerdict::Regressed
+                            ? "regressed"
+                            : "confirmed");
+  recall.set("sources", std::move(sources));
+  return recall;
+}
+
+void recallFromJson(const util::Json& json, ExperienceRecord& rec) {
+  const std::string verdict = json.at("verdict").asString();
+  if (verdict == "regressed") {
+    rec.recallVerdict = core::WarmStartVerdict::Regressed;
+  } else if (verdict == "confirmed") {
+    rec.recallVerdict = core::WarmStartVerdict::Confirmed;
+  } else {
+    throw util::JsonError("unknown recall verdict '" + verdict + "'");
+  }
+  for (const util::Json& id : json.at("sources").asArray()) {
+    rec.recalledIds.push_back(id.asString());
+  }
 }
 
 }  // namespace
@@ -50,6 +97,9 @@ util::Json ExperienceRecord::toJson() const {
   root.set("confirmations", static_cast<std::int64_t>(confirmations));
   root.set("regressions", static_cast<std::int64_t>(regressions));
   root.set("rules", rulesToJson(rules));
+  if (recallVerdict != core::WarmStartVerdict::None) {
+    root.set("recall", recallToJson(*this));
+  }
   return root;
 }
 
@@ -72,6 +122,9 @@ ExperienceRecord ExperienceRecord::fromJson(const util::Json& json) {
   if (json.contains("rules")) {
     rec.rules = rulesFromJson(json.at("rules"));
   }
+  if (json.contains("recall")) {
+    recallFromJson(json.at("recall"), rec);
+  }
   return rec;
 }
 
@@ -91,6 +144,10 @@ ExperienceRecord recordFromRun(const core::TuningRunResult& run, std::uint64_t s
   rec.model = std::move(model);
   rec.seed = seed;
   rec.rules = run.learnedRules;
+  if (run.warmStartVerdict != core::WarmStartVerdict::None) {
+    rec.recallVerdict = run.warmStartVerdict;
+    rec.recalledIds = run.warmStartSources;
+  }
   return rec;
 }
 
@@ -100,13 +157,6 @@ ExperienceStore::ExperienceStore(std::string path, StoreOptions options)
     : path_(std::move(path)), options_(options) {
   const util::MutexLock lock{mutex_};
   loadLocked();
-}
-
-bool ExperienceStore::stale(const ExperienceRecord& record) const noexcept {
-  // Every confirmation beyond the initial one buys one extra strike before
-  // the record is considered misleading.
-  return record.regressions >=
-         options_.evictionRegressions + std::max(0, record.confirmations - 1);
 }
 
 void ExperienceStore::noteCounter(const char* name, double delta) const {
@@ -139,6 +189,7 @@ void ExperienceStore::loadLocked() {
           records_.push_back(std::move(rec));
         }
       } else if (type == "penalize" || type == "confirm") {
+        // Verdict lines of stores written before verdicts rode on records.
         if (ExperienceRecord* rec = findLocked(doc.at("id").asString())) {
           (type == "penalize" ? rec->regressions : rec->confirmations) += 1;
         }
@@ -175,13 +226,6 @@ ExperienceRecord* ExperienceStore::findLocked(const std::string& id) {
   return nullptr;
 }
 
-void ExperienceStore::appendLineLocked(const util::Json& line) {
-  if (path_.empty()) {
-    return;  // memory-only store
-  }
-  util::appendToFile(path_, line.dump() + "\n");
-}
-
 std::size_t ExperienceStore::size() const {
   const util::MutexLock lock{mutex_};
   return records_.size();
@@ -197,48 +241,66 @@ std::vector<ExperienceRecord> ExperienceStore::records() const {
   return records_;
 }
 
-std::string ExperienceStore::append(ExperienceRecord record) {
-  const util::MutexLock lock{mutex_};
+const ExperienceRecord& ExperienceStore::fileLocked(ExperienceRecord record) {
   if (record.id.empty()) {
     record.id = "exp-" + std::to_string(nextId_++);
   }
-  const std::string id = record.id;
-  appendLineLocked(record.toJson());
-  if (ExperienceRecord* existing = findLocked(id)) {
-    *existing = std::move(record);
-  } else {
-    records_.push_back(std::move(record));
-  }
+  // A store holds no verdicts: absorb() has taken them off already.
+  record.recallVerdict = core::WarmStartVerdict::None;
+  record.recalledIds.clear();
   noteCounter("exp.store.appends");
-  return id;
+  if (ExperienceRecord* existing = findLocked(record.id)) {
+    *existing = std::move(record);
+    return *existing;
+  }
+  return records_.emplace_back(std::move(record));
 }
 
-void ExperienceStore::penalize(const std::string& id) {
+std::string ExperienceStore::append(ExperienceRecord record) {
   const util::MutexLock lock{mutex_};
-  ExperienceRecord* rec = findLocked(id);
-  if (rec == nullptr) {
-    return;
+  const ExperienceRecord& filed = fileLocked(std::move(record));
+  if (!path_.empty()) {
+    util::appendToFile(path_, filed.toJson().dump() + "\n");
   }
-  rec->regressions += 1;
-  util::Json line = util::Json::makeObject();
-  line.set("type", "penalize");
-  line.set("id", id);
-  appendLineLocked(line);
-  noteCounter("exp.store.penalized");
+  return filed.id;
 }
 
-void ExperienceStore::confirm(const std::string& id) {
+std::vector<std::string> ExperienceStore::absorb(std::vector<ExperienceRecord> batch) {
   const util::MutexLock lock{mutex_};
-  ExperienceRecord* rec = findLocked(id);
-  if (rec == nullptr) {
-    return;
+  struct Verdict {
+    core::WarmStartVerdict kind = core::WarmStartVerdict::None;
+    std::vector<std::string> recalledIds;
+  };
+  std::map<std::string, Verdict> verdicts;  // by filing id: the last filing wins
+  std::vector<std::string> ids;
+  ids.reserve(batch.size());
+  for (ExperienceRecord& record : batch) {
+    Verdict verdict{record.recallVerdict, std::move(record.recalledIds)};
+    ids.push_back(fileLocked(std::move(record)).id);
+    verdicts[ids.back()] = std::move(verdict);
   }
-  rec->confirmations += 1;
-  util::Json line = util::Json::makeObject();
-  line.set("type", "confirm");
-  line.set("id", id);
-  appendLineLocked(line);
-  noteCounter("exp.store.confirmed");
+  // Verdicts after filing: a batch that re-files a recalled record leaves
+  // the verdict on the re-filed version.
+  for (const auto& [filingId, verdict] : verdicts) {
+    if (verdict.kind == core::WarmStartVerdict::None) {
+      continue;
+    }
+    for (const std::string& id : verdict.recalledIds) {
+      ExperienceRecord* rec = findLocked(id);
+      if (rec == nullptr) {
+        continue;  // evicted since the run recalled it
+      }
+      if (verdict.kind == core::WarmStartVerdict::Regressed) {
+        rec->regressions += 1;
+        noteCounter("exp.store.penalized");
+      } else {
+        rec->confirmations += 1;
+        noteCounter("exp.store.confirmed");
+      }
+    }
+  }
+  compactLocked(CompactionHooks{});
+  return ids;
 }
 
 std::vector<RecallMatch> ExperienceStore::recall(const Fingerprint& fingerprint,
@@ -270,7 +332,11 @@ std::vector<RecallMatch> ExperienceStore::recall(const Fingerprint& fingerprint,
 
 void ExperienceStore::compact(const CompactionHooks& hooks) {
   const util::MutexLock lock{mutex_};
-  // Fold the journal in by dropping stale records from the live set.
+  compactLocked(hooks);
+}
+
+void ExperienceStore::compactLocked(const CompactionHooks& hooks) {
+  // Drop stale records from the live set.
   std::vector<ExperienceRecord> live;
   live.reserve(records_.size());
   for (ExperienceRecord& rec : records_) {
@@ -313,75 +379,12 @@ void ExperienceStore::compact(const CompactionHooks& hooks) {
   }
 }
 
-std::size_t ExperienceStore::absorbShardLocked(const std::string& shard) {
-  if (!util::fileExists(shard)) {
-    return 0;
-  }
-  std::size_t absorbed = 0;
-  const std::string contents = util::readFile(shard);
-  std::size_t lineNo = 0;
-  for (const std::string& line : util::split(contents, '\n')) {
-    ++lineNo;
-    if (util::trim(line).empty()) {
-      continue;
-    }
-    try {
-      ExperienceRecord rec = ExperienceRecord::fromJson(util::Json::parse(line));
-      appendLineLocked(rec.toJson());
-      if (ExperienceRecord* existing = findLocked(rec.id)) {
-        *existing = std::move(rec);  // re-run of a cell: last wins
-      } else {
-        records_.push_back(std::move(rec));
-      }
-      ++absorbed;
-    } catch (const util::JsonError& e) {
-      util::logLine(util::LogLevel::Warn, kComponent,
-                    shard + ":" + std::to_string(lineNo) +
-                        ": skipping corrupt shard line (" + e.what() + ")");
-    }
-  }
-  return absorbed;
-}
-
-std::size_t ExperienceStore::absorbShardDir(const std::string& dir,
-                                            const std::string& filePrefix) {
-  std::size_t absorbed = 0;
-  std::vector<std::string> scanned;
-  {
-    const util::MutexLock lock{mutex_};
-    // The listing happens here, under the lock, NOT in the caller: a shard
-    // journal that a concurrent writer finished creating any time before
-    // this point is part of the scan instead of silently missing until the
-    // next compaction. listDir returns sorted paths, so absorb order (and
-    // therefore last-wins dedup) is deterministic.
-    for (const std::string& path : util::listDir(dir)) {
-      const std::size_t slash = path.find_last_of('/');
-      const std::string base =
-          slash == std::string::npos ? path : path.substr(slash + 1);
-      if (util::startsWith(base, filePrefix)) {
-        absorbed += absorbShardLocked(path);
-        scanned.push_back(path);
-      }
-    }
-  }
-  // Single writer: dedup + journal fold happen in one atomic compaction,
-  // after which the shard files are dead weight.
-  compact();
-  for (const std::string& shard : scanned) {
-    if (util::fileExists(shard)) {
-      (void)std::remove(shard.c_str());
-    }
-  }
-  noteCounter("exp.store.shards_absorbed", static_cast<double>(absorbed));
-  return absorbed;
-}
-
 // ------------------------------------------------- WarmStartProvider glue --
 
 std::optional<core::WarmStartHint> ExperienceStore::warmStart(
     const agents::IoReport& report) const {
   const std::vector<RecallMatch> matches =
-      recall(fingerprintOf(report), options_.topK, options_.minSimilarity);
+      recall(fingerprintOf(report), kRecallTopK, kRecallMinSimilarity);
   if (matches.empty()) {
     noteCounter("exp.store.recall_misses");
     return std::nullopt;
@@ -403,20 +406,6 @@ std::optional<core::WarmStartHint> ExperienceStore::warmStart(
   }
   hint.provenance = std::move(provenance);
   return hint;
-}
-
-void ExperienceStore::observeWarmStartOutcome(
-    const std::vector<std::string>& sourceIds, bool regressed, bool confirmed) {
-  // Only the top match's config was actually trialed, but a regression
-  // indicts the whole neighbourhood that produced the hint; confirmations
-  // credit it symmetrically.
-  for (const std::string& id : sourceIds) {
-    if (regressed) {
-      penalize(id);
-    } else if (confirmed) {
-      confirm(id);
-    }
-  }
 }
 
 }  // namespace stellar::exp

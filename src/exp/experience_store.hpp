@@ -6,15 +6,18 @@
 // records to warm-start the Tuning Agent.
 //
 // Durability model (see DESIGN.md §5e):
-//   - The store is one JSONL file: `record` lines plus a `penalize` /
-//     `confirm` journal that is replayed on load. Appends are single lines
-//     flushed immediately, so a crash can at worst tear the final line.
+//   - The store is one JSONL file of `record` lines. Appends are single
+//     lines flushed immediately, so a crash can at worst tear the final
+//     line. Stores written before verdicts rode on records also hold
+//     `penalize` / `confirm` lines; load still replays them.
 //   - Torn or garbage lines are skipped with a warning (file + line via
 //     the util::Json error context) and counted; the store stays usable.
-//   - Compaction folds the journal into the records and atomically
-//     replaces the file (write temp generation + rename), evicting records
-//     whose recalled configs kept regressing. A crash between the temp
-//     write and the rename leaves the old generation fully readable.
+//   - absorb() files a batch of records, applies the recall verdicts they
+//     carry, and compacts once.
+//   - Compaction atomically replaces the file (write temp generation +
+//     rename), evicting records whose recalled configs kept regressing. A
+//     crash between the temp write and the rename leaves the old
+//     generation fully readable.
 //   - An empty path makes the store memory-only (tests, benches).
 #pragma once
 
@@ -52,10 +55,15 @@ struct ExperienceRecord {
   std::string tenant;
   std::string model;  ///< tuning-agent model profile name
   std::uint64_t seed = 0;
-  /// Outcome ledger: recalls that held up / regressed (journal-updated).
+  /// Outcome ledger: recalls that held up / regressed.
   std::int32_t confirmations = 1;
   std::int32_t regressions = 0;
   std::vector<rules::Rule> rules;
+  /// The filing run's verdict on the records it recalled, carried from the
+  /// run to ExperienceStore::absorb, which applies it to `recalledIds` and
+  /// strips it. Serialized (as a `recall` object) only while set.
+  core::WarmStartVerdict recallVerdict = core::WarmStartVerdict::None;
+  std::vector<std::string> recalledIds;
 
   [[nodiscard]] double bestSpeedup() const noexcept {
     return bestSeconds > 0 ? defaultSeconds / bestSeconds : 0.0;
@@ -66,7 +74,8 @@ struct ExperienceRecord {
   [[nodiscard]] static ExperienceRecord fromJson(const util::Json& json);
 };
 
-/// Files a completed tuning run (the CLI and the tuning service call this).
+/// Files a completed tuning run (the CLI and the tuning service call this),
+/// with the run's verdict on the records it recalled.
 [[nodiscard]] ExperienceRecord recordFromRun(const core::TuningRunResult& run,
                                              std::uint64_t seed, std::string model,
                                              std::string faults);
@@ -77,16 +86,6 @@ struct RecallMatch {
 };
 
 struct StoreOptions {
-  /// Minimum fingerprint similarity for a record to be recalled. The
-  /// default separates same-family workloads (> 0.99 across seeds/scales)
-  /// from different I/O characters (< 0.9, e.g. IOR vs MDWorkbench).
-  double minSimilarity = 0.95;
-  /// Records merged into one warm-start hint.
-  std::size_t topK = 3;
-  /// A record is stale (skipped by recall, dropped at compaction) once
-  /// regressions >= evictionRegressions + (confirmations - 1): every
-  /// confirmation beyond the initial one buys one extra strike.
-  std::int32_t evictionRegressions = 2;
   obs::CounterRegistry* counters = nullptr;  ///< nullable, non-owning
 };
 
@@ -96,7 +95,6 @@ class ExperienceStore final : public core::WarmStartProvider {
   explicit ExperienceStore(std::string path, StoreOptions options = {});
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] const StoreOptions& options() const noexcept { return options_; }
   [[nodiscard]] std::size_t size() const;
   /// Corrupt JSONL lines skipped during the last load.
   [[nodiscard]] std::size_t corruptLinesSkipped() const;
@@ -108,10 +106,13 @@ class ExperienceStore final : public core::WarmStartProvider {
   /// (last-wins, which compaction makes durable). Returns the id.
   std::string append(ExperienceRecord record);
 
-  /// Journal a negative/positive recall outcome for `id`; unknown ids are
-  /// ignored (the record may have been evicted by a concurrent compaction).
-  void penalize(const std::string& id);
-  void confirm(const std::string& id);
+  /// The commit of a batch of finished runs: files the records in order
+  /// (assigning empty ids; the last record with an id wins), then applies
+  /// their recall verdicts, the last per filing id, so a run filed twice
+  /// credits what it recalled once. Verdicts on unknown ids are ignored.
+  /// The verdicts are stripped and the store compacts once; nothing is
+  /// appended to the file. Returns the filed ids in batch order.
+  std::vector<std::string> absorb(std::vector<ExperienceRecord> batch);
 
   /// Top-K live records by fingerprint similarity (>= minSimilarity),
   /// most similar first; ties broken by id for determinism.
@@ -126,33 +127,23 @@ class ExperienceStore final : public core::WarmStartProvider {
     bool crashBeforeRename = false;
   };
 
-  /// Atomically rewrites the file as pure record lines (journal folded
-  /// in), dropping stale records and putting the rest in canonical
-  /// (tenant, id) order. Memory-only stores get the eviction and the order
-  /// but write nothing.
+  /// Atomically rewrites the file as pure record lines (legacy verdict
+  /// lines folded in), dropping stale records and putting the rest in
+  /// canonical (tenant, id) order. Memory-only stores get the eviction and
+  /// the order but write nothing.
   void compact() { compact(CompactionHooks{}); }
   void compact(const CompactionHooks& hooks);
-
-  /// Single-writer commit of shard journals: every regular file in `dir`
-  /// whose basename starts with `filePrefix`, in sorted path order. Loads
-  /// every shard, dedups by id against the store (last shard wins),
-  /// compacts, and deletes the shard files. Returns how many records were
-  /// absorbed. The directory listing happens *under the store lock*, so a
-  /// shard journal a concurrent writer creates right up to the scan is
-  /// absorbed instead of silently skipped until the next compaction.
-  std::size_t absorbShardDir(const std::string& dir, const std::string& filePrefix);
 
   // --- core::WarmStartProvider ---------------------------------------------
   [[nodiscard]] std::optional<core::WarmStartHint> warmStart(
       const agents::IoReport& report) const override;
-  void observeWarmStartOutcome(const std::vector<std::string>& sourceIds,
-                               bool regressed, bool confirmed) override;
 
  private:
-  [[nodiscard]] bool stale(const ExperienceRecord& record) const noexcept;
   void loadLocked() STELLAR_REQUIRES(mutex_);
-  std::size_t absorbShardLocked(const std::string& shard) STELLAR_REQUIRES(mutex_);
-  void appendLineLocked(const util::Json& line) STELLAR_REQUIRES(mutex_);
+  /// Assigns an empty id, replaces a record with the same id (last wins)
+  /// or adds it, and returns the filed record (valid until the next filing).
+  const ExperienceRecord& fileLocked(ExperienceRecord record) STELLAR_REQUIRES(mutex_);
+  void compactLocked(const CompactionHooks& hooks) STELLAR_REQUIRES(mutex_);
   [[nodiscard]] ExperienceRecord* findLocked(const std::string& id)
       STELLAR_REQUIRES(mutex_);
   void noteCounter(const char* name, double delta = 1.0) const;

@@ -2,6 +2,13 @@
 
 namespace stellar::llm {
 
+namespace {
+
+/// Simulated backoff before retry r: kBackoffBaseSeconds * 2^r seconds.
+constexpr double kBackoffBaseSeconds = 1.0;
+
+}  // namespace
+
 const char* breakerStateName(BreakerState state) noexcept {
   switch (state) {
     case BreakerState::Closed: return "closed";
@@ -85,7 +92,7 @@ CallOutcome LlmClient::call(const ModelProfile& profile,
       ++outcome.retries;
       count("agent.llm.retries", profile.name);
       const double backoff =
-          opts_.backoffBaseSeconds * static_cast<double>(1ULL << attempt);
+          kBackoffBaseSeconds * static_cast<double>(1ULL << attempt);
       outcome.backoffSeconds += backoff;
       backoffSeconds_ += backoff;
     }

@@ -29,8 +29,6 @@ namespace stellar::llm {
 struct LlmClientOptions {
   /// Retries per logical call (total attempts = maxRetries + 1).
   int maxRetries = 3;
-  /// Simulated backoff before retry r: base * 2^r seconds.
-  double backoffBaseSeconds = 1.0;
   /// Consecutive failed logical calls that trip a model's breaker.
   int breakerThreshold = 2;
   /// Logical calls short-circuited while open before the half-open probe.

@@ -63,30 +63,6 @@ HistogramData Histogram::data() const {
   return data_;
 }
 
-void Histogram::merge(const HistogramData& other) {
-  if (other.count == 0) {
-    return;
-  }
-  const util::MutexLock lock{mutex_};
-  if (data_.bounds == other.bounds) {
-    for (std::size_t i = 0; i < data_.buckets.size(); ++i) {
-      data_.buckets[i] += other.buckets[i];
-    }
-  } else {
-    // Mismatched bounds: replay the mean (lossy but safe fallback).
-    const auto it = std::lower_bound(data_.bounds.begin(), data_.bounds.end(), other.mean());
-    data_.buckets[static_cast<std::size_t>(it - data_.bounds.begin())] += other.count;
-  }
-  if (data_.count == 0 || other.minValue < data_.minValue) {
-    data_.minValue = other.minValue;
-  }
-  if (data_.count == 0 || other.maxValue > data_.maxValue) {
-    data_.maxValue = other.maxValue;
-  }
-  data_.count += other.count;
-  data_.sum += other.sum;
-}
-
 void Histogram::reset() {
   const util::MutexLock lock{mutex_};
   std::fill(data_.buckets.begin(), data_.buckets.end(), 0);
@@ -181,25 +157,6 @@ std::vector<MetricSample> CounterRegistry::snapshot() const {
   return samples;
 }
 
-void CounterRegistry::merge(const CounterRegistry& other) {
-  for (const MetricSample& sample : other.snapshot()) {
-    switch (sample.kind) {
-      case MetricSample::Kind::Counter:
-        counter(sample.key.name, sample.key.labels).add(sample.value);
-        break;
-      case MetricSample::Kind::Gauge:
-        gauge(sample.key.name, sample.key.labels).setMax(sample.value);
-        break;
-      case MetricSample::Kind::Histogram: {
-        std::vector<double> bounds = sample.histogram.bounds;
-        histogram(sample.key.name, sample.key.labels, std::move(bounds))
-            .merge(sample.histogram);
-        break;
-      }
-    }
-  }
-}
-
 void CounterRegistry::reset() {
   const util::MutexLock lock{mutex_};
   for (const auto& cell : cells_) {
@@ -209,51 +166,6 @@ void CounterRegistry::reset() {
       case MetricSample::Kind::Histogram: cell->histogram->reset(); break;
     }
   }
-}
-
-std::size_t CounterRegistry::size() const {
-  const util::MutexLock lock{mutex_};
-  return cells_.size();
-}
-
-util::Json CounterRegistry::toJson() const {
-  util::Json metrics = util::Json::makeArray();
-  for (const MetricSample& sample : snapshot()) {
-    util::Json entry = util::Json::makeObject();
-    entry.set("name", sample.key.name);
-    if (!sample.key.labels.empty()) {
-      util::Json labels = util::Json::makeObject();
-      for (const auto& [k, v] : sample.key.labels) {
-        labels.set(k, v);
-      }
-      entry.set("labels", std::move(labels));
-    }
-    entry.set("kind", kindName(sample.kind));
-    if (sample.kind == MetricSample::Kind::Histogram) {
-      util::Json hist = util::Json::makeObject();
-      hist.set("count", static_cast<std::int64_t>(sample.histogram.count));
-      hist.set("sum", sample.histogram.sum);
-      hist.set("min", sample.histogram.minValue);
-      hist.set("max", sample.histogram.maxValue);
-      util::Json bounds = util::Json::makeArray();
-      for (double b : sample.histogram.bounds) {
-        bounds.push(b);
-      }
-      hist.set("bounds", std::move(bounds));
-      util::Json buckets = util::Json::makeArray();
-      for (std::uint64_t b : sample.histogram.buckets) {
-        buckets.push(static_cast<std::int64_t>(b));
-      }
-      hist.set("buckets", std::move(buckets));
-      entry.set("histogram", std::move(hist));
-    } else {
-      entry.set("value", sample.value);
-    }
-    metrics.push(std::move(entry));
-  }
-  util::Json root = util::Json::makeObject();
-  root.set("metrics", std::move(metrics));
-  return root;
 }
 
 std::string CounterRegistry::renderTable() const {

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/json.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace stellar::obs {
@@ -63,7 +62,7 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Aggregated histogram state (also the merge/export carrier).
+/// Aggregated histogram state (the snapshot carrier).
 struct HistogramData {
   std::vector<double> bounds;           ///< upper bucket bounds, ascending
   std::vector<std::uint64_t> buckets;   ///< bounds.size() + 1 (last = +inf)
@@ -85,9 +84,6 @@ class Histogram {
 
   void observe(double value);
   [[nodiscard]] HistogramData data() const;
-  /// Adds another histogram's aggregate: bucket-wise when bounds match,
-  /// otherwise the other side's mean is replayed `count` times.
-  void merge(const HistogramData& other);
   void reset();
 
   /// Default bounds: powers of ~4 covering microseconds..hours when the
@@ -130,18 +126,8 @@ class CounterRegistry {
   /// Registration-ordered copy of every metric (deterministic export).
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
 
-  /// Adds every metric of `other` into this registry: counters add,
-  /// gauges keep the maximum, histograms merge bucket-wise (bounds of the
-  /// first registration win when they differ).
-  void merge(const CounterRegistry& other);
-
   /// Zeroes all values; registrations (names, labels, bounds) survive.
   void reset();
-
-  [[nodiscard]] std::size_t size() const;
-
-  /// {"metrics":[{name, labels, kind, value|histogram}...]}.
-  [[nodiscard]] util::Json toJson() const;
 
   /// Aligned human-readable listing for the CLI's --metrics flag.
   [[nodiscard]] std::string renderTable() const;

@@ -45,7 +45,6 @@ inline constexpr std::string_view kMetricNames[] = {
     "exp.store.recall_hits",
     "exp.store.recall_misses",
     "exp.store.records_loaded",
-    "exp.store.shards_absorbed",
     "faults.windows_opened",
     "harness.failed_runs",
     "harness.unstable_measures",

@@ -16,6 +16,8 @@ namespace {
 /// Seed mix tag for the post-run measurement noise stream: one draw per
 /// run, whatever the cell count.
 constexpr std::uint64_t kNoiseTag = 0x9F0A5EEDULL;
+/// Sigma of the multiplicative lognormal run-to-run noise.
+constexpr double kNoiseSigma = 0.04;
 
 /// One cell's share of a multi-cell job: its ranks, with files renumbered
 /// in first-touch order, and the global id of each local file.
@@ -272,7 +274,7 @@ RunResult PfsSimulator::run(const JobSpec& job, const PfsConfig& config,
     // windows widen sigma by their overlap-weighted excess;
     // noiseMultiplierOver is a pure function of the shared plan, so any
     // cell's injector gives the same answer.
-    double sigma = options_.noiseSigma;
+    double sigma = kNoiseSigma;
     if (!runs.empty() && runs.front().injector) {
       sigma *= runs.front().injector->noiseMultiplierOver(wall);
     }

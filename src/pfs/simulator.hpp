@@ -82,8 +82,6 @@ struct RunLimits {
 /// harness built on top of it). Both must outlive the simulator.
 struct SimulatorOptions {
   ClusterSpec cluster = defaultCluster();
-  /// Sigma of the multiplicative lognormal run-to-run noise.
-  double noiseSigma = 0.04;
   obs::Tracer* tracer = nullptr;
   obs::CounterRegistry* counters = nullptr;
   /// Deterministic fault plan applied to every run (nullable, non-owning;

@@ -8,9 +8,9 @@
 // Everything else is the service's (DESIGN.md §5e, §9): the worker pool,
 // the session journals (`<store>.sessions/`, one per cell, whose final line
 // carries the finished cell's result), the tenant shard
-// (`<store>.tenant-campaign`), the immutable recall snapshot, deferred
-// warm-start outcomes and the commit. A campaign therefore inherits the
-// service's laws:
+// (`<store>.tenant-campaign`, whose records carry their runs' warm-start
+// verdicts), the immutable recall snapshot and the commit. A campaign
+// therefore inherits the service's laws:
 //   - a cell's result is independent of worker count and dispatch order;
 //   - a campaign cut short by ServiceOptions::maxFreshSessions resumes from
 //     the session journals, and the resumed aggregate document is

@@ -1,21 +1,46 @@
 #include "service/fleet_store.hpp"
 
-#include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "util/file.hpp"
+#include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace stellar::service {
 
 namespace {
 
-void splitPath(const std::string& path, std::string& dir, std::string& name) {
-  const std::size_t slash = path.find_last_of('/');
-  dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  name = slash == std::string::npos ? path : path.substr(slash + 1);
+constexpr const char* kComponent = "service.store";
+
+/// Appends every parseable record line of `shard` to `batch`; corrupt
+/// lines (a torn tail after a kill, garbage) are logged and skipped.
+void readShard(const std::string& shard, std::vector<exp::ExperienceRecord>& batch) {
+  std::size_t lineNo = 0;
+  for (const std::string& line : util::split(util::readFile(shard), '\n')) {
+    ++lineNo;
+    if (util::trim(line).empty()) {
+      continue;
+    }
+    try {
+      batch.push_back(exp::ExperienceRecord::fromJson(util::Json::parse(line)));
+    } catch (const util::JsonError& e) {
+      util::logLine(util::LogLevel::Warn, kComponent,
+                    shard + ":" + std::to_string(lineNo) +
+                        ": skipping corrupt shard line (" + e.what() + ")");
+    }
+  }
 }
 
 }  // namespace
+
+std::string tenantShardPath(const std::string& basePath, const std::string& tenant) {
+  return basePath + ".tenant-" + tenant;
+}
+
+void appendShardLine(const std::string& shardPath, const exp::ExperienceRecord& record) {
+  util::appendToFile(shardPath, record.toJson().dump() + "\n");
+}
 
 FleetStore::FleetStore(std::string basePath, exp::StoreOptions options,
                        std::set<std::string> recallExcludes)
@@ -29,80 +54,57 @@ std::shared_ptr<const exp::ExperienceStore> FleetStore::snapshot() const {
 }
 
 std::string FleetStore::tenantShardPath(const std::string& tenant) const {
-  return basePath_ + ".tenant-" + tenant;
+  return service::tenantShardPath(basePath_, tenant);
 }
 
 void FleetStore::appendRecord(const std::string& tenant,
                               exp::ExperienceRecord record) {
   record.tenant = tenant;
+  const util::MutexLock lock{mutex_};
   if (basePath_.empty()) {
-    const util::MutexLock lock{mutex_};
     pending_[tenant].push_back(std::move(record));
   } else {
-    const std::string line = record.toJson().dump() + "\n";
-    const util::MutexLock lock{mutex_};
-    util::appendToFile(tenantShardPath(tenant), line);
+    appendShardLine(tenantShardPath(tenant), record);
   }
   noteCounter("service.store.shard_appends");
 }
 
-void FleetStore::deferOutcome(std::vector<std::string> sourceIds, bool regressed,
-                              bool confirmed) {
-  const util::MutexLock lock{mutex_};
-  outcomes_.push_back(Outcome{std::move(sourceIds), regressed, confirmed});
-}
-
 std::size_t FleetStore::commit() {
-  std::size_t absorbed = 0;
+  // Held throughout: an append can land neither between reading a shard
+  // and deleting it nor in a batch half gathered.
+  const util::MutexLock lock{mutex_};
+  std::vector<exp::ExperienceRecord> batch;
+  std::vector<std::string> shards;
   if (basePath_.empty()) {
-    std::map<std::string, std::vector<exp::ExperienceRecord>> pending;
-    {
-      const util::MutexLock lock{mutex_};
-      pending.swap(pending_);
-    }
     // Tenant order, then append order within a tenant: the order a
-    // file-mode commit absorbs the tenants' shard journals in, so a re-run
-    // of a cell wins the same way in both modes. Compaction then puts the
-    // records in canonical (tenant, id) order.
-    for (auto& [tenant, records] : pending) {
+    // file-mode commit reads the tenants' shard journals in, so a re-run
+    // of a cell wins the same way in both modes.
+    for (auto& [tenant, records] : pending_) {
       for (exp::ExperienceRecord& record : records) {
-        (void)base_.append(std::move(record));
-        ++absorbed;
+        batch.push_back(std::move(record));
       }
     }
-    base_.compact();
+    pending_.clear();
   } else {
-    std::string dir;
-    std::string name;
-    splitPath(basePath_, dir, name);
-    absorbed = base_.absorbShardDir(dir, name + ".tenant-");
+    const std::size_t slash = basePath_.find_last_of('/');
+    const std::string dir = slash == std::string::npos ? "." : basePath_.substr(0, slash);
+    const std::string prefix = basePath_.substr(slash + 1) + ".tenant-";
+    // listDir returns sorted paths, so the batch order (and therefore
+    // last-wins dedup) is deterministic.
+    for (const std::string& path : util::listDir(dir)) {
+      if (util::startsWith(path.substr(path.find_last_of('/') + 1), prefix)) {
+        readShard(path, batch);
+        shards.push_back(path);
+      }
+    }
   }
-
-  std::vector<Outcome> outcomes;
-  {
-    const util::MutexLock lock{mutex_};
-    outcomes.swap(outcomes_);
+  const std::size_t absorbed = base_.absorb(std::move(batch)).size();
+  // The new generation is renamed in before the shards go: a kill in
+  // between re-absorbs them at the next commit, where the records dedup by
+  // id and only their verdicts count twice.
+  for (const std::string& shard : shards) {
+    (void)std::remove(shard.c_str());
   }
-  // Deterministic order: penalize/confirm are commutative increments, but a
-  // sorted journal keeps the base-store file reproducible too.
-  std::sort(outcomes.begin(), outcomes.end(),
-            [](const Outcome& a, const Outcome& b) {
-              if (a.sourceIds != b.sourceIds) {
-                return a.sourceIds < b.sourceIds;
-              }
-              if (a.regressed != b.regressed) {
-                return a.regressed < b.regressed;
-              }
-              return a.confirmed < b.confirmed;
-            });
-  for (const Outcome& outcome : outcomes) {
-    base_.observeWarmStartOutcome(outcome.sourceIds, outcome.regressed,
-                                  outcome.confirmed);
-  }
-  if (!outcomes.empty()) {
-    base_.compact();
-  }
-
   publishSnapshot();
   noteCounter("service.store.absorbed", static_cast<double>(absorbed));
   return absorbed;

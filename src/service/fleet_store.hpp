@@ -3,16 +3,18 @@
 //
 // The single-writer store (PR 3) is kept exactly as-is as the durable
 // "base" generation. Around it:
-//   - every worker thread APPENDS finished-session records to a per-tenant
-//     shard journal (`<store>.tenant-<id>`) — short critical section, no
-//     contention with recalls;
+//   - every worker thread APPENDS finished-session records, each carrying
+//     its run's verdict on what it recalled, to a per-tenant shard journal
+//     (`<store>.tenant-<id>`) — short critical section, no contention with
+//     recalls;
 //   - every engine run RECALLS from an immutable snapshot of the base
 //     store, published through std::atomic<std::shared_ptr<const ...>> —
 //     lock-free reads, safe against a concurrent commit;
-//   - a single-writer COMMIT (service idle) re-lists the shard directory
-//     under the base-store lock, absorbs the shards, folds in deferred
-//     warm-start outcomes, compacts, then builds a fresh snapshot and
-//     swaps the pointer.
+//   - a single-writer COMMIT (service idle) gathers one batch — the shards,
+//     listed and read under the lock appends take — has the base store
+//     absorb it (records, then their verdicts, then one compaction),
+//     deletes the shards, then builds a fresh snapshot and swaps the
+//     pointer.
 //
 // Because the snapshot only ever changes at commit points (never while a
 // session is in flight), a session's result is a pure function of its cell
@@ -29,11 +31,20 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "exp/experience_store.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace stellar::service {
+
+/// `<basePath>.tenant-<tenant>`: the shard journal the next commit of the
+/// store at `basePath` absorbs.
+[[nodiscard]] std::string tenantShardPath(const std::string& basePath,
+                                          const std::string& tenant);
+
+/// Appends `record` as one flushed line to the shard journal at
+/// `shardPath`. The one writer of shard lines: FleetStore::appendRecord
+/// and `stellar_cli --tenant` both call it.
+void appendShardLine(const std::string& shardPath, const exp::ExperienceRecord& record);
 
 class FleetStore {
  public:
@@ -56,28 +67,19 @@ class FleetStore {
 
   /// Concurrent-writer append of a finished session's record to the
   /// tenant's shard journal. Durable immediately (single flushed line);
-  /// visible to recalls only after the next commit().
+  /// visible to recalls, and its recall verdict applied, only after the
+  /// next commit().
   void appendRecord(const std::string& tenant, exp::ExperienceRecord record);
 
-  /// Queue a warm-start outcome observed against the current snapshot;
-  /// applied to the base store (sorted, deterministic) at commit().
-  void deferOutcome(std::vector<std::string> sourceIds, bool regressed,
-                    bool confirmed);
-
-  /// Single-writer commit: absorb every `<name>.tenant-*` shard in the
-  /// store directory (listed under the base-store lock — satellite fix for
-  /// shards appearing mid-scan), fold in deferred outcomes, compact, and
-  /// swap in a fresh snapshot. The caller must guarantee no session is in
+  /// Single-writer commit of one batch: the pending records (memory mode)
+  /// or every `<name>.tenant-*` shard in the store directory, in path order
+  /// (file mode). The base store absorbs the batch, the shards are
+  /// deleted, and a fresh snapshot is swapped in. Corrupt shard lines are
+  /// logged and skipped. The caller must guarantee no session is in
   /// flight. Returns the number of records absorbed.
   std::size_t commit();
 
  private:
-  struct Outcome {
-    std::vector<std::string> sourceIds;
-    bool regressed = false;
-    bool confirmed = false;
-  };
-
   void publishSnapshot();
   void noteCounter(const char* name, double delta = 1.0) const;
 
@@ -86,38 +88,11 @@ class FleetStore {
   std::set<std::string> recallExcludes_;
   exp::ExperienceStore base_;  // thread-safe on its own mutex
   std::atomic<std::shared_ptr<const exp::ExperienceStore>> snapshot_;
+  /// Serializes appends against a commit's gather-absorb-delete.
   mutable util::Mutex mutex_;
   /// Memory-only mode: pending appends by tenant (file mode uses shards).
   std::map<std::string, std::vector<exp::ExperienceRecord>> pending_
       STELLAR_GUARDED_BY(mutex_);
-  std::vector<Outcome> outcomes_ STELLAR_GUARDED_BY(mutex_);
-};
-
-/// Per-run WarmStartProvider handed to each engine: recalls from the
-/// snapshot pinned at dispatch (so even a mid-run commit — which the
-/// service never performs — could not change what this run sees) and
-/// defers outcome feedback to the fleet store's next commit.
-class SnapshotRecallProvider final : public core::WarmStartProvider {
- public:
-  SnapshotRecallProvider(std::shared_ptr<const exp::ExperienceStore> snapshot,
-                         FleetStore* fleet)
-      : snapshot_(std::move(snapshot)), fleet_(fleet) {}
-
-  [[nodiscard]] std::optional<core::WarmStartHint> warmStart(
-      const agents::IoReport& report) const override {
-    return snapshot_ == nullptr ? std::nullopt : snapshot_->warmStart(report);
-  }
-
-  void observeWarmStartOutcome(const std::vector<std::string>& sourceIds,
-                               bool regressed, bool confirmed) override {
-    if ((regressed || confirmed) && fleet_ != nullptr) {
-      fleet_->deferOutcome(sourceIds, regressed, confirmed);
-    }
-  }
-
- private:
-  std::shared_ptr<const exp::ExperienceStore> snapshot_;
-  FleetStore* fleet_;
 };
 
 }  // namespace stellar::service

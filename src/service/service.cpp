@@ -215,13 +215,11 @@ void TuningService::runCell(std::string key, SubmitOptions request,
     engineOpts.seed = request.seed;
     engineOpts.agent.seed = request.seed;
     engineOpts.agent.model = llm::profileByName(request.model);
-    std::shared_ptr<const exp::ExperienceStore> snapshot;
-    std::unique_ptr<SnapshotRecallProvider> recall;
-    if (request.warmStart) {
-      snapshot = fleet_.snapshot();
-      recall = std::make_unique<SnapshotRecallProvider>(snapshot, &fleet_);
-      engineOpts.warmStart = recall.get();
-    }
+    // Pinned for the whole run: what this run recalls cannot change under
+    // it, even across a commit (which the service never performs mid-run).
+    const std::shared_ptr<const exp::ExperienceStore> snapshot =
+        request.warmStart ? fleet_.snapshot() : nullptr;
+    engineOpts.warmStart = snapshot.get();
     engineOpts.journal = journal.get();
     core::StellarEngine engine{pfs::PfsSimulator{std::move(simOpts)},
                                std::move(engineOpts)};

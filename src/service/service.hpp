@@ -129,8 +129,8 @@ class TuningService {
   /// wait() for every unretired session, ascending id order.
   [[nodiscard]] std::vector<SessionResult> drainAll();
 
-  /// Single-writer fleet-store commit (absorb shards, fold outcomes, swap
-  /// snapshot). Requires idleness — throws std::logic_error if any cell is
+  /// Single-writer fleet-store commit (absorb the shards with the verdicts
+  /// their records carry, swap snapshot). Requires idleness — throws std::logic_error if any cell is
   /// queued or running, because a mid-flight snapshot swap would break the
   /// determinism law. While any session of this instance is Interrupted
   /// the commit is deferred (logged; returns 0): the run that completes the

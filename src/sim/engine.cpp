@@ -70,12 +70,12 @@ void SimEngine::dispatchNext() {
 
 void SimEngine::noteDispatch() {
   // Sampled dispatch telemetry: a full span per event would swamp the
-  // ring (runs dispatch millions), so every sampleEvery_-th dispatch
+  // ring (runs dispatch millions), so every kSampleEvery-th dispatch
   // emits one instant carrying queue depth and simulated clock.
   if (sampleTick_ == 0 || --sampleTick_ != 0) {
     return;
   }
-  sampleTick_ = sampleEvery_;
+  sampleTick_ = kSampleEvery;
   if (obs::tracing(tracer_)) {
     tracer_->instant("sim", "dispatch",
                      {{"events", util::Json(static_cast<std::int64_t>(processed_))},

@@ -111,13 +111,11 @@ class SimEngine {
 
   /// Attaches (nullable) observability sinks. The drain loops emit one
   /// "sim" span per run()/runUntil() call plus a sampled queue-depth
-  /// instant every `sampleEvery` dispatches; event totals land in the
+  /// instant every kSampleEvery dispatches; event totals land in the
   /// registry. Costs a null check per event when detached.
-  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters,
-                           std::uint64_t sampleEvery = 4096) noexcept {
+  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters) noexcept {
     tracer_ = tracer;
     counters_ = counters;
-    sampleEvery_ = sampleEvery == 0 ? 1 : sampleEvery;
     // Countdown form: the drain loop pays one decrement+compare per event
     // instead of a modulo. Sampling arms only if the tracer is enabled at
     // attach time — a detached or disabled tracer costs one compare per
@@ -135,6 +133,8 @@ class SimEngine {
 
   static constexpr std::uint32_t kSlotChunkBits = 10;
   static constexpr std::uint32_t kSlotChunkSize = 1U << kSlotChunkBits;
+  /// Dispatches between two sampled queue-depth instants.
+  static constexpr std::uint64_t kSampleEvery = 4096;
 
   [[nodiscard]] Callback& slotAt(std::uint32_t slot) noexcept {
     return slotChunks_[slot >> kSlotChunkBits][slot & (kSlotChunkSize - 1)];
@@ -188,7 +188,6 @@ class SimEngine {
   std::uint64_t processed_ = 0;
   obs::Tracer* tracer_ = nullptr;
   obs::CounterRegistry* counters_ = nullptr;
-  std::uint64_t sampleEvery_ = 4096;
   std::uint64_t sampleTick_ = 0;  ///< dispatches until the next sample; 0 = off
 };
 

@@ -89,10 +89,9 @@ void ShardedEngine::cancelOpenWindows() {
 }
 
 void ShardedEngine::attachObservability(obs::Tracer* tracer,
-                                        obs::CounterRegistry* counters,
-                                        std::uint64_t sampleEvery) noexcept {
+                                        obs::CounterRegistry* counters) noexcept {
   for (const std::unique_ptr<SimEngine>& shard : shards_) {
-    shard->attachObservability(tracer, counters, sampleEvery);
+    shard->attachObservability(tracer, counters);
   }
 }
 

@@ -54,8 +54,7 @@ class ShardedEngine {
   void cancelOpenWindows();
 
   /// Attaches shared sinks to every shard (both are thread-safe).
-  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters,
-                           std::uint64_t sampleEvery = 4096) noexcept;
+  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters) noexcept;
 
  private:
   SimTime drive(std::optional<SimTime> limit);

@@ -188,8 +188,6 @@ class ThrottledRecall final : public WarmStartProvider {
     hint.provenance = "test";
     return hint;
   }
-  void observeWarmStartOutcome(const std::vector<std::string>&, bool,
-                               bool) override {}
 };
 
 TEST(StellarEngine, WarmStartedRunUnderFaultStillHonorsRunLimits) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -44,6 +45,20 @@ ExperienceRecord makeRecord(const std::string& workload, double readShare,
   rec.seed = 7;
   return rec;
 }
+
+/// A finished run filed as `filingId`, carrying its verdict on `recalled`.
+/// Its fingerprint (read share 0) is far from the 0.5 the tests recall.
+ExperienceRecord judgingRun(const std::string& filingId, core::WarmStartVerdict verdict,
+                            std::vector<std::string> recalled) {
+  ExperienceRecord rec = makeRecord("judge", 0.0);
+  rec.id = filingId;
+  rec.recallVerdict = verdict;
+  rec.recalledIds = std::move(recalled);
+  return rec;
+}
+
+constexpr core::WarmStartVerdict kRegressed = core::WarmStartVerdict::Regressed;
+constexpr core::WarmStartVerdict kConfirmed = core::WarmStartVerdict::Confirmed;
 
 TEST(ExperienceStore, PersistsAndReloads) {
   const std::string path = tempPath("persist");
@@ -88,17 +103,22 @@ TEST(ExperienceStore, CorruptLinesAreSkippedWithCountAndStoreStaysUsable) {
     (void)store.append(makeRecord("IOR_16M", 0.6));
   }
   // Inject damage: garbage text, a torn (truncated) JSON line, an unknown
-  // line type, and a record line missing required fields.
+  // line type, a record line missing required fields, and a record whose
+  // recall verdict is unknown.
   std::string contents = util::readFile(path);
   contents += "this is not json\n";
   contents += "{\"type\":\"record\",\"id\":\"torn\",\"workl\n";
   contents += "{\"type\":\"mystery\",\"id\":\"x\"}\n";
   contents += "{\"type\":\"record\",\"id\":\"incomplete\"}\n";
+  util::Json unknownVerdict = makeRecord("IOR_64K", 0.5).toJson();
+  unknownVerdict.set("recall", util::Json::parse(
+                                   "{\"verdict\":\"neutral\",\"sources\":[\"exp-1\"]}"));
+  contents += unknownVerdict.dump() + "\n";
   util::writeFile(path, contents);
 
   ExperienceStore store{path, {}};
   EXPECT_EQ(store.size(), 2U);
-  EXPECT_EQ(store.corruptLinesSkipped(), 4U);
+  EXPECT_EQ(store.corruptLinesSkipped(), 5U);
   // Still usable: appends and recalls keep working.
   (void)store.append(makeRecord("IO500", 0.4));
   EXPECT_EQ(store.size(), 3U);
@@ -108,21 +128,34 @@ TEST(ExperienceStore, CorruptLinesAreSkippedWithCountAndStoreStaysUsable) {
 }
 
 TEST(ExperienceStore, JournalReplayRestoresOutcomeLedger) {
+  // Stores written before verdicts rode on records hold `penalize` and
+  // `confirm` lines; load still replays them.
   const std::string path = tempPath("journal");
-  (void)std::remove(path.c_str());
-  {
-    ExperienceStore store{path, {}};
-    const std::string id = store.append(makeRecord("IOR_64K", 0.5));
-    store.confirm(id);
-    store.confirm(id);
-    store.penalize(id);
-    // Journal lines for unknown ids are ignored on replay.
-    store.penalize("no-such-id");
-  }
+  ExperienceRecord kept = makeRecord("IOR_64K", 0.5);
+  kept.id = "exp-1";
+  ExperienceRecord doomed = makeRecord("IOR_16M", 0.5);
+  doomed.id = "exp-2";
+  util::writeFile(path, kept.toJson().dump() + "\n" + doomed.toJson().dump() + "\n" +
+                            "{\"type\":\"confirm\",\"id\":\"exp-1\"}\n"
+                            "{\"type\":\"confirm\",\"id\":\"exp-1\"}\n"
+                            "{\"type\":\"penalize\",\"id\":\"exp-1\"}\n"
+                            "{\"type\":\"penalize\",\"id\":\"exp-2\"}\n"
+                            "{\"type\":\"penalize\",\"id\":\"exp-2\"}\n"
+                            // Lines for unknown ids are ignored on replay.
+                            "{\"type\":\"penalize\",\"id\":\"no-such-id\"}\n");
   ExperienceStore reloaded{path, {}};
-  ASSERT_EQ(reloaded.size(), 1U);
+  ASSERT_EQ(reloaded.size(), 2U);
+  EXPECT_EQ(reloaded.corruptLinesSkipped(), 0U);
   EXPECT_EQ(reloaded.records()[0].confirmations, 3);
   EXPECT_EQ(reloaded.records()[0].regressions, 1);
+  // The replayed ledger made exp-2 stale: recall skips it at once, and the
+  // next compaction drops it and folds the ledger into the record lines.
+  const auto matches =
+      reloaded.recall(fingerprintOf(contextWithReadShare(0.5)), 10, 0.0);
+  ASSERT_EQ(matches.size(), 1U);
+  EXPECT_EQ(matches[0].record.id, "exp-1");
+  reloaded.compact();
+  EXPECT_EQ(util::readFile(path), reloaded.records()[0].toJson().dump() + "\n");
 }
 
 TEST(ExperienceStore, RecallRanksBySimilarityWithDeterministicTieBreak) {
@@ -152,35 +185,67 @@ TEST(ExperienceStore, RecallRanksBySimilarityWithDeterministicTieBreak) {
 TEST(ExperienceStore, StaleRecordsAreSkippedByRecallAndDroppedByCompaction) {
   const std::string path = tempPath("stale");
   (void)std::remove(path.c_str());
-  StoreOptions options;
-  options.evictionRegressions = 2;
-  ExperienceStore store{path, options};
+  ExperienceStore store{path, {}};
   const std::string weak = store.append(makeRecord("IOR_64K", 0.5));
   const std::string strong = store.append(makeRecord("IOR_16M", 0.5));
 
   // Two strikes kill a once-confirmed record...
-  store.penalize(weak);
-  store.penalize(weak);
   // ...but confirmations buy extra strikes: 3 confirmations tolerate 4.
-  store.confirm(strong);
-  store.confirm(strong);
-  store.penalize(strong);
-  store.penalize(strong);
-  store.penalize(strong);
+  (void)store.absorb({judgingRun("run-1", kRegressed, {weak, strong}),
+                      judgingRun("run-2", kRegressed, {weak, strong}),
+                      judgingRun("run-3", kRegressed, {strong}),
+                      judgingRun("run-4", kConfirmed, {strong}),
+                      judgingRun("run-5", kConfirmed, {strong})});
 
   const auto matches =
-      store.recall(fingerprintOf(contextWithReadShare(0.5)), 10, 0.0);
+      store.recall(fingerprintOf(contextWithReadShare(0.5)), 10, 0.999);
   ASSERT_EQ(matches.size(), 1U);
   EXPECT_EQ(matches[0].record.id, strong);
 
-  store.compact();
-  EXPECT_EQ(store.size(), 1U);
+  // The absorb compacted: the stale record is gone from memory and disk.
+  EXPECT_EQ(store.size(), 6U);
   ExperienceStore reloaded{path, {}};
-  ASSERT_EQ(reloaded.size(), 1U);
-  EXPECT_EQ(reloaded.records()[0].id, strong);
-  // Compaction folded the journal into the record line.
-  EXPECT_EQ(reloaded.records()[0].confirmations, 3);
-  EXPECT_EQ(reloaded.records()[0].regressions, 3);
+  ASSERT_EQ(reloaded.size(), 6U);
+  for (const ExperienceRecord& rec : reloaded.records()) {
+    EXPECT_NE(rec.id, weak);
+    if (rec.id == strong) {
+      // Compaction folded the verdicts into the record line.
+      EXPECT_EQ(rec.confirmations, 3);
+      EXPECT_EQ(rec.regressions, 3);
+    }
+  }
+}
+
+TEST(ExperienceStore, AbsorbLeavesVerdictsOnReFiledRecordsAndStoresNone) {
+  const std::string path = tempPath("absorb_verdicts");
+  (void)std::remove(path.c_str());
+  ExperienceStore store{path, {}};
+  ExperienceRecord recalled = makeRecord("IOR_64K", 0.5, 1.2);
+  recalled.id = "cell-a";
+  (void)store.append(recalled);
+
+  // One batch re-files the recalled record (a re-run of its cell) and
+  // files a run that confirmed it twice: the run's cell was re-run too, so
+  // only its last filing counts.
+  ExperienceRecord reFiled = recalled;
+  reFiled.bestSeconds = 0.8;
+  const std::vector<std::string> ids =
+      store.absorb({reFiled, judgingRun("cell-b", kConfirmed, {"cell-a"}),
+                    judgingRun("cell-b", kConfirmed, {"cell-a"}), makeRecord("x", 0.3)});
+  EXPECT_EQ(ids, (std::vector<std::string>{"cell-a", "cell-b", "cell-b", "exp-1"}));
+
+  ASSERT_EQ(store.size(), 3U);
+  for (const ExperienceRecord& rec : store.records()) {
+    EXPECT_EQ(rec.recallVerdict, core::WarmStartVerdict::None) << rec.id;
+    EXPECT_TRUE(rec.recalledIds.empty()) << rec.id;
+    if (rec.id == "cell-a") {
+      EXPECT_EQ(rec.bestSeconds, 0.8);    // the re-filed version...
+      EXPECT_EQ(rec.confirmations, 2);    // ...carries the verdict, once
+    }
+  }
+  const std::string bytes = util::readFile(path);
+  EXPECT_EQ(bytes.find("\"recall\""), std::string::npos);
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 3);
 }
 
 TEST(ExperienceStore, CompactionCrashBeforeRenameLeavesOldGenerationReadable) {
@@ -191,16 +256,16 @@ TEST(ExperienceStore, CompactionCrashBeforeRenameLeavesOldGenerationReadable) {
     ExperienceStore store{path, {}};
     (void)store.append(makeRecord("IOR_64K", 0.5));
     (void)store.append(makeRecord("IOR_16M", 0.6));
-    const std::string doomed = store.append(makeRecord("IO500", 0.7));
-    store.penalize(doomed);
-    store.penalize(doomed);
+    ExperienceRecord doomed = makeRecord("IO500", 0.7);
+    doomed.regressions = 2;  // stale: the next compaction drops it
+    (void)store.append(doomed);
 
     ExperienceStore::CompactionHooks hooks;
     hooks.crashBeforeRename = true;
     store.compact(hooks);  // simulated death: tmp written, store untouched
   }
-  // The old generation (records + journal) is fully readable; the orphaned
-  // tmp file is ignored.
+  // The old generation is fully readable; the orphaned tmp file is
+  // ignored.
   EXPECT_TRUE(util::fileExists(path + ".compact.tmp"));
   {
     ExperienceStore reloaded{path, {}};
@@ -210,46 +275,17 @@ TEST(ExperienceStore, CompactionCrashBeforeRenameLeavesOldGenerationReadable) {
     reloaded.compact();
   }
   ExperienceStore after{path, {}};
-  EXPECT_EQ(after.size(), 2U);  // the penalized record is gone
+  EXPECT_EQ(after.size(), 2U);  // the stale record is gone
   EXPECT_EQ(after.corruptLinesSkipped(), 0U);
-}
-
-TEST(ExperienceStore, AbsorbShardsDedupsAndDeletesShardFiles) {
-  const std::string path = tempPath("absorb");
-  const std::string shard0 = path + ".shard-0";
-  const std::string shard1 = path + ".shard-1";
-  (void)std::remove(path.c_str());
-
-  ExperienceRecord a = makeRecord("IOR_64K", 0.5, 1.2);
-  a.id = "cell-a";
-  ExperienceRecord aNewer = a;
-  aNewer.bestSeconds = 0.8;
-  ExperienceRecord b = makeRecord("IOR_16M", 0.6);
-  b.id = "cell-b";
-  util::writeFile(shard0, a.toJson().dump() + "\n" + "garbage line\n" +
-                              aNewer.toJson().dump() + "\n");
-  util::writeFile(shard1, b.toJson().dump() + "\n");
-
-  ExperienceStore store{path, {}};
-  EXPECT_EQ(store.absorbShardDir(::testing::TempDir(), "exp_store_absorb.jsonl.shard-"), 3U);
-  EXPECT_EQ(store.size(), 2U);
-  EXPECT_FALSE(util::fileExists(shard0));
-  EXPECT_FALSE(util::fileExists(shard1));
-  for (const ExperienceRecord& rec : store.records()) {
-    if (rec.id == "cell-a") {
-      EXPECT_EQ(rec.bestSeconds, 0.8);  // last shard line wins
-    }
-  }
-  ExperienceStore reloaded{path, {}};
-  EXPECT_EQ(reloaded.size(), 2U);
 }
 
 TEST(ExperienceStore, MemoryOnlyStoreNeverTouchesDisk) {
   ExperienceStore store{"", {}};
   const std::string id = store.append(makeRecord("IOR_64K", 0.5));
-  store.confirm(id);
+  (void)store.absorb({judgingRun("run-1", kConfirmed, {id})});
   store.compact();
-  EXPECT_EQ(store.size(), 1U);
+  ASSERT_EQ(store.size(), 2U);
+  EXPECT_EQ(store.records()[0].id, id);
   EXPECT_EQ(store.records()[0].confirmations, 2);
 }
 
@@ -272,6 +308,29 @@ TEST(ExperienceRecord, JsonRoundTrip) {
       back.bestConfig.get("lov.stripe_count");
   ASSERT_TRUE(stripes.has_value());
   EXPECT_EQ(*stripes, 4);
+  // No verdict, no `recall` object.
+  EXPECT_FALSE(rec.toJson().contains("recall"));
+  EXPECT_EQ(back.recallVerdict, core::WarmStartVerdict::None);
+
+  // A verdict rides as {"verdict", "sources"} and survives the round trip.
+  rec.recallVerdict = kRegressed;
+  rec.recalledIds = {"exp-1", "cell|b"};
+  const util::Json withVerdict = rec.toJson();
+  ASSERT_TRUE(withVerdict.contains("recall"));
+  EXPECT_EQ(withVerdict.at("recall").at("verdict").asString(), "regressed");
+  const ExperienceRecord judged = ExperienceRecord::fromJson(withVerdict);
+  EXPECT_EQ(judged.recallVerdict, kRegressed);
+  EXPECT_EQ(judged.recalledIds, rec.recalledIds);
+  rec.recallVerdict = kConfirmed;
+  EXPECT_EQ(ExperienceRecord::fromJson(util::Json::parse(rec.toJson().dump())).recallVerdict,
+            kConfirmed);
+
+  // An unknown verdict makes the line corrupt.
+  util::Json unknown = util::Json::parse(withVerdict.dump());
+  util::Json recall = unknown.at("recall");
+  recall.set("verdict", "neutral");
+  unknown.set("recall", recall);
+  EXPECT_THROW((void)ExperienceRecord::fromJson(unknown), util::JsonError);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Engine-level warm-start behaviour: recall primes the first attempt,
 // dissimilar workloads never recall, and a misleading recalled config is
-// penalized (staleness feedback) while the run still recovers.
+// judged regressed (the run's staleness verdict) while the run still
+// recovers.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -16,7 +17,7 @@ namespace stellar::exp {
 namespace {
 
 core::TuningRunResult tuneOnce(const std::string& workload, std::uint64_t seed,
-                               core::WarmStartProvider* provider) {
+                               const core::WarmStartProvider* provider) {
   pfs::PfsSimulator simulator;
   core::StellarOptions options;
   options.seed = seed;
@@ -40,7 +41,11 @@ TEST(WarmStart, RecallPrimesTheFirstAttempt) {
   ASSERT_FALSE(warm.attempts.empty());
   EXPECT_TRUE(warm.attempts[0].warmStart);
   // The recalled best for a near-identical workload must not regress, so
-  // staleness feedback never penalizes it here.
+  // the run's verdict never penalizes it here, not even once filed.
+  EXPECT_NE(warm.warmStartVerdict, core::WarmStartVerdict::Regressed);
+  (void)store.absorb({recordFromRun(warm, 2, "claude-3.7-sonnet", "")});
+  ASSERT_EQ(store.size(), 2U);
+  EXPECT_EQ(store.records()[0].id, id);
   EXPECT_EQ(store.records()[0].regressions, 0);
   // And the warm run is at least as good as its own default.
   EXPECT_LE(warm.bestSeconds, warm.defaultSeconds);
@@ -61,7 +66,7 @@ TEST(WarmStart, DissimilarWorkloadRecallsNothingAndLosesNothing) {
 }
 
 /// Provider that recalls a deliberately throttled configuration, to drive
-/// the engine's regression feedback path.
+/// the engine's regression verdict.
 class MisleadingProvider final : public core::WarmStartProvider {
  public:
   [[nodiscard]] std::optional<core::WarmStartHint> warmStart(
@@ -78,19 +83,6 @@ class MisleadingProvider final : public core::WarmStartProvider {
     hint.provenance = "test";
     return hint;
   }
-
-  void observeWarmStartOutcome(const std::vector<std::string>& sourceIds,
-                               bool regressed, bool confirmed) override {
-    outcomeSeen = true;
-    lastSourceIds = sourceIds;
-    lastRegressed = regressed;
-    lastConfirmed = confirmed;
-  }
-
-  bool outcomeSeen = false;
-  std::vector<std::string> lastSourceIds;
-  bool lastRegressed = false;
-  bool lastConfirmed = false;
 };
 
 TEST(WarmStart, MisleadingRecallIsPenalizedAndTheRunRecovers) {
@@ -99,10 +91,12 @@ TEST(WarmStart, MisleadingRecallIsPenalizedAndTheRunRecovers) {
   ASSERT_TRUE(run.warmStarted);
   ASSERT_FALSE(run.attempts.empty());
   EXPECT_TRUE(run.attempts[0].warmStart);
-  ASSERT_TRUE(provider.outcomeSeen);
-  EXPECT_EQ(provider.lastSourceIds, std::vector<std::string>{"bad-memory"});
-  EXPECT_TRUE(provider.lastRegressed);
-  EXPECT_FALSE(provider.lastConfirmed);
+  EXPECT_EQ(run.warmStartSources, std::vector<std::string>{"bad-memory"});
+  EXPECT_EQ(run.warmStartVerdict, core::WarmStartVerdict::Regressed);
+  // The verdict travels to the memory inside the run's record.
+  const ExperienceRecord record = recordFromRun(run, 3, "claude-3.7-sonnet", "");
+  EXPECT_EQ(record.recallVerdict, core::WarmStartVerdict::Regressed);
+  EXPECT_EQ(record.recalledIds, std::vector<std::string>{"bad-memory"});
   // The agent reverts the regression and still ends at/below the default.
   EXPECT_LE(run.bestSeconds, run.defaultSeconds);
 }

@@ -17,7 +17,7 @@ TEST(Counters, CounterAddsAndResets) {
   registry.reset();
   EXPECT_DOUBLE_EQ(c.value(), 0.0);
   // Registration survives a reset.
-  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.snapshot().size(), 1u);
 }
 
 TEST(Counters, FindOrCreateReturnsSameCell) {
@@ -37,7 +37,7 @@ TEST(Counters, LabelsDistinguishInstancesAndOrderDoesNot) {
   registry.counter("m", {{"a", "1"}, {"b", "2"}}).add(1.0);
   registry.counter("m", {{"b", "2"}, {"a", "1"}}).add(1.0);
 
-  EXPECT_EQ(registry.size(), 3u);
+  EXPECT_EQ(registry.snapshot().size(), 3u);
   EXPECT_DOUBLE_EQ(registry.counter("pfs.ost.seeks", {{"ost", "0"}}).value(), 3.0);
   EXPECT_DOUBLE_EQ(registry.counter("pfs.ost.seeks", {{"ost", "1"}}).value(), 7.0);
   EXPECT_DOUBLE_EQ(registry.counter("m", {{"a", "1"}, {"b", "2"}}).value(), 2.0);
@@ -77,29 +77,6 @@ TEST(Counters, HistogramObserveAggregates) {
   EXPECT_EQ(data.buckets[1], 1u);
   EXPECT_EQ(data.buckets[2], 1u);
   EXPECT_EQ(data.buckets[3], 1u);
-}
-
-TEST(Counters, MergeAddsCountersKeepsGaugeMaxAndMergesHistograms) {
-  obs::CounterRegistry a;
-  obs::CounterRegistry b;
-  a.counter("events").add(10.0);
-  b.counter("events").add(5.0);
-  a.gauge("peak").set(3.0);
-  b.gauge("peak").set(8.0);
-  a.histogram("lat", {}, {1.0, 10.0}).observe(0.5);
-  b.histogram("lat", {}, {1.0, 10.0}).observe(5.0);
-  b.counter("only_in_b").add(2.0);
-
-  a.merge(b);
-
-  EXPECT_DOUBLE_EQ(a.counter("events").value(), 15.0);
-  EXPECT_DOUBLE_EQ(a.gauge("peak").value(), 8.0);
-  EXPECT_DOUBLE_EQ(a.counter("only_in_b").value(), 2.0);
-  const obs::HistogramData merged = a.histogram("lat", {}, {1.0, 10.0}).data();
-  EXPECT_EQ(merged.count, 2u);
-  EXPECT_DOUBLE_EQ(merged.sum, 5.5);
-  EXPECT_EQ(merged.buckets[0], 1u);
-  EXPECT_EQ(merged.buckets[1], 1u);
 }
 
 TEST(Counters, SnapshotIsRegistrationOrdered) {
@@ -143,20 +120,4 @@ TEST(Counters, ConcurrentFindOrCreateAndAdd) {
     labelled += registry.counter("labelled", {{"i", std::to_string(i)}}).value();
   }
   EXPECT_DOUBLE_EQ(labelled, kThreads * kAdds);
-}
-
-TEST(Counters, ToJsonShape) {
-  obs::CounterRegistry registry;
-  registry.counter("hits", {{"kind", "read"}}).add(4.0);
-  registry.histogram("lat", {}, {1.0}).observe(0.5);
-  const stellar::util::Json doc = registry.toJson();
-  ASSERT_TRUE(doc.contains("metrics"));
-  const auto& metrics = doc.at("metrics").asArray();
-  ASSERT_EQ(metrics.size(), 2u);
-  EXPECT_EQ(metrics[0].getString("name"), "hits");
-  EXPECT_EQ(metrics[0].getString("kind"), "counter");
-  EXPECT_DOUBLE_EQ(metrics[0].getNumber("value"), 4.0);
-  EXPECT_EQ(metrics[1].getString("kind"), "histogram");
-  ASSERT_TRUE(metrics[1].contains("histogram"));
-  EXPECT_DOUBLE_EQ(metrics[1].at("histogram").getNumber("count"), 1.0);
 }

@@ -103,10 +103,9 @@ TEST(FleetStore, CommitAbsorbsShardsThatAppearedMidScan) {
   // stellar_cli --tenant run sharing the layout, finishing between "decide
   // to commit" and "scan the directory"): the commit re-lists the directory
   // under the base-store lock, so the shard is absorbed, not skipped.
-  exp::ExperienceStore foreign{base + ".tenant-ghost", {}};
   exp::ExperienceRecord rec = makeRecord("cell-g", "IO500", 0.4);
   rec.tenant = "ghost";
-  (void)foreign.append(rec);
+  appendShardLine(tenantShardPath(base, "ghost"), rec);
 
   EXPECT_EQ(fleet.commit(), 2U);
   EXPECT_EQ(fleet.baseSize(), 2U);
@@ -116,6 +115,56 @@ TEST(FleetStore, CommitAbsorbsShardsThatAppearedMidScan) {
     sawGhost = sawGhost || record.tenant == "ghost";
   }
   EXPECT_TRUE(sawGhost);
+}
+
+TEST(FleetStore, CommitDedupsShardLinesAndDeletesShardFiles) {
+  const fs::path dir = freshDir("dedup");
+  const std::string base = (dir / "store.jsonl").string();
+  exp::ExperienceRecord a = makeRecord("cell-a", "IOR_64K", 0.5);
+  a.bestSeconds = 1.2;
+  exp::ExperienceRecord aNewer = a;
+  aNewer.bestSeconds = 0.8;
+  const exp::ExperienceRecord b = makeRecord("cell-b", "IOR_16M", 0.6);
+  util::writeFile(tenantShardPath(base, "alice"),
+                  a.toJson().dump() + "\n" + "garbage line\n" + aNewer.toJson().dump() + "\n");
+  util::writeFile(tenantShardPath(base, "bob"), b.toJson().dump() + "\n");
+
+  FleetStore fleet{base};
+  EXPECT_EQ(fleet.commit(), 3U);  // the garbage line is logged and skipped
+  EXPECT_EQ(fleet.baseSize(), 2U);
+  EXPECT_FALSE(util::fileExists(tenantShardPath(base, "alice")));
+  EXPECT_FALSE(util::fileExists(tenantShardPath(base, "bob")));
+  for (const exp::ExperienceRecord& rec : fleet.snapshot()->records()) {
+    if (rec.id == "cell-a") {
+      EXPECT_EQ(rec.bestSeconds, 0.8);  // the last shard line wins
+    }
+  }
+  const exp::ExperienceStore reloaded{base};
+  EXPECT_EQ(reloaded.size(), 2U);
+  EXPECT_EQ(reloaded.corruptLinesSkipped(), 0U);
+}
+
+TEST(FleetStore, ReFiledCellCreditsWhatItRecalledOnce) {
+  const fs::path dir = freshDir("refiled");
+  const std::string base = (dir / "store.jsonl").string();
+  FleetStore fleet{base};
+  fleet.appendRecord("alice", makeRecord("cell-r", "IOR_64K", 0.5));
+  ASSERT_EQ(fleet.commit(), 1U);
+
+  // One cell filed twice (a run killed after filing, then re-run), each
+  // filing confirming the committed record it recalled.
+  exp::ExperienceRecord run = makeRecord("cell-x", "IOR_64K", 0.5);
+  run.recallVerdict = core::WarmStartVerdict::Confirmed;
+  run.recalledIds = {"cell-r"};
+  fleet.appendRecord("bob", run);
+  fleet.appendRecord("bob", run);
+  EXPECT_EQ(fleet.commit(), 2U);
+
+  ASSERT_EQ(fleet.baseSize(), 2U);
+  for (const exp::ExperienceRecord& rec : fleet.snapshot()->records()) {
+    EXPECT_EQ(rec.confirmations, rec.id == "cell-r" ? 2 : 1) << rec.id;
+  }
+  EXPECT_EQ(util::readFile(base).find("\"recall\""), std::string::npos);
 }
 
 TEST(FleetStore, MemoryOnlyModeCommitsTenantSortedThenIdSorted) {

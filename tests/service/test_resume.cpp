@@ -98,20 +98,24 @@ TEST(Resume, KilledServiceResumesByteIdentically) {
 }
 
 TEST(Resume, CommitWaitsUntilNoSessionIsInterrupted) {
-  // Warm-started IOR_64K at seeds 7 and 8, committing after every run. A
-  // commit after the capped run must absorb nothing: if it filed seed 7's
-  // record, the resumed seed 8 would warm-start from it and its document
-  // would differ from an uninterrupted run's.
+  // Warm-started IOR_64K at seeds 7 and 8 over a store holding seed 1's
+  // record, committing after every run. A commit after the capped run must
+  // absorb nothing: if it filed seed 7's record, the resumed seed 8 would
+  // warm-start from it and its document would differ from an
+  // uninterrupted run's. Both seeds recall seed 1, and both verdicts must
+  // reach the store, including seed 7's from the capped run, so the two
+  // stores end byte-identical.
   struct Batch {
     std::string docs;
     std::size_t absorbed = 0;
   };
-  const auto runBatch = [](const std::string& storePath, std::size_t maxFresh) {
+  const auto runBatch = [](const std::string& storePath, std::size_t maxFresh,
+                           const std::vector<std::uint64_t>& seeds) {
     ServiceOptions options;
     options.storePath = storePath;
     options.maxFreshSessions = maxFresh;
     TuningService service{options};
-    for (const std::uint64_t seed : {7, 8}) {
+    for (const std::uint64_t seed : seeds) {
       SubmitOptions request;
       request.workload = "IOR_64K";
       request.seed = seed;
@@ -126,18 +130,23 @@ TEST(Resume, CommitWaitsUntilNoSessionIsInterrupted) {
     batch.absorbed = service.commit();
     return batch;
   };
-  const fs::path reference = freshDir("commit_reference");
-  const fs::path killed = freshDir("commit_killed");
-  const Batch expected = runBatch((reference / "store.jsonl").string(), 0);
+  const std::string reference = (freshDir("commit_reference") / "store.jsonl").string();
+  const std::string killed = (freshDir("commit_killed") / "store.jsonl").string();
+  for (const std::string& store : {reference, killed}) {
+    ASSERT_EQ(runBatch(store, 0, {1}).absorbed, 1U);
+  }
+  const Batch expected = runBatch(reference, 0, {7, 8});
   EXPECT_EQ(expected.absorbed, 2U);
+  EXPECT_NE(expected.docs.find("\"warm_started\":true"), std::string::npos);
 
-  const Batch partial = runBatch((killed / "store.jsonl").string(), 1);
+  const Batch partial = runBatch(killed, 1, {7, 8});
   EXPECT_NE(partial.docs.find("interrupted"), std::string::npos);
   EXPECT_EQ(partial.absorbed, 0U);  // deferred to the run that completes it
 
-  const Batch resumed = runBatch((killed / "store.jsonl").string(), 0);
+  const Batch resumed = runBatch(killed, 0, {7, 8});
   EXPECT_EQ(resumed.docs, expected.docs);
   EXPECT_EQ(resumed.absorbed, 2U);
+  EXPECT_EQ(util::readFile(killed), util::readFile(reference));
 }
 
 TEST(Resume, ResumeIsIdenticalAcrossWorkerCounts) {
