@@ -65,11 +65,13 @@ int main() {
   bool ok = true;
 
   // Phase 1: population.
-  exp::ExperienceStore store{"", {}};
+  std::vector<exp::ExperienceRecord> population;
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
     const core::TuningRunResult run = tuneOnce(kWorkload, seed, nullptr);
-    (void)store.append(exp::recordFromRun(run, seed, "claude-3.7-sonnet", ""));
+    population.push_back(exp::recordFromRun(run, seed, "claude-3.7-sonnet", ""));
   }
+  exp::ExperienceStore store{"", {}};
+  (void)store.absorb(std::move(population));
   std::printf("populated store with %zu cold experiences on %s\n", store.size(),
               kWorkload);
 

@@ -19,7 +19,10 @@
 //
 // Options:
 //   --scale <0..1]      workload volume scale            (default 0.1)
-//   --seed <n>          run seed                         (default 42)
+//   --seed <n>          run seed (default 42): seeds the workload's
+//                       randomization, the simulator and the agent, so
+//                       the run tunes the job stellard runs for a request
+//                       with the same seed
 //   --model <name>      tuning-agent model profile       (default claude-3.7-sonnet)
 //   --rules <file>      load/save the global rule set JSON
 //   --scope user|system tuning scope (§5.6)              (default system)
@@ -448,6 +451,7 @@ int cmdTune(const std::string& workload, const CliOptions& cli) {
   workloads::WorkloadOptions wopts;
   wopts.ranks = 50;
   wopts.scale = cli.scale;
+  wopts.seed = cli.seed;
   const pfs::JobSpec job = workloads::byName(workload, wopts);
 
   ObsBundle bundle;
@@ -514,6 +518,7 @@ int cmdSuite(const CliOptions& cli) {
   workloads::WorkloadOptions wopts;
   wopts.ranks = 50;
   wopts.scale = cli.scale;
+  wopts.seed = cli.seed;
   ObsBundle bundle;
   bundle.traceFile = cli.traceFile;
   if (!bundle.loadFaults(cli)) {

@@ -6,8 +6,6 @@
 #include <cstdlib>
 
 #include "util/file.hpp"
-#include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace stellar::core {
 
@@ -37,66 +35,34 @@ SessionJournal::SessionJournal(std::string path) : path_(std::move(path)) {
 }
 
 void SessionJournal::load() {
-  if (path_.empty() || !util::fileExists(path_)) {
-    return;
-  }
-  const std::string contents = util::readFile(path_);
-  // A SIGKILL mid-write can leave a torn line with no trailing newline; the
-  // next append must not glue itself onto that fragment (it would corrupt a
-  // second line and lose its own record too).
-  pendingNewline_ = !contents.empty() && contents.back() != '\n';
-  std::size_t lineNo = 0;
-  for (const std::string& line : util::split(contents, '\n')) {
-    ++lineNo;
-    if (util::trim(line).empty()) {
-      continue;
-    }
-    try {
-      const util::Json doc = util::Json::parse(line);
-      const std::string type = doc.getString("type");
-      if (type == "header") {
-        header_ = doc;
-      } else if (type == "measurement") {
-        JournaledMeasurement m;
-        m.wallSeconds = doc.contains("wall_bits")
-                            ? std::bit_cast<double>(bitsFromHex(doc.at("wall_bits")))
-                            : doc.getNumber("wall_seconds");
-        m.outcome = doc.getString("outcome");
-        m.failureReason = doc.getString("failure_reason");
-        m.config = pfs::PfsConfig::fromJson(doc.at("config"));
-        m.seed = bitsFromHex(doc.at("seed"));
-        // Last write wins: an index re-measured because its config or seed
-        // no longer matched supersedes the line before it.
-        measurements_[doc.at("index").asInteger<std::size_t>()] = std::move(m);
-      } else if (type == "final") {
-        if (!doc.at("result").isObject()) {
-          throw util::JsonError("final line without a result document");
-        }
-        result_ = doc.at("result");
-      } else {
-        throw util::JsonError("unknown line type '" + type + "'");
+  const auto readLine = [this](const util::Json& doc) {
+    const std::string type = doc.getString("type");
+    if (type == "header") {
+      header_ = doc;
+    } else if (type == "measurement") {
+      JournaledMeasurement m;
+      m.wallSeconds = doc.contains("wall_bits")
+                          ? std::bit_cast<double>(bitsFromHex(doc.at("wall_bits")))
+                          : doc.getNumber("wall_seconds");
+      m.outcome = doc.getString("outcome");
+      m.failureReason = doc.getString("failure_reason");
+      m.config = pfs::PfsConfig::fromJson(doc.at("config"));
+      m.seed = bitsFromHex(doc.at("seed"));
+      // Last write wins: an index re-measured because its config or seed
+      // no longer matched supersedes the line before it.
+      measurements_[doc.at("index").asInteger<std::size_t>()] = std::move(m);
+    } else if (type == "final") {
+      if (!doc.at("result").isObject()) {
+        throw util::JsonError("final line without a result document");
       }
-    } catch (const util::JsonError& e) {
-      // Torn tail line after a SIGKILL, or plain corruption: skip it and
-      // keep the journal usable — the resumed run re-measures that index.
-      ++corruptSkipped_;
-      util::logLine(util::LogLevel::Warn, kComponent,
-                    path_ + ":" + std::to_string(lineNo) + ": skipping corrupt line (" +
-                        e.what() + ")");
+      result_ = doc.at("result");
+    } else {
+      throw util::JsonError("unknown line type '" + type + "'");
     }
-  }
-}
-
-void SessionJournal::appendLine(const util::Json& line) {
-  if (path_.empty()) {
-    return;  // memory-only journal (tests)
-  }
-  std::string text = line.dump() + "\n";
-  if (pendingNewline_) {
-    text.insert(text.begin(), '\n');  // terminate the torn tail line first
-  }
-  util::appendToFile(path_, text);
-  pendingNewline_ = false;
+  };
+  // A torn tail line after a SIGKILL, or plain corruption, is skipped: the
+  // resumed run re-measures that index.
+  corruptSkipped_ = util::forEachJsonLine(path_, kComponent, readLine);
 }
 
 void SessionJournal::bind(const util::Json& header) {
@@ -110,7 +76,7 @@ void SessionJournal::bind(const util::Json& header) {
     return;  // resuming the same session
   }
   header_ = header;
-  appendLine(header);
+  util::appendJsonLine(path_, header);
 }
 
 std::optional<JournaledMeasurement> SessionJournal::replay(std::size_t index) const {
@@ -134,7 +100,7 @@ void SessionJournal::recordMeasurement(std::size_t index,
   if (!measurement.failureReason.empty()) {
     line.set("failure_reason", measurement.failureReason);
   }
-  appendLine(line);
+  util::appendJsonLine(path_, line);
   measurements_[index] = measurement;
 }
 
@@ -145,7 +111,7 @@ void SessionJournal::markComplete(const util::Json& result) {
   util::Json line = util::Json::makeObject();
   line.set("type", "final");
   line.set("result", result);
-  appendLine(line);
+  util::appendJsonLine(path_, line);
   result_ = result;
 }
 

@@ -15,9 +15,10 @@
 // the simulator, re-executes every (deterministic) decision in between, and
 // arrives at a bit-identical result — the KILL-RESUME metamorphic law in
 // tests/core. A complete journal's result document is what stellard replays
-// for a finished cell. The file discipline matches exp::ExperienceStore:
-// one util::appendToFile (a single fwrite) per line, torn or corrupt lines
-// skipped (counted) on load, so a SIGKILL mid-write never poisons the
+// for a finished cell. The file goes through util/file's crash-safe JSONL
+// layer: one util::appendJsonLine (a single fwrite, started on a fresh line
+// after a torn tail) per line, torn or corrupt lines skipped (counted) on
+// load by util::forEachJsonLine, so a SIGKILL mid-write never poisons the
 // session.
 #pragma once
 
@@ -87,16 +88,12 @@ class SessionJournal {
 
  private:
   void load();
-  void appendLine(const util::Json& line);
 
   std::string path_;
   std::optional<util::Json> header_;
   std::map<std::size_t, JournaledMeasurement> measurements_;
   std::optional<util::Json> result_;
   std::size_t corruptSkipped_ = 0;
-  /// The loaded file ended without '\n' (torn tail): the next append must
-  /// start on a fresh line.
-  bool pendingNewline_ = false;
 };
 
 }  // namespace stellar::core

@@ -1,12 +1,11 @@
 #include "exp/experience_store.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <tuple>
 
 #include "util/file.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace stellar::exp {
@@ -23,6 +22,16 @@ constexpr double kRecallMinSimilarity = 0.95;
 constexpr std::size_t kRecallTopK = 3;
 /// Strikes a once-confirmed record survives before it is stale.
 constexpr std::int32_t kEvictionRegressions = 2;
+
+/// The record in `records` with `id`, or null.
+ExperienceRecord* findIn(std::vector<ExperienceRecord>& records, const std::string& id) {
+  for (ExperienceRecord& rec : records) {
+    if (rec.id == id) {
+      return &rec;
+    }
+  }
+  return nullptr;
+}
 
 /// Stale records are skipped by recall and dropped at compaction. Every
 /// confirmation beyond the initial one buys one extra strike before the
@@ -166,45 +175,32 @@ void ExperienceStore::noteCounter(const char* name, double delta) const {
 }
 
 void ExperienceStore::loadLocked() {
-  records_.clear();
-  corruptSkipped_ = 0;
   if (path_.empty() || !util::fileExists(path_)) {
     return;
   }
-  const std::string contents = util::readFile(path_);
-  std::size_t lineNo = 0;
-  for (const std::string& line : util::split(contents, '\n')) {
-    ++lineNo;
-    if (util::trim(line).empty()) {
-      continue;
-    }
-    try {
-      const util::Json doc = util::Json::parse(line);
-      const std::string type = doc.getString("type");
-      if (type == "record") {
-        ExperienceRecord rec = ExperienceRecord::fromJson(doc);
-        if (ExperienceRecord* existing = findLocked(rec.id)) {
-          *existing = std::move(rec);  // last write wins (re-appended id)
-        } else {
-          records_.push_back(std::move(rec));
-        }
-      } else if (type == "penalize" || type == "confirm") {
-        // Verdict lines of stores written before verdicts rode on records.
-        if (ExperienceRecord* rec = findLocked(doc.at("id").asString())) {
-          (type == "penalize" ? rec->regressions : rec->confirmations) += 1;
-        }
+  // Loaded into a local: the callback runs outside this function's lock
+  // scope as far as the thread-safety analysis can tell.
+  std::vector<ExperienceRecord> loaded;
+  const auto readLine = [&loaded](const util::Json& doc) {
+    const std::string type = doc.getString("type");
+    if (type == "record") {
+      ExperienceRecord rec = ExperienceRecord::fromJson(doc);
+      if (ExperienceRecord* existing = findIn(loaded, rec.id)) {
+        *existing = std::move(rec);  // last write wins (re-filed id)
       } else {
-        throw util::JsonError("unknown line type '" + type + "'");
+        loaded.push_back(std::move(rec));
       }
-    } catch (const util::JsonError& e) {
-      // Torn tail line after a crash, or plain corruption: skip it, keep
-      // the store usable, and say exactly where the damage is.
-      ++corruptSkipped_;
-      util::logLine(util::LogLevel::Warn, kComponent,
-                    path_ + ":" + std::to_string(lineNo) + ": skipping corrupt line (" +
-                        e.what() + ")");
+    } else if (type == "penalize" || type == "confirm") {
+      // Verdict lines of stores written before verdicts rode on records.
+      if (ExperienceRecord* rec = findIn(loaded, doc.at("id").asString())) {
+        (type == "penalize" ? rec->regressions : rec->confirmations) += 1;
+      }
+    } else {
+      throw util::JsonError("unknown line type '" + type + "'");
     }
-  }
+  };
+  corruptSkipped_ = util::forEachJsonLine(path_, kComponent, readLine);
+  records_ = std::move(loaded);
   noteCounter("exp.store.corrupt_lines", static_cast<double>(corruptSkipped_));
   noteCounter("exp.store.records_loaded", static_cast<double>(records_.size()));
 
@@ -215,15 +211,6 @@ void ExperienceStore::loadLocked() {
       nextId_ = std::max(nextId_, n + 1);
     }
   }
-}
-
-ExperienceRecord* ExperienceStore::findLocked(const std::string& id) {
-  for (ExperienceRecord& rec : records_) {
-    if (rec.id == id) {
-      return &rec;
-    }
-  }
-  return nullptr;
 }
 
 std::size_t ExperienceStore::size() const {
@@ -249,20 +236,11 @@ const ExperienceRecord& ExperienceStore::fileLocked(ExperienceRecord record) {
   record.recallVerdict = core::WarmStartVerdict::None;
   record.recalledIds.clear();
   noteCounter("exp.store.appends");
-  if (ExperienceRecord* existing = findLocked(record.id)) {
+  if (ExperienceRecord* existing = findIn(records_, record.id)) {
     *existing = std::move(record);
     return *existing;
   }
   return records_.emplace_back(std::move(record));
-}
-
-std::string ExperienceStore::append(ExperienceRecord record) {
-  const util::MutexLock lock{mutex_};
-  const ExperienceRecord& filed = fileLocked(std::move(record));
-  if (!path_.empty()) {
-    util::appendToFile(path_, filed.toJson().dump() + "\n");
-  }
-  return filed.id;
 }
 
 std::vector<std::string> ExperienceStore::absorb(std::vector<ExperienceRecord> batch) {
@@ -286,7 +264,7 @@ std::vector<std::string> ExperienceStore::absorb(std::vector<ExperienceRecord> b
       continue;
     }
     for (const std::string& id : verdict.recalledIds) {
-      ExperienceRecord* rec = findLocked(id);
+      ExperienceRecord* rec = findIn(records_, id);
       if (rec == nullptr) {
         continue;  // evicted since the run recalled it
       }
@@ -299,7 +277,7 @@ std::vector<std::string> ExperienceStore::absorb(std::vector<ExperienceRecord> b
       }
     }
   }
-  compactLocked(CompactionHooks{});
+  compactLocked();
   return ids;
 }
 
@@ -330,12 +308,7 @@ std::vector<RecallMatch> ExperienceStore::recall(const Fingerprint& fingerprint,
   return matches;
 }
 
-void ExperienceStore::compact(const CompactionHooks& hooks) {
-  const util::MutexLock lock{mutex_};
-  compactLocked(hooks);
-}
-
-void ExperienceStore::compactLocked(const CompactionHooks& hooks) {
+void ExperienceStore::compactLocked() {
   // Drop stale records from the live set.
   std::vector<ExperienceRecord> live;
   live.reserve(records_.size());
@@ -359,24 +332,14 @@ void ExperienceStore::compactLocked(const CompactionHooks& hooks) {
     return;
   }
 
-  // Crash-safe generation swap: write the whole new generation to a temp
-  // file, then atomically rename over the store. Dying between the two
-  // steps leaves the old generation intact; a stale temp file from an
-  // earlier crash is simply overwritten here and never read by load.
-  const std::string tmp = path_ + ".compact.tmp";
+  // Crash-safe generation swap: dying before the rename leaves the old
+  // generation intact.
   std::string out;
   for (const ExperienceRecord& rec : records_) {
     out += rec.toJson().dump();
     out += '\n';
   }
-  util::ensureParentDir(tmp);
-  util::writeFile(tmp, out);
-  if (hooks.crashBeforeRename) {
-    return;  // test hook: simulated death with both generations on disk
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw std::runtime_error("compaction rename failed for " + path_);
-  }
+  util::replaceFile(path_, out);
 }
 
 // ------------------------------------------------- WarmStartProvider glue --

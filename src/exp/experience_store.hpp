@@ -6,19 +6,19 @@
 // records to warm-start the Tuning Agent.
 //
 // Durability model (see DESIGN.md §5e):
-//   - The store is one JSONL file of `record` lines. Appends are single
-//     lines flushed immediately, so a crash can at worst tear the final
-//     line. Stores written before verdicts rode on records also hold
+//   - The store is one JSONL file of `record` lines, written only whole.
+//     Stores written before verdicts rode on records also hold
 //     `penalize` / `confirm` lines; load still replays them.
 //   - Torn or garbage lines are skipped with a warning (file + line via
 //     the util::Json error context) and counted; the store stays usable.
-//   - absorb() files a batch of records, applies the recall verdicts they
-//     carry, and compacts once.
-//   - Compaction atomically replaces the file (write temp generation +
-//     rename), evicting records whose recalled configs kept regressing. A
-//     crash between the temp write and the rename leaves the old
-//     generation fully readable.
-//   - An empty path makes the store memory-only (tests, benches).
+//   - absorb() is the one write: it files a batch of records, applies the
+//     recall verdicts they carry, and compacts once.
+//   - Compaction evicts records whose recalled configs kept regressing and
+//     replaces the file atomically (util::replaceFile: `<store>.tmp`, then
+//     a rename). A crash before the rename leaves the old generation
+//     fully readable.
+//   - An empty path makes the store memory-only (recall snapshots,
+//     benches).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,7 @@ namespace stellar::exp {
 
 /// One filed tuning experience.
 struct ExperienceRecord {
-  std::string id;  ///< unique within a store; assigned on append if empty
+  std::string id;  ///< unique within a store; assigned on filing if empty
   std::string workload;
   Fingerprint fingerprint;
   pfs::PfsConfig bestConfig;
@@ -101,17 +101,15 @@ class ExperienceStore final : public core::WarmStartProvider {
   /// Snapshot copy of every live record.
   [[nodiscard]] std::vector<ExperienceRecord> records() const;
 
-  /// Files a record (assigning an id if empty) and appends it durably.
-  /// A record with an existing id replaces the previous version in memory
-  /// (last-wins, which compaction makes durable). Returns the id.
-  std::string append(ExperienceRecord record);
-
   /// The commit of a batch of finished runs: files the records in order
-  /// (assigning empty ids; the last record with an id wins), then applies
-  /// their recall verdicts, the last per filing id, so a run filed twice
-  /// credits what it recalled once. Verdicts on unknown ids are ignored.
-  /// The verdicts are stripped and the store compacts once; nothing is
-  /// appended to the file. Returns the filed ids in batch order.
+  /// (assigning empty ids; a record with an existing id replaces it, so
+  /// the last one wins), then applies their recall verdicts, the last per
+  /// filing id, so a run filed twice credits what it recalled once.
+  /// Verdicts on unknown ids are ignored. The verdicts are stripped and the
+  /// store compacts once: it drops stale records, puts the rest in
+  /// canonical (tenant, id) order and atomically rewrites the file as pure
+  /// record lines (legacy verdict lines folded in). Returns the filed ids
+  /// in batch order.
   std::vector<std::string> absorb(std::vector<ExperienceRecord> batch);
 
   /// Top-K live records by fingerprint similarity (>= minSimilarity),
@@ -119,20 +117,6 @@ class ExperienceStore final : public core::WarmStartProvider {
   [[nodiscard]] std::vector<RecallMatch> recall(const Fingerprint& fingerprint,
                                                 std::size_t topK,
                                                 double minSimilarity) const;
-
-  /// Test-only crash injection for the compaction protocol.
-  struct CompactionHooks {
-    /// Simulate dying after writing the new generation but before the
-    /// atomic rename: the store file must remain the old generation.
-    bool crashBeforeRename = false;
-  };
-
-  /// Atomically rewrites the file as pure record lines (legacy verdict
-  /// lines folded in), dropping stale records and putting the rest in
-  /// canonical (tenant, id) order. Memory-only stores get the eviction and
-  /// the order but write nothing.
-  void compact() { compact(CompactionHooks{}); }
-  void compact(const CompactionHooks& hooks);
 
   // --- core::WarmStartProvider ---------------------------------------------
   [[nodiscard]] std::optional<core::WarmStartHint> warmStart(
@@ -143,9 +127,9 @@ class ExperienceStore final : public core::WarmStartProvider {
   /// Assigns an empty id, replaces a record with the same id (last wins)
   /// or adds it, and returns the filed record (valid until the next filing).
   const ExperienceRecord& fileLocked(ExperienceRecord record) STELLAR_REQUIRES(mutex_);
-  void compactLocked(const CompactionHooks& hooks) STELLAR_REQUIRES(mutex_);
-  [[nodiscard]] ExperienceRecord* findLocked(const std::string& id)
-      STELLAR_REQUIRES(mutex_);
+  /// Drops stale records, sorts the rest canonically and, unless
+  /// memory-only, replaces the file with them.
+  void compactLocked() STELLAR_REQUIRES(mutex_);
   void noteCounter(const char* name, double delta = 1.0) const;
 
   mutable util::Mutex mutex_;

@@ -264,7 +264,7 @@ RuleSet RuleSet::fromJson(const util::Json& json) {
 }
 
 void RuleSet::saveFile(const std::string& path) const {
-  util::writeFile(path, toJson().dump(2) + "\n");
+  util::replaceFile(path, toJson().dump(2) + "\n");
 }
 
 RuleSet RuleSet::loadFile(const std::string& path) {

@@ -103,7 +103,9 @@ class RuleSet {
 
   /// Persistence across sessions: the global Rule Set is the asset the
   /// paper accumulates over a platform's lifetime, so it round-trips to a
-  /// JSON file. `loadFile` throws on unreadable/malformed input.
+  /// JSON file. `saveFile` replaces the file atomically (util::replaceFile),
+  /// so a kill mid-save leaves the previous set whole; `loadFile` throws on
+  /// unreadable/malformed input.
   void saveFile(const std::string& path) const;
   [[nodiscard]] static RuleSet loadFile(const std::string& path);
 

@@ -4,34 +4,12 @@
 #include <utility>
 
 #include "util/file.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace stellar::service {
 
 namespace {
-
 constexpr const char* kComponent = "service.store";
-
-/// Appends every parseable record line of `shard` to `batch`; corrupt
-/// lines (a torn tail after a kill, garbage) are logged and skipped.
-void readShard(const std::string& shard, std::vector<exp::ExperienceRecord>& batch) {
-  std::size_t lineNo = 0;
-  for (const std::string& line : util::split(util::readFile(shard), '\n')) {
-    ++lineNo;
-    if (util::trim(line).empty()) {
-      continue;
-    }
-    try {
-      batch.push_back(exp::ExperienceRecord::fromJson(util::Json::parse(line)));
-    } catch (const util::JsonError& e) {
-      util::logLine(util::LogLevel::Warn, kComponent,
-                    shard + ":" + std::to_string(lineNo) +
-                        ": skipping corrupt shard line (" + e.what() + ")");
-    }
-  }
-}
-
 }  // namespace
 
 std::string tenantShardPath(const std::string& basePath, const std::string& tenant) {
@@ -39,7 +17,7 @@ std::string tenantShardPath(const std::string& basePath, const std::string& tena
 }
 
 void appendShardLine(const std::string& shardPath, const exp::ExperienceRecord& record) {
-  util::appendToFile(shardPath, record.toJson().dump() + "\n");
+  util::appendJsonLine(shardPath, record.toJson());
 }
 
 FleetStore::FleetStore(std::string basePath, exp::StoreOptions options,
@@ -53,10 +31,6 @@ std::shared_ptr<const exp::ExperienceStore> FleetStore::snapshot() const {
   return snapshot_.load(std::memory_order_acquire);
 }
 
-std::string FleetStore::tenantShardPath(const std::string& tenant) const {
-  return service::tenantShardPath(basePath_, tenant);
-}
-
 void FleetStore::appendRecord(const std::string& tenant,
                               exp::ExperienceRecord record) {
   record.tenant = tenant;
@@ -64,7 +38,7 @@ void FleetStore::appendRecord(const std::string& tenant,
   if (basePath_.empty()) {
     pending_[tenant].push_back(std::move(record));
   } else {
-    appendShardLine(tenantShardPath(tenant), record);
+    appendShardLine(tenantShardPath(basePath_, tenant), record);
   }
   noteCounter("service.store.shard_appends");
 }
@@ -93,7 +67,9 @@ std::size_t FleetStore::commit() {
     // last-wins dedup) is deterministic.
     for (const std::string& path : util::listDir(dir)) {
       if (util::startsWith(path.substr(path.find_last_of('/') + 1), prefix)) {
-        readShard(path, batch);
+        util::forEachJsonLine(path, kComponent, [&batch](const util::Json& doc) {
+          batch.push_back(exp::ExperienceRecord::fromJson(doc));
+        });
         shards.push_back(path);
       }
     }
@@ -111,12 +87,12 @@ std::size_t FleetStore::commit() {
 }
 
 void FleetStore::publishSnapshot() {
+  std::vector<exp::ExperienceRecord> records = base_.records();
+  std::erase_if(records, [this](const exp::ExperienceRecord& record) {
+    return recallExcludes_.count(record.id) != 0;
+  });
   auto snap = std::make_shared<exp::ExperienceStore>("", options_);
-  for (exp::ExperienceRecord& record : base_.records()) {
-    if (recallExcludes_.count(record.id) == 0) {
-      (void)snap->append(std::move(record));
-    }
-  }
+  (void)snap->absorb(std::move(records));
   snapshot_.store(std::shared_ptr<const exp::ExperienceStore>(std::move(snap)),
                   std::memory_order_release);
   noteCounter("service.store.snapshot_swaps");

@@ -41,9 +41,10 @@ namespace stellar::service {
 [[nodiscard]] std::string tenantShardPath(const std::string& basePath,
                                           const std::string& tenant);
 
-/// Appends `record` as one flushed line to the shard journal at
-/// `shardPath`. The one writer of shard lines: FleetStore::appendRecord
-/// and `stellar_cli --tenant` both call it.
+/// Appends `record` as one line to the shard journal at `shardPath`
+/// (util::appendJsonLine, which starts it on a fresh line after a torn
+/// tail). The one writer of shard lines: FleetStore::appendRecord and
+/// `stellar_cli --tenant` both call it.
 void appendShardLine(const std::string& shardPath, const exp::ExperienceRecord& record);
 
 class FleetStore {
@@ -55,15 +56,11 @@ class FleetStore {
   explicit FleetStore(std::string basePath, exp::StoreOptions options = {},
                       std::set<std::string> recallExcludes = {});
 
-  [[nodiscard]] const std::string& basePath() const noexcept { return basePath_; }
   /// Records in the committed base generation.
   [[nodiscard]] std::size_t baseSize() const { return base_.size(); }
 
   /// Lock-free read of the current immutable recall snapshot.
   [[nodiscard]] std::shared_ptr<const exp::ExperienceStore> snapshot() const;
-
-  /// Shard journal path for `tenant` (meaningless for memory-only stores).
-  [[nodiscard]] std::string tenantShardPath(const std::string& tenant) const;
 
   /// Concurrent-writer append of a finished session's record to the
   /// tenant's shard journal. Durable immediately (single flushed line);

@@ -7,6 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/log.hpp"
+#include "util/strings.hpp"
+
 namespace stellar::util {
 
 std::string readFile(const std::string& path) {
@@ -33,16 +36,60 @@ void writeFile(const std::string& path, const std::string& contents) {
   }
 }
 
-void appendToFile(const std::string& path, const std::string& text) {
+void appendJsonLine(const std::string& path, const Json& json) {
   ensureParentDir(path);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
+  std::FILE* f = std::fopen(path.c_str(), "a+b");
   if (f == nullptr) {
     throw std::runtime_error("cannot open for append: " + path);
   }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  std::string text;
+  // A kill mid-write can leave a torn last line; glued onto it, this line
+  // would be lost with the fragment.
+  if (std::fseek(f, -1, SEEK_END) == 0 && std::fgetc(f) != '\n') {
+    text += '\n';
+  }
+  text += json.dump();
+  text += '\n';
+  const bool ok = std::fseek(f, 0, SEEK_END) == 0 &&
+                  std::fwrite(text.data(), 1, text.size(), f) == text.size();
   std::fclose(f);
   if (!ok) {
     throw std::runtime_error("short write appending to " + path);
+  }
+}
+
+std::size_t forEachJsonLine(const std::string& path, std::string_view component,
+                            const std::function<void(const Json&)>& fn) {
+  if (!fileExists(path)) {
+    return 0;
+  }
+  std::size_t skipped = 0;
+  std::size_t lineNo = 0;
+  for (const std::string& line : split(readFile(path), '\n')) {
+    ++lineNo;
+    if (trim(line).empty()) {
+      continue;
+    }
+    try {
+      fn(Json::parse(line));
+    } catch (const JsonError& e) {
+      // A torn tail after a kill, or plain corruption: skip the line and
+      // keep the file usable, saying exactly where the damage is.
+      ++skipped;
+      logLine(LogLevel::Warn, component,
+              path + ":" + std::to_string(lineNo) + ": skipping corrupt line (" +
+                  e.what() + ")");
+    }
+  }
+  return skipped;
+}
+
+void replaceFile(const std::string& path, const std::string& contents) {
+  const std::string tmp = path + ".tmp";
+  ensureParentDir(path);
+  writeFile(tmp, contents);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error("cannot rename " + tmp + " over " + path);
   }
 }
 

@@ -123,11 +123,17 @@ TEST(SessionJournal, OutOfRangeIndexIsSkippedAsCorrupt) {
     journal.recordMeasurement(0, {1.5, "ok", "", {}, 0});
   }
   // No writer emits these indexes; a corrupt or hand-edited journal can.
-  util::appendToFile(path,
-                     R"({"type":"measurement","index":-1,"wall_seconds":2.5,"outcome":"ok"})"
-                     "\n"
-                     R"({"type":"measurement","index":1e300,"wall_seconds":2.5,"outcome":"ok"})"
-                     "\n");
+  // Each line is otherwise whole, so the index alone makes it corrupt.
+  for (const double index : {-1.0, 1e300}) {
+    util::Json line = util::Json::makeObject();
+    line.set("type", "measurement");
+    line.set("index", index);
+    line.set("config", pfs::PfsConfig{}.toJson());
+    line.set("seed", "0000000000000000");
+    line.set("wall_seconds", 2.5);
+    line.set("outcome", "ok");
+    util::appendJsonLine(path, line);
+  }
   SessionJournal reloaded{path};
   EXPECT_EQ(reloaded.corruptLinesSkipped(), 2u);
   EXPECT_EQ(reloaded.measurementCount(), 1u);
@@ -192,14 +198,6 @@ TEST(SessionJournal, UnboundMeasurementAndResultlessFinalAreCorrupt) {
   EXPECT_EQ(journal.corruptLinesSkipped(), 2u);
   EXPECT_EQ(journal.measurementCount(), 0u);
   EXPECT_FALSE(journal.complete());
-}
-
-TEST(SessionJournal, EmptyPathIsMemoryOnly) {
-  SessionJournal journal{""};
-  journal.bind(makeHeader("IOR_16M"));
-  journal.recordMeasurement(0, {1.0, "ok", "", {}, 0});
-  EXPECT_EQ(journal.measurementCount(), 1u);
-  ASSERT_TRUE(journal.replay(0).has_value());
 }
 
 }  // namespace

@@ -66,32 +66,39 @@ TEST(ExperienceStore, PersistsAndReloads) {
   {
     ExperienceStore store{path, {}};
     EXPECT_EQ(store.size(), 0U);
-    const std::string id = store.append(makeRecord("IOR_64K", 0.5));
-    EXPECT_EQ(id, "exp-1");
-    EXPECT_EQ(store.append(makeRecord("IOR_16M", 0.6)), "exp-2");
+    EXPECT_EQ(store.absorb({makeRecord("IOR_64K", 0.5), makeRecord("IOR_16M", 0.6)}),
+              (std::vector<std::string>{"exp-1", "exp-2"}));
   }
   ExperienceStore reloaded{path, {}};
   EXPECT_EQ(reloaded.size(), 2U);
   EXPECT_EQ(reloaded.corruptLinesSkipped(), 0U);
   // Id assignment resumes past the reloaded records.
-  EXPECT_EQ(reloaded.append(makeRecord("IO500", 0.4)), "exp-3");
+  EXPECT_EQ(reloaded.absorb({makeRecord("IO500", 0.4)}),
+            std::vector<std::string>{"exp-3"});
 }
 
-TEST(ExperienceStore, AppendWithExistingIdReplacesLastWins) {
+TEST(ExperienceStore, FilingAnExistingIdReplacesLastWins) {
   const std::string path = tempPath("lastwins");
   (void)std::remove(path.c_str());
-  ExperienceStore store{path, {}};
   ExperienceRecord rec = makeRecord("IOR_64K", 0.5, 1.5);
   rec.id = "cell-a";
-  (void)store.append(rec);
+  const ExperienceRecord first = rec;
   rec.bestSeconds = 0.9;
-  (void)store.append(rec);
-  EXPECT_EQ(store.size(), 1U);
-  EXPECT_EQ(store.records()[0].bestSeconds, 0.9);
-  // The duplicate survives reload (journal replay is also last-wins)...
+  {
+    ExperienceStore store{path, {}};
+    (void)store.absorb({first});
+    (void)store.absorb({rec});
+    EXPECT_EQ(store.size(), 1U);
+    EXPECT_EQ(store.records()[0].bestSeconds, 0.9);
+  }
   ExperienceStore reloaded{path, {}};
   ASSERT_EQ(reloaded.size(), 1U);
   EXPECT_EQ(reloaded.records()[0].bestSeconds, 0.9);
+  // Load is last-wins by id too, for files that hold both versions.
+  util::writeFile(path, first.toJson().dump() + "\n" + rec.toJson().dump() + "\n");
+  ExperienceStore both{path, {}};
+  ASSERT_EQ(both.size(), 1U);
+  EXPECT_EQ(both.records()[0].bestSeconds, 0.9);
 }
 
 TEST(ExperienceStore, CorruptLinesAreSkippedWithCountAndStoreStaysUsable) {
@@ -99,8 +106,7 @@ TEST(ExperienceStore, CorruptLinesAreSkippedWithCountAndStoreStaysUsable) {
   (void)std::remove(path.c_str());
   {
     ExperienceStore store{path, {}};
-    (void)store.append(makeRecord("IOR_64K", 0.5));
-    (void)store.append(makeRecord("IOR_16M", 0.6));
+    (void)store.absorb({makeRecord("IOR_64K", 0.5), makeRecord("IOR_16M", 0.6)});
   }
   // Inject damage: garbage text, a torn (truncated) JSON line, an unknown
   // line type, a record line missing required fields, and a record whose
@@ -119,8 +125,8 @@ TEST(ExperienceStore, CorruptLinesAreSkippedWithCountAndStoreStaysUsable) {
   ExperienceStore store{path, {}};
   EXPECT_EQ(store.size(), 2U);
   EXPECT_EQ(store.corruptLinesSkipped(), 5U);
-  // Still usable: appends and recalls keep working.
-  (void)store.append(makeRecord("IO500", 0.4));
+  // Still usable: filings and recalls keep working.
+  (void)store.absorb({makeRecord("IO500", 0.4)});
   EXPECT_EQ(store.size(), 3U);
   const auto matches =
       store.recall(fingerprintOf(contextWithReadShare(0.5)), 10, 0.9);
@@ -149,12 +155,13 @@ TEST(ExperienceStore, JournalReplayRestoresOutcomeLedger) {
   EXPECT_EQ(reloaded.records()[0].confirmations, 3);
   EXPECT_EQ(reloaded.records()[0].regressions, 1);
   // The replayed ledger made exp-2 stale: recall skips it at once, and the
-  // next compaction drops it and folds the ledger into the record lines.
+  // next absorb's compaction drops it and folds the ledger into the record
+  // lines.
   const auto matches =
       reloaded.recall(fingerprintOf(contextWithReadShare(0.5)), 10, 0.0);
   ASSERT_EQ(matches.size(), 1U);
   EXPECT_EQ(matches[0].record.id, "exp-1");
-  reloaded.compact();
+  (void)reloaded.absorb({});
   EXPECT_EQ(util::readFile(path), reloaded.records()[0].toJson().dump() + "\n");
 }
 
@@ -166,9 +173,7 @@ TEST(ExperienceStore, RecallRanksBySimilarityWithDeterministicTieBreak) {
   tie.id = "a-close";
   ExperienceRecord far = makeRecord("C", 0.9);
   far.id = "c-far";
-  (void)store.append(close);
-  (void)store.append(tie);
-  (void)store.append(far);
+  (void)store.absorb({close, tie, far});
 
   const Fingerprint query = fingerprintOf(contextWithReadShare(0.5));
   const auto top = store.recall(query, 2, 0.0);
@@ -186,8 +191,10 @@ TEST(ExperienceStore, StaleRecordsAreSkippedByRecallAndDroppedByCompaction) {
   const std::string path = tempPath("stale");
   (void)std::remove(path.c_str());
   ExperienceStore store{path, {}};
-  const std::string weak = store.append(makeRecord("IOR_64K", 0.5));
-  const std::string strong = store.append(makeRecord("IOR_16M", 0.5));
+  const std::vector<std::string> filed =
+      store.absorb({makeRecord("IOR_64K", 0.5), makeRecord("IOR_16M", 0.5)});
+  const std::string& weak = filed[0];
+  const std::string& strong = filed[1];
 
   // Two strikes kill a once-confirmed record...
   // ...but confirmations buy extra strikes: 3 confirmations tolerate 4.
@@ -222,7 +229,7 @@ TEST(ExperienceStore, AbsorbLeavesVerdictsOnReFiledRecordsAndStoresNone) {
   ExperienceStore store{path, {}};
   ExperienceRecord recalled = makeRecord("IOR_64K", 0.5, 1.2);
   recalled.id = "cell-a";
-  (void)store.append(recalled);
+  (void)store.absorb({recalled});
 
   // One batch re-files the recalled record (a re-run of its cell) and
   // files a run that confirmed it twice: the run's cell was re-run too, so
@@ -250,40 +257,38 @@ TEST(ExperienceStore, AbsorbLeavesVerdictsOnReFiledRecordsAndStoresNone) {
 
 TEST(ExperienceStore, CompactionCrashBeforeRenameLeavesOldGenerationReadable) {
   const std::string path = tempPath("crash");
-  (void)std::remove(path.c_str());
-  (void)std::remove((path + ".compact.tmp").c_str());
+  ExperienceRecord a = makeRecord("IOR_64K", 0.5);
+  a.id = "exp-1";
+  ExperienceRecord b = makeRecord("IOR_16M", 0.6);
+  b.id = "exp-2";
+  ExperienceRecord doomed = makeRecord("IO500", 0.7);
+  doomed.id = "exp-3";
+  doomed.regressions = 2;  // stale: the next compaction drops it
+  const std::string kept = a.toJson().dump() + "\n" + b.toJson().dump() + "\n";
+  util::writeFile(path, kept + doomed.toJson().dump() + "\n");
+  // A compaction killed before its rename leaves the new generation in
+  // `<store>.tmp` next to the old one.
+  util::writeFile(path + ".tmp", kept);
   {
-    ExperienceStore store{path, {}};
-    (void)store.append(makeRecord("IOR_64K", 0.5));
-    (void)store.append(makeRecord("IOR_16M", 0.6));
-    ExperienceRecord doomed = makeRecord("IO500", 0.7);
-    doomed.regressions = 2;  // stale: the next compaction drops it
-    (void)store.append(doomed);
-
-    ExperienceStore::CompactionHooks hooks;
-    hooks.crashBeforeRename = true;
-    store.compact(hooks);  // simulated death: tmp written, store untouched
-  }
-  // The old generation is fully readable; the orphaned tmp file is
-  // ignored.
-  EXPECT_TRUE(util::fileExists(path + ".compact.tmp"));
-  {
+    // The old generation is fully readable; the orphaned tmp file is
+    // ignored.
     ExperienceStore reloaded{path, {}};
     EXPECT_EQ(reloaded.size(), 3U);
     EXPECT_EQ(reloaded.corruptLinesSkipped(), 0U);
-    // A later compaction completes the generation swap.
-    reloaded.compact();
+    // The next absorb's compaction completes the generation swap.
+    (void)reloaded.absorb({});
   }
+  EXPECT_FALSE(util::fileExists(path + ".tmp"));
+  EXPECT_EQ(util::readFile(path), kept);  // the stale record is gone
   ExperienceStore after{path, {}};
-  EXPECT_EQ(after.size(), 2U);  // the stale record is gone
+  EXPECT_EQ(after.size(), 2U);
   EXPECT_EQ(after.corruptLinesSkipped(), 0U);
 }
 
 TEST(ExperienceStore, MemoryOnlyStoreNeverTouchesDisk) {
   ExperienceStore store{"", {}};
-  const std::string id = store.append(makeRecord("IOR_64K", 0.5));
+  const std::string id = store.absorb({makeRecord("IOR_64K", 0.5)}).front();
   (void)store.absorb({judgingRun("run-1", kConfirmed, {id})});
-  store.compact();
   ASSERT_EQ(store.size(), 2U);
   EXPECT_EQ(store.records()[0].id, id);
   EXPECT_EQ(store.records()[0].confirmations, 2);

@@ -32,7 +32,7 @@ TEST(WarmStart, RecallPrimesTheFirstAttempt) {
   ExperienceStore store{"", {}};
   const core::TuningRunResult cold = tuneOnce("IO500", 1, nullptr);
   const std::string id =
-      store.append(recordFromRun(cold, 1, "claude-3.7-sonnet", ""));
+      store.absorb({recordFromRun(cold, 1, "claude-3.7-sonnet", "")}).front();
 
   const core::TuningRunResult warm = tuneOnce("IO500", 2, &store);
   ASSERT_TRUE(warm.warmStarted);
@@ -54,7 +54,7 @@ TEST(WarmStart, RecallPrimesTheFirstAttempt) {
 TEST(WarmStart, DissimilarWorkloadRecallsNothingAndLosesNothing) {
   ExperienceStore store{"", {}};
   const core::TuningRunResult donor = tuneOnce("IO500", 1, nullptr);
-  (void)store.append(recordFromRun(donor, 1, "claude-3.7-sonnet", ""));
+  (void)store.absorb({recordFromRun(donor, 1, "claude-3.7-sonnet", "")});
 
   const core::TuningRunResult cold = tuneOnce("MDWorkbench_8K", 5, nullptr);
   const core::TuningRunResult warm = tuneOnce("MDWorkbench_8K", 5, &store);

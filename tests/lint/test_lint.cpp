@@ -174,6 +174,15 @@ TEST(Rules, ResThrowTaskFlagsNakedThrowInSubmittedTask) {
   EXPECT_EQ(got, want);  // try-wrapped and outside-submit throws stay legal
 }
 
+TEST(Rules, ResRawAppendAllowsAppendsOnlyInTheFileLayer) {
+  const Report report = runOn({"src/exp/raw_append.cpp", "src/util/file.cpp"});
+  const auto got = locations(report, /*suppressed=*/false);
+  const std::multiset<std::pair<std::string, int>> want = {
+      {"RES-RAW-APPEND", 5}, {"RES-RAW-APPEND", 6}, {"RES-RAW-APPEND", 7},
+      {"RES-RAW-APPEND", 8}, {"RES-RAW-APPEND", 9}};
+  EXPECT_EQ(got, want);  // reads, truncation, nested strings and util/file.cpp stay legal
+}
+
 // ---- suppressions ----------------------------------------------------------
 
 TEST(Suppressions, RoundTripWithJustifications) {
@@ -213,7 +222,7 @@ TEST(Suppressions, CatalogueListsEveryRuleExactlyOnce) {
     EXPECT_TRUE(ids.insert(rule.id).second) << "duplicate rule id " << rule.id;
     EXPECT_TRUE(isKnownRule(rule.id));
   }
-  EXPECT_EQ(ids.size(), 11U);
+  EXPECT_EQ(ids.size(), 12U);
   EXPECT_FALSE(isKnownRule("NO-SUCH-RULE"));
 }
 

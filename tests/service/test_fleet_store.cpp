@@ -57,14 +57,15 @@ exp::ExperienceRecord makeRecord(const std::string& id,
 
 TEST(FleetStore, ShardAppendsAreInvisibleUntilCommit) {
   const fs::path dir = freshDir("shards");
-  FleetStore fleet{(dir / "store.jsonl").string()};
+  const std::string base = (dir / "store.jsonl").string();
+  FleetStore fleet{base};
 
   fleet.appendRecord("alice", makeRecord("cell-a", "IOR_64K", 0.5));
   fleet.appendRecord("bob", makeRecord("cell-b", "IOR_16M", 0.6));
 
   // Durable immediately in the per-tenant shard journals...
-  EXPECT_TRUE(util::fileExists(fleet.tenantShardPath("alice")));
-  EXPECT_TRUE(util::fileExists(fleet.tenantShardPath("bob")));
+  EXPECT_TRUE(util::fileExists(tenantShardPath(base, "alice")));
+  EXPECT_TRUE(util::fileExists(tenantShardPath(base, "bob")));
   // ...but not yet visible to the base generation or the recall snapshot.
   EXPECT_EQ(fleet.baseSize(), 0U);
   EXPECT_EQ(fleet.snapshot()->size(), 0U);
@@ -73,7 +74,7 @@ TEST(FleetStore, ShardAppendsAreInvisibleUntilCommit) {
   EXPECT_EQ(fleet.baseSize(), 2U);
   EXPECT_EQ(fleet.snapshot()->size(), 2U);
   // Absorbed shards are consumed, not re-absorbed on the next commit.
-  EXPECT_FALSE(util::fileExists(fleet.tenantShardPath("alice")));
+  EXPECT_FALSE(util::fileExists(tenantShardPath(base, "alice")));
   EXPECT_EQ(fleet.commit(), 0U);
 }
 
@@ -142,6 +143,26 @@ TEST(FleetStore, CommitDedupsShardLinesAndDeletesShardFiles) {
   const exp::ExperienceStore reloaded{base};
   EXPECT_EQ(reloaded.size(), 2U);
   EXPECT_EQ(reloaded.corruptLinesSkipped(), 0U);
+}
+
+TEST(FleetStore, TornShardTailDoesNotSwallowTheNextRecord) {
+  const fs::path dir = freshDir("torn");
+  const std::string base = (dir / "store.jsonl").string();
+  const std::string shard = tenantShardPath(base, "alice");
+  FleetStore fleet{base};
+  fleet.appendRecord("alice", makeRecord("cell-a", "IOR_64K", 0.5));
+  // A run killed mid-filing leaves half of its shard line...
+  const std::string torn = makeRecord("cell-b", "IOR_16M", 0.6).toJson().dump();
+  util::writeFile(shard, util::readFile(shard) + torn.substr(0, torn.size() / 2));
+  // ...and the next run's filing must still land whole.
+  fleet.appendRecord("alice", makeRecord("cell-c", "IO500", 0.4));
+
+  EXPECT_EQ(fleet.commit(), 2U);
+  std::set<std::string> ids;
+  for (const exp::ExperienceRecord& record : fleet.snapshot()->records()) {
+    ids.insert(record.id);
+  }
+  EXPECT_EQ(ids, (std::set<std::string>{"cell-a", "cell-c"}));
 }
 
 TEST(FleetStore, ReFiledCellCreditsWhatItRecalledOnce) {

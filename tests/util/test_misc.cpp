@@ -1,7 +1,11 @@
-// Units, tables, thread pool, logging.
+// Units, tables, thread pool, files, logging.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "util/file.hpp"
 #include "util/log.hpp"
@@ -98,6 +102,74 @@ TEST(File, EnsureParentDirCreatesMissingAncestors) {
   EXPECT_EQ(readFile(nested), "x");
   ensureParentDir(nested);        // idempotent
   ensureParentDir("plain.name");  // no directory part: no-op
+}
+
+TEST(File, AppendJsonLineStartsAFreshLineAfterATornTail) {
+  const std::string path = ::testing::TempDir() + "/stellar_torn_tail.jsonl";
+  Json torn = Json::makeObject();
+  torn.set("type", "measurement");
+  torn.set("index", 1);
+  const std::string line = torn.dump();
+  Json next = Json::makeObject();
+  next.set("type", "final");
+  // A kill mid-write can leave any strict prefix of a line as the tail.
+  for (std::size_t cut = 1; cut < line.size(); ++cut) {
+    writeFile(path, "{\"type\":\"header\"}\n" + line.substr(0, cut));
+    appendJsonLine(path, next);
+    std::vector<std::string> types;
+    const std::size_t skipped = forEachJsonLine(path, "test", [&types](const Json& doc) {
+      types.push_back(doc.getString("type"));
+    });
+    EXPECT_EQ(skipped, 1U) << "torn at byte " << cut;
+    EXPECT_EQ(types, (std::vector<std::string>{"header", "final"}))
+        << "torn at byte " << cut;
+  }
+  // A whole tail, or no file at all, gets no extra line break.
+  writeFile(path, line + "\n");
+  appendJsonLine(path, next);
+  EXPECT_EQ(readFile(path), line + "\n" + next.dump() + "\n");
+  (void)std::remove(path.c_str());
+  appendJsonLine(path, next);
+  EXPECT_EQ(readFile(path), next.dump() + "\n");
+}
+
+TEST(File, ForEachJsonLineSkipsAndCountsCorruptLines) {
+  const std::string path = ::testing::TempDir() + "/stellar_for_each.jsonl";
+  (void)std::remove(path.c_str());
+  const auto never = [](const Json&) { ADD_FAILURE() << "a missing file has no lines"; };
+  EXPECT_EQ(forEachJsonLine(path, "test", never), 0U);
+
+  writeFile(path, "{\"n\":1}\n\n   \nnot json\n{\"n\":2}\n{\"n\":-3}\n{\"n\":4}");
+  std::vector<int> seen;
+  const std::size_t skipped = forEachJsonLine(path, "test", [&seen](const Json& doc) {
+    const int n = doc.getInteger<int>("n", 0);
+    if (n < 0) {
+      throw JsonError("negative n");  // the callback rejects the line
+    }
+    seen.push_back(n);
+  });
+  // The garbage and the rejected line are skipped and counted; blank lines
+  // are neither.
+  EXPECT_EQ(skipped, 2U);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 4}));
+}
+
+TEST(File, ReplaceFileLeavesTheOldFileWholeWhenTheTempWriteFails) {
+  const std::string dir = ::testing::TempDir() + "/stellar_replace_test";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/rules.json";
+  replaceFile(path, "old\n");  // creates the parent directory
+  EXPECT_EQ(readFile(path), "old\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A directory in the temp file's place makes the temp write fail.
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_THROW(replaceFile(path, "new\n"), std::runtime_error);
+  EXPECT_EQ(readFile(path), "old\n");
+
+  std::filesystem::remove(path + ".tmp");
+  replaceFile(path, "new\n");
+  EXPECT_EQ(readFile(path), "new\n");
 }
 
 TEST(Log, LevelFilterWorks) {

@@ -10,8 +10,9 @@
 // from unordered-container iteration, seeds threaded from options structs
 // rather than ad-hoc literals, JSON accesses checked or defaulted, JSON
 // numbers read into integers through the range-checked accessors, metric
-// names registered in the one catalogue, and no exceptions thrown naked
-// across the thread-pool task boundary.
+// names registered in the one catalogue, no exceptions thrown naked
+// across the thread-pool task boundary, and no file opened for append
+// outside the crash-safe file layer.
 //
 // Deliberately token/AST-lite (a lexer plus brace/paren-aware scanners,
 // no libclang): the rules are repo idioms, not general C++ semantics, and

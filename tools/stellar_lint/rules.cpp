@@ -519,6 +519,49 @@ void checkThrowTask(const SourceFile& file, std::vector<Finding>& out) {
   }
 }
 
+/// The one file that opens files for append: util::appendJsonLine starts a
+/// fresh line after a torn tail, which a raw append would glue onto.
+constexpr const char* kAppendHome = "src/util/file.cpp";
+
+void checkRawAppend(const SourceFile& file, std::vector<Finding>& out) {
+  if (file.path == kAppendHome) return;
+  const auto flag = [&](int line, const std::string& how) {
+    out.push_back(makeFinding(file, line, "RES-RAW-APPEND",
+                              how + " opens a file for append outside " + kAppendHome +
+                                  "; append through util::appendJsonLine, which starts "
+                                  "a fresh line after a torn tail"));
+  };
+  const auto& toks = file.tokens;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (isIdent(toks[i], "O_APPEND")) {
+      flag(toks[i].line, "O_APPEND");
+    } else if (isIdent(toks[i], "app") && i >= 2 && isPunct(toks[i - 1], "::") &&
+               (isIdent(toks[i - 2], "ios") || isIdent(toks[i - 2], "ios_base"))) {
+      flag(toks[i].line, "std::" + toks[i - 2].text + "::app");
+    } else if (isIdent(toks[i], "fopen") && i + 1 < toks.size() &&
+               isPunct(toks[i + 1], "(")) {
+      // The mode is the second argument; an `a` mode appends.
+      const std::size_t close = matchingClose(toks, i + 1);
+      int depth = 0;
+      std::size_t commas = 0;
+      for (std::size_t j = i + 1; j < close; ++j) {
+        if (isPunct(toks[j], "(") || isPunct(toks[j], "{") || isPunct(toks[j], "[")) {
+          ++depth;
+        } else if (isPunct(toks[j], ")") || isPunct(toks[j], "}") ||
+                   isPunct(toks[j], "]")) {
+          --depth;
+        } else if (depth == 1 && isPunct(toks[j], ",")) {
+          ++commas;
+        } else if (depth == 1 && commas == 1 && toks[j].kind == Token::Kind::String &&
+                   toks[j].text.rfind('a', 0) == 0) {
+          flag(toks[j].line, "fopen mode \"" + toks[j].text + "\"");
+          break;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---- catalogue -------------------------------------------------------------
@@ -538,6 +581,8 @@ const std::vector<RuleInfo>& ruleCatalogue() {
        "no static_cast of Json asNumber()/getNumber() to an integer; use asInteger/getInteger"},
       {"RES-COUNTER-NAME", "metric names must be registered in src/obs/metric_names.hpp"},
       {"RES-THROW-TASK", "no naked throw across the ThreadPool task boundary"},
+      {"RES-RAW-APPEND",
+       "files are opened for append only in src/util/file.cpp (util::appendJsonLine)"},
       {"LINT-SUPPRESS", "suppressions must name a known rule and carry a justification"},
   };
   return kRules;
@@ -663,6 +708,7 @@ void checkFile(const SourceFile& file, const SourceFile* pairedHeader,
   checkJsonInt(file, out);
   checkCounterNames(file, ctx, out);
   checkThrowTask(file, out);
+  checkRawAppend(file, out);
 }
 
 }  // namespace stellar::lint
