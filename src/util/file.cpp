@@ -31,6 +31,7 @@ void writeFile(const std::string& path, const std::string& contents) {
     throw std::runtime_error("cannot open file for writing: " + path);
   }
   out << contents;
+  out.close();  // writes the buffered tail, so a full disk can fail here too
   if (!out) {
     throw std::runtime_error("error while writing file: " + path);
   }
@@ -50,10 +51,10 @@ void appendJsonLine(const std::string& path, const Json& json) {
   }
   text += json.dump();
   text += '\n';
-  const bool ok = std::fseek(f, 0, SEEK_END) == 0 &&
-                  std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) {
+  const bool buffered = std::fseek(f, 0, SEEK_END) == 0 &&
+                        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  // fclose writes what stdio still holds, for a short line all of it.
+  if (std::fclose(f) != 0 || !buffered) {
     throw std::runtime_error("short write appending to " + path);
   }
 }

@@ -172,6 +172,20 @@ TEST(File, ReplaceFileLeavesTheOldFileWholeWhenTheTempWriteFails) {
   EXPECT_EQ(readFile(path), "new\n");
 }
 
+TEST(File, WritesThatFailOnlyWhenFlushedStillThrow) {
+  // /dev/full takes buffered bytes and fails their flush with ENOSPC, as a
+  // full disk does. A short write is buffered whole until the file closes,
+  // so only the close can report it; a replaceFile that missed it would
+  // rename a short temp file over the old one.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  EXPECT_THROW(writeFile("/dev/full", "x"), std::runtime_error);
+  Json line = Json::makeObject();
+  line.set("type", "final");
+  EXPECT_THROW(appendJsonLine("/dev/full", line), std::runtime_error);
+}
+
 TEST(Log, LevelFilterWorks) {
   const LogLevel before = logLevel();
   setLogLevel(LogLevel::Error);
