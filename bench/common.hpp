@@ -5,12 +5,14 @@
 // benches read their committed BENCH_*.json baselines through it too.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -37,6 +39,12 @@ inline void printHeader(const std::string& title, const std::string& paperRef) {
 
 inline std::string fmt(double v, int decimals = 2) {
   return util::formatDouble(v, decimals);
+}
+
+/// Upper median of a non-empty sample.
+inline double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
 }
 
 /// "12.34 ± 0.56" mean/CI cell.

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -38,10 +39,7 @@ double runOnce(const pfs::PfsSimulator& simulator, const pfs::JobSpec& job,
   return std::chrono::duration<double>(stop - start).count();
 }
 
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
+using bench::median;
 
 double minimum(const std::vector<double>& xs) {
   return *std::min_element(xs.begin(), xs.end());

@@ -17,7 +17,10 @@
 //     readahead may not make the same job dearer to simulate (per-EVENT
 //     cost is the wrong normalization here — the two runs have different
 //     event mixes, so the gated quantity is per-RUN; per-event figures are
-//     emitted as informational metrics)
+//     emitted as informational metrics). The arms alternate run by run and
+//     the gate takes the median of each repeat's RA-on/RA-off ratio: a run
+//     is ~0.1-0.3 ms, so one scheduler preemption (~4 ms) on a loaded host
+//     moves an arm's mean by tens of percent, but not the paired median.
 //   - cold sequential hit rate >= 0.95 (closed form: (N-1)/N per file)
 //   - random-read hit rate <= 0.05, separation cold - random >= 0.90 —
 //     the steepened response surface the rewrite exists for
@@ -109,38 +112,62 @@ struct BenchPoint {
   double readPhase = 0.0;    // simulated seconds from barrier to last reader
 };
 
-BenchPoint runPoint(const char* label, const pfs::JobSpec& job,
-                    const pfs::PfsConfig& cfg, int repeats) {
-  const pfs::PfsSimulator sim{{.cluster = benchCluster()}};
-  BenchPoint point;
-  double totalSeconds = 0.0;
+/// One configuration of the job under measurement.
+struct Arm {
+  Arm(const char* label, const pfs::JobSpec& job, const pfs::PfsConfig& cfg)
+      : label(label), job(job), cfg(cfg) {}
+
+  const char* label;
+  const pfs::JobSpec& job;
+  pfs::PfsConfig cfg;
+  std::vector<double> runSeconds;  // host seconds of each repeat, in order
   std::uint64_t events = 0;
-  for (int i = 0; i < repeats; ++i) {
-    const auto start = Clock::now();
-    const pfs::RunResult result = sim.run(job, cfg, /*seed=*/17);
-    totalSeconds += secondsSince(start);
-    events = result.counters.events;
-    // INV-R1 partition: every read byte is a readahead hit, a readahead
-    // miss, or a page-cache hit — the sum is the read-byte denominator.
-    const double bytesRead =
-        static_cast<double>(result.counters.readaheadHitBytes +
-                            result.counters.readaheadMissBytes +
-                            result.counters.pageCacheHitBytes);
-    point.hitRate =
-        static_cast<double>(result.counters.readaheadHitBytes) / bytesRead;
-    double lastReader = 0.0;
-    for (std::uint32_t r = kReaders; r < 2 * kReaders; ++r) {
-      lastReader = std::max(lastReader, result.ranks[r].finishTime);
-    }
-    point.readPhase = lastReader - result.barrierTimes.front();
+  BenchPoint point;
+};
+
+void runOnce(const pfs::PfsSimulator& sim, Arm& arm) {
+  const auto start = Clock::now();
+  const pfs::RunResult result = sim.run(arm.job, arm.cfg, /*seed=*/17);
+  arm.runSeconds.push_back(secondsSince(start));
+  arm.events = result.counters.events;
+  // INV-R1 partition: every read byte is a readahead hit, a readahead
+  // miss, or a page-cache hit — the sum is the read-byte denominator.
+  const double bytesRead =
+      static_cast<double>(result.counters.readaheadHitBytes +
+                          result.counters.readaheadMissBytes +
+                          result.counters.pageCacheHitBytes);
+  arm.point.hitRate =
+      static_cast<double>(result.counters.readaheadHitBytes) / bytesRead;
+  double lastReader = 0.0;
+  for (std::uint32_t r = kReaders; r < 2 * kReaders; ++r) {
+    lastReader = std::max(lastReader, result.ranks[r].finishTime);
   }
-  point.wallPerRun = totalSeconds / repeats;
-  point.usPerEvent = 1e6 * point.wallPerRun / static_cast<double>(events);
-  std::printf(
-      "  %-10s %7.0f us/run  %5.2f us/event  hit rate %.4f  read phase %.3fs (x%d)\n",
-      label, 1e6 * point.wallPerRun, point.usPerEvent, point.hitRate,
-      point.readPhase, repeats);
-  return point;
+  arm.point.readPhase = lastReader - result.barrierTimes.front();
+}
+
+/// Runs every arm `repeats` times. The arms alternate inside each repeat
+/// (in reverse order on odd repeats), so a repeat's runs share one host
+/// load; each arm reports its per-run mean.
+void runArms(std::vector<Arm>& arms, int repeats) {
+  const pfs::PfsSimulator sim{{.cluster = benchCluster()}};
+  for (int i = 0; i < repeats; ++i) {
+    for (std::size_t k = 0; k < arms.size(); ++k) {
+      runOnce(sim, arms[i % 2 == 0 ? k : arms.size() - 1 - k]);
+    }
+  }
+  for (Arm& arm : arms) {
+    BenchPoint& point = arm.point;
+    double totalSeconds = 0.0;
+    for (const double seconds : arm.runSeconds) {
+      totalSeconds += seconds;
+    }
+    point.wallPerRun = totalSeconds / repeats;
+    point.usPerEvent = 1e6 * point.wallPerRun / static_cast<double>(arm.events);
+    std::printf(
+        "  %-10s %7.0f us/run  %5.2f us/event  hit rate %.4f  read phase %.3fs (x%d)\n",
+        arm.label, 1e6 * point.wallPerRun, point.usPerEvent, point.hitRate,
+        point.readPhase, repeats);
+  }
 }
 
 // Regression check against a committed BENCH_readahead.json: only the
@@ -195,24 +222,31 @@ int main(int argc, char** argv) {
 
   std::printf("micro_readahead: sliding-window readahead gate%s\n",
               quick ? " (quick)" : "");
-  // Single runs are sub-millisecond; average many so scheduler noise and
-  // frequency wander cancel instead of deciding the per-run cost ratio.
+  // Single runs are sub-millisecond; many paired repeats let the median
+  // ratio shrug off the runs a preemption or frequency step lands on.
   const int repeats = quick ? 60 : 240;
   bool ok = true;
 
   const pfs::JobSpec seqJob = crossNodeReadJob(/*descending=*/false);
   const pfs::JobSpec randomJob = crossNodeReadJob(/*descending=*/true);
-  const BenchPoint on = runPoint("seq RA-on", seqJob, benchConfig(true), repeats);
-  const BenchPoint off =
-      runPoint("seq RA-off", seqJob, benchConfig(false), repeats);
-  const BenchPoint random =
-      runPoint("random", randomJob, benchConfig(true), repeats);
+  std::vector<Arm> arms{{"seq RA-on", seqJob, benchConfig(true)},
+                        {"seq RA-off", seqJob, benchConfig(false)},
+                        {"random", randomJob, benchConfig(true)}};
+  runArms(arms, repeats);
+  const BenchPoint& on = arms[0].point;
+  const BenchPoint& off = arms[1].point;
+  const BenchPoint& random = arms[2].point;
 
-  const double hostCostRatio = on.wallPerRun / off.wallPerRun;
+  std::vector<double> pairedRatios;
+  for (int i = 0; i < repeats; ++i) {
+    pairedRatios.push_back(arms[0].runSeconds[i] / arms[1].runSeconds[i]);
+  }
+  const double hostCostRatio = bench::median(pairedRatios);
   const double separation = on.hitRate - random.hitRate;
   const double speedup = off.readPhase / on.readPhase;
-  std::printf("  host cost per run RA-on/RA-off: %.3f (gate <= 1.10)\n",
-              hostCostRatio);
+  std::printf("  host cost per run RA-on/RA-off, median of %d repeats: %.3f "
+              "(gate <= 1.10)\n",
+              repeats, hostCostRatio);
   std::printf("  hit-rate separation cold seq vs random: %.4f (gate >= 0.90)\n",
               separation);
   std::printf("  simulated read-phase speedup from RA: %.2fx (gate >= 1.2)\n",

@@ -67,8 +67,9 @@ ClientRuntime::ClientRuntime(sim::SimEngine& engine, const ClusterSpec& cluster,
     NodeState& node = nodes_[n];
     node.locks.configure(static_cast<std::size_t>(config_.ldlm_lru_size),
                          static_cast<double>(config_.ldlm_lru_max_age));
-    node.locks.setEvictionHandler(
-        [&node](FileId file) { node.pageValid.erase(file); });
+    node.locks.setEvictionHandler([&node](FileId file) { node.pageValid[file] = 0; });
+    node.openCount.assign(job.files.size(), 0);
+    node.pageValid.assign(job.files.size(), 0);
     node.readahead.setBudget(static_cast<std::uint64_t>(config_.llite_max_read_ahead_mb) *
                              util::kMiB);
   }
@@ -362,7 +363,7 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
         engine_.scheduleAfter(0.0, std::move(waiter));
       }
       node.locks.erase(op.file);
-      node.pageValid.erase(op.file);
+      node.pageValid[op.file] = 0;
       blockRank(r, OpKind::Unlink);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Unlink, f.layout.stripeCount, true,
@@ -706,7 +707,7 @@ bool ClientRuntime::execWrite(RankState& r, const IoOp& op) {
     const std::uint64_t nodeBit = 1ULL << r.node;
     const std::uint64_t others = f.writerNodeMask & ~nodeBit;
     f.writerNodeMask |= nodeBit;
-    nodes_[r.node].pageValid.insert(op.file);
+    nodes_[r.node].pageValid[op.file] = 1;
     f.size = std::max(f.size, op.offset + op.size);
     if (others != 0) {
       const int k = std::popcount(f.writerNodeMask);
@@ -877,7 +878,7 @@ bool ClientRuntime::execRead(RankState& r, const IoOp& op) {
   // lost their protecting lock serves reads locally (Lustre drops the
   // pages when the DLM lock is evicted or expires).
   const std::uint64_t nodeBit = 1ULL << r.node;
-  if (f.writerNodeMask == nodeBit && node.pageValid.contains(op.file) &&
+  if (f.writerNodeMask == nodeBit && node.pageValid[op.file] != 0 &&
       node.locks.touch(op.file, engine_.now())) {
     ++counters_.lockHits;
     counters_.pageCacheHitBytes += op.size;
@@ -997,13 +998,10 @@ void ClientRuntime::execCloseLocal(RankState& r, const IoOp& op) {
   fd.open = false;
   fd.ra.close();
 
-  auto it = node.openCount.find(op.file);
-  if (it != node.openCount.end() && it->second > 0) {
-    --it->second;
-    if (it->second == 0) {
-      for (sim::Callback& waiter : node.readahead.dropFile(op.file)) {
-        engine_.scheduleAfter(0.0, std::move(waiter));
-      }
+  std::uint32_t& open = node.openCount[op.file];
+  if (open > 0 && --open == 0) {
+    for (sim::Callback& waiter : node.readahead.dropFile(op.file)) {
+      engine_.scheduleAfter(0.0, std::move(waiter));
     }
   }
   // Note: close does NOT flush dirty data. Lustre's background writeout

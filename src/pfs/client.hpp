@@ -34,7 +34,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -352,6 +351,11 @@ class ClientRuntime {
   /// Per-node state that is genuinely per node (not per node x OST) and
   /// not a queueing primitive: lock LRU, readahead store, and file
   /// bookkeeping. The NIC and metadata caps are node-indexed banks.
+  ///
+  /// Per-file tables on the metadata path are flat vectors indexed by the
+  /// dense FileId, sized to the job's file count at construction (the lock
+  /// LRU's slot vector grows to the largest id it caches): 4 + 1 bytes per
+  /// file here plus at most 24 in the LRU.
   struct NodeState {
     LockLru locks;
     ReadAheadCache readahead;
@@ -361,11 +365,12 @@ class ClientRuntime {
     /// (stellar-lint DET-UNORDERED-ITER; pinned by the ML-DET law).
     std::map<FileId, std::uint32_t> flushInFlight;
     std::map<FileId, std::vector<sim::Callback>> fsyncWaiters;
-    std::unordered_map<FileId, std::uint32_t> openCount;  // open FDs on node
-    /// Files whose written pages are still cached on this node. Set on
-    /// write; cleared when the protecting DLM lock leaves the LRU (via
-    /// the eviction handler) or on unlink.
-    std::unordered_set<FileId> pageValid;
+    /// Open FDs on this node, per file.
+    std::vector<std::uint32_t> openCount;
+    /// Nonzero while the file's written pages are still cached on this
+    /// node. Set on write; cleared when the protecting DLM lock leaves the
+    /// LRU (via the eviction handler) or on unlink.
+    std::vector<std::uint8_t> pageValid;
   };
 
   struct FileState {

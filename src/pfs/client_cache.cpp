@@ -295,18 +295,48 @@ LockLru::LockLru(std::size_t capacity, double maxAge) {
 void LockLru::configure(std::size_t capacity, double maxAge) {
   capacity_ = capacity == 0 ? kDynamicCapacity : capacity;
   maxAge_ = maxAge;
-  while (order_.size() > capacity_) {
-    evict(order_.back().file);
+  while (size_ > capacity_) {
+    evict(tail_);
+  }
+}
+
+void LockLru::unlink(FileId file) noexcept {
+  const Slot& slot = slots_[file];
+  if (slot.prev == kInvalidFile) {
+    head_ = slot.next;
+  } else {
+    slots_[slot.prev].next = slot.next;
+  }
+  if (slot.next == kInvalidFile) {
+    tail_ = slot.prev;
+  } else {
+    slots_[slot.next].prev = slot.prev;
+  }
+}
+
+void LockLru::linkFront(FileId file) noexcept {
+  Slot& slot = slots_[file];
+  slot.prev = kInvalidFile;
+  slot.next = head_;
+  if (head_ == kInvalidFile) {
+    tail_ = file;
+  } else {
+    slots_[head_].prev = file;
+  }
+  head_ = file;
+}
+
+void LockLru::moveToFront(FileId file) noexcept {
+  if (head_ != file) {
+    unlink(file);
+    linkFront(file);
   }
 }
 
 void LockLru::evict(FileId file) {
-  const auto it = index_.find(file);
-  if (it == index_.end()) {
-    return;
-  }
-  order_.erase(it->second);
-  index_.erase(it);
+  unlink(file);
+  slots_[file].cached = false;
+  --size_;
   ++evictions_;
   if (onEvict_) {
     onEvict_(file);
@@ -314,12 +344,11 @@ void LockLru::evict(FileId file) {
 }
 
 bool LockLru::touch(FileId file, double now) {
-  const auto it = index_.find(file);
-  if (it == index_.end()) {
+  if (!held(file)) {
     ++misses_;
     return false;
   }
-  if (now - it->second->acquiredAt > maxAge_) {
+  if (now - slots_[file].acquiredAt > maxAge_) {
     // Expired: behaves as a miss and the stale entry (plus the pages it
     // protected) is dropped.
     evict(file);
@@ -327,34 +356,40 @@ bool LockLru::touch(FileId file, double now) {
     return false;
   }
   // Refresh recency; lock use extends residency.
-  order_.splice(order_.begin(), order_, it->second);
-  it->second->acquiredAt = now;
+  moveToFront(file);
+  slots_[file].acquiredAt = now;
   ++hits_;
   return true;
 }
 
 bool LockLru::contains(FileId file, double now) const {
-  const auto it = index_.find(file);
-  return it != index_.end() && now - it->second->acquiredAt <= maxAge_;
+  return held(file) && now - slots_[file].acquiredAt <= maxAge_;
 }
 
 void LockLru::insert(FileId file, double now) {
-  const auto it = index_.find(file);
-  if (it != index_.end()) {
-    it->second->acquiredAt = now;
-    order_.splice(order_.begin(), order_, it->second);
+  assert(file != kInvalidFile);
+  if (file >= slots_.size()) {
+    slots_.resize(static_cast<std::size_t>(file) + 1);
+  }
+  Slot& slot = slots_[file];
+  slot.acquiredAt = now;
+  if (slot.cached) {
+    moveToFront(file);
     return;
   }
-  order_.push_front(Entry{file, now});
-  index_[file] = order_.begin();
+  slot.cached = true;
+  linkFront(file);
+  ++size_;
   ++inserts_;
-  while (order_.size() > capacity_) {
-    evict(order_.back().file);
+  while (size_ > capacity_) {
+    evict(tail_);
   }
 }
 
 void LockLru::erase(FileId file) {
-  evict(file);
+  if (held(file)) {
+    evict(file);
+  }
 }
 
 }  // namespace stellar::pfs

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -206,6 +205,14 @@ class WritebackBank {
 /// DLM lock LRU with capacity and TTL semantics. Losing a lock (capacity
 /// eviction, TTL expiry, or explicit erase) drops the pages it protected;
 /// owners observe that through the eviction handler.
+///
+/// File ids are dense, so the recency list is intrusive: a FileId-indexed
+/// slot vector holds each lock's timestamp and its prev/next links, and
+/// `head_`/`tail_` name the most and least recent lock. Every operation is
+/// O(1) with no hashing and no per-lock allocation. The vector grows only
+/// on `insert`, to the largest id inserted: probing an id the LRU never
+/// held is a miss that allocates nothing. tests/pfs/test_caches.cpp pins it
+/// to a list+map reference on random op streams.
 class LockLru {
  public:
   using EvictionHandler = std::function<void(FileId)>;
@@ -238,7 +245,7 @@ class LockLru {
   /// Drops the lock (unlink / revoke).
   void erase(FileId file);
 
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t effectiveCapacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
@@ -249,18 +256,30 @@ class LockLru {
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:
-  struct Entry {
-    FileId file;
-    double acquiredAt;
+  /// One per FileId below slots_.size(); links are meaningful while cached.
+  struct Slot {
+    double acquiredAt = 0.0;
+    FileId prev = kInvalidFile;  ///< toward the front (more recent)
+    FileId next = kInvalidFile;  ///< toward the back (less recent)
+    bool cached = false;
   };
+  static_assert(sizeof(Slot) <= 24);
 
+  [[nodiscard]] bool held(FileId file) const noexcept {
+    return file < slots_.size() && slots_[file].cached;
+  }
+  void unlink(FileId file) noexcept;
+  void linkFront(FileId file) noexcept;
+  void moveToFront(FileId file) noexcept;
   void evict(FileId file);
 
   std::size_t capacity_;
   double maxAge_;
   EvictionHandler onEvict_;
-  std::list<Entry> order_;  // front = most recent
-  std::unordered_map<FileId, std::list<Entry>::iterator> index_;
+  std::vector<Slot> slots_;
+  FileId head_ = kInvalidFile;  ///< most recent
+  FileId tail_ = kInvalidFile;  ///< least recent
+  std::size_t size_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t inserts_ = 0;

@@ -25,7 +25,7 @@ OstBank::OstBank(sim::SimEngine& engine, const ClusterSpec& cluster,
   }
 }
 
-void OstBank::submitBulk(std::uint32_t ost, std::uint64_t objectKey,
+void OstBank::submitBulk(std::uint32_t ost, FileId objectKey,
                          std::uint64_t objectOffset, std::uint64_t bytes,
                          bool isWrite, sim::Callback onDone) {
   ++rpcsServed_[ost];
@@ -43,13 +43,13 @@ void OstBank::submitBulk(std::uint32_t ost, std::uint64_t objectKey,
     const DiskSpec& disk = cluster_.disk;
 
     // Seek detection per object: contiguous with the previous access?
-    auto& lastEnd = lastEnd_[ost];
-    bool contiguous = false;
-    const auto it = lastEnd.find(objectKey);
-    if (it != lastEnd.end() && it->second == objectOffset) {
-      contiguous = true;
+    std::vector<std::uint64_t>& lastEnd = lastEnd_[ost];
+    if (objectKey >= lastEnd.size()) {
+      lastEnd.resize(static_cast<std::size_t>(objectKey) + 1, kNeverAccessed);
     }
-    lastEnd[objectKey] = objectOffset + bytes;
+    std::uint64_t& objectEnd = lastEnd[objectKey];
+    const bool contiguous = objectEnd == objectOffset;
+    objectEnd = objectOffset + bytes;
     if (!contiguous) {
       ++seeks_[ost];
     }

@@ -15,10 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "pfs/job.hpp"
 #include "pfs/topology.hpp"
 #include "sim/callback.hpp"
 #include "sim/engine.hpp"
@@ -42,15 +42,15 @@ class OstBank {
   OstBank& operator=(const OstBank&) = delete;
 
   /// Submits a bulk data RPC that has *arrived at the server*. `objectKey`
-  /// identifies the backing object (file id works: one object per file per
-  /// OST); `objectOffset` is object-local. Calls onDone when the server
-  /// has completed the transfer + disk work.
-  void submitBulk(std::uint32_t ost, std::uint64_t objectKey,
+  /// identifies the backing object: the client passes its file id (one
+  /// object per file per OST). `objectOffset` is object-local. Calls onDone
+  /// when the server has completed the transfer + disk work.
+  void submitBulk(std::uint32_t ost, FileId objectKey,
                   std::uint64_t objectOffset, std::uint64_t bytes, bool isWrite,
                   sim::Callback onDone);
 
   template <sim::EventCallable F>
-  void submitBulk(std::uint32_t ost, std::uint64_t objectKey,
+  void submitBulk(std::uint32_t ost, FileId objectKey,
                   std::uint64_t objectOffset, std::uint64_t bytes, bool isWrite,
                   F&& onDone) {
     submitBulk(ost, objectKey, objectOffset, bytes, isWrite,
@@ -111,8 +111,12 @@ class OstBank {
   std::vector<std::uint64_t> bytesServed_;
   std::vector<std::uint64_t> bytesWritten_;
   std::vector<std::uint64_t> seeks_;
-  /// Last accessed end offset per object, for seek detection.
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> lastEnd_;
+  /// Last accessed end offset per object, for seek detection: one flat
+  /// table per OST indexed by object key (file ids are dense), grown on
+  /// first access and filled with kNeverAccessed, an offset no access
+  /// starts at, so an object's first access always seeks.
+  static constexpr std::uint64_t kNeverAccessed = ~std::uint64_t{0};
+  std::vector<std::vector<std::uint64_t>> lastEnd_;
   /// Per-OST jitter streams keyed by (runSeed, global id).
   std::vector<util::Rng> rng_;
 };

@@ -3,6 +3,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <list>
+#include <unordered_map>
+#include <vector>
 
 #include "pfs/client_cache.hpp"
 #include "pfs/readahead.hpp"
@@ -312,6 +316,101 @@ TEST(ReadAheadCache, FindLocatesChunkByBegin) {
 
 // ----------------------------------------------------------------- LockLru
 
+/// The list+map reference for LockLru: the same capacity, TTL and eviction
+/// semantics over a std::list (front = most recent) indexed by a hash map,
+/// written for clarity rather than speed. The differential test below
+/// replays random op streams against both.
+class ListLockLru {
+ public:
+  ListLockLru(std::size_t capacity, double maxAge) { configure(capacity, maxAge); }
+
+  void configure(std::size_t capacity, double maxAge) {
+    capacity_ = capacity == 0 ? LockLru::kDynamicCapacity : capacity;
+    maxAge_ = maxAge;
+    while (order_.size() > capacity_) {
+      evict(order_.back().file);
+    }
+  }
+
+  void setEvictionHandler(std::function<void(FileId)> handler) {
+    onEvict_ = std::move(handler);
+  }
+
+  [[nodiscard]] bool touch(FileId file, double now) {
+    const auto it = index_.find(file);
+    if (it == index_.end()) {
+      ++misses_;
+      return false;
+    }
+    if (now - it->second->acquiredAt > maxAge_) {
+      evict(file);
+      ++misses_;
+      return false;
+    }
+    order_.splice(order_.begin(), order_, it->second);
+    it->second->acquiredAt = now;
+    ++hits_;
+    return true;
+  }
+
+  [[nodiscard]] bool contains(FileId file, double now) const {
+    const auto it = index_.find(file);
+    return it != index_.end() && now - it->second->acquiredAt <= maxAge_;
+  }
+
+  void insert(FileId file, double now) {
+    const auto it = index_.find(file);
+    if (it != index_.end()) {
+      it->second->acquiredAt = now;
+      order_.splice(order_.begin(), order_, it->second);
+      return;
+    }
+    order_.push_front(Entry{file, now});
+    index_[file] = order_.begin();
+    ++inserts_;
+    while (order_.size() > capacity_) {
+      evict(order_.back().file);
+    }
+  }
+
+  void erase(FileId file) { evict(file); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+  [[nodiscard]] std::uint64_t inserts() const noexcept { return inserts_; }
+  [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
+
+ private:
+  struct Entry {
+    FileId file;
+    double acquiredAt;
+  };
+
+  void evict(FileId file) {
+    const auto it = index_.find(file);
+    if (it == index_.end()) {
+      return;
+    }
+    order_.erase(it->second);
+    index_.erase(it);
+    ++evictions_;
+    if (onEvict_) {
+      onEvict_(file);
+    }
+  }
+
+  std::size_t capacity_ = 0;
+  double maxAge_ = 0.0;
+  std::function<void(FileId)> onEvict_;
+  std::list<Entry> order_;
+  std::unordered_map<FileId, std::list<Entry>::iterator> index_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t inserts_ = 0;
+  std::uint64_t evictions_ = 0;
+};
+
 TEST(LockLru, HitRefreshesMissInsertsNothing) {
   LockLru lru{4, 100.0};
   EXPECT_FALSE(lru.touch(1, 0.0));
@@ -365,6 +464,65 @@ TEST(LockLru, ReconfigureShrinksToCapacity) {
   }
   lru.configure(3, 100.0);
   EXPECT_EQ(lru.size(), 3u);
+}
+
+TEST(LockLru, MatchesTheListAndMapReferenceOnRandomStreams) {
+  // 256 seeded streams of 600 ops over ids 0-63 (ids beyond the slot
+  // vector get probed before their first insert), capacities 0 (dynamic)
+  // and 1-8, and TTLs short enough that refreshed locks still expire.
+  // Every return value, counter and eviction callback must agree.
+  constexpr int kStreams = 256;
+  constexpr int kOps = 600;
+  constexpr double kAges[] = {3.0, 12.0, 1e9};
+  for (int stream = 0; stream < kStreams; ++stream) {
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(stream + 1);
+    const auto next = [&x] {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      return x;
+    };
+    const std::size_t capacity = next() % 9;
+    const double maxAge = kAges[next() % 3];
+    LockLru lru{capacity, maxAge};
+    ListLockLru ref{capacity, maxAge};
+    std::vector<FileId> evicted;
+    std::vector<FileId> refEvicted;
+    lru.setEvictionHandler([&evicted](FileId f) { evicted.push_back(f); });
+    ref.setEvictionHandler([&refEvicted](FileId f) { refEvicted.push_back(f); });
+
+    double now = 0.0;
+    for (int step = 0; step < kOps; ++step) {
+      SCOPED_TRACE(::testing::Message() << "stream " << stream << " step " << step);
+      now += static_cast<double>(next() % 4);
+      const auto file = static_cast<FileId>(next() % 64);
+      const std::uint64_t op = next() % 16;
+      if (op < 5) {
+        lru.insert(file, now);
+        ref.insert(file, now);
+      } else if (op < 10) {
+        ASSERT_EQ(lru.touch(file, now), ref.touch(file, now));
+      } else if (op < 13) {
+        ASSERT_EQ(lru.contains(file, now), ref.contains(file, now));
+      } else if (op < 15) {
+        lru.erase(file);
+        ref.erase(file);
+      } else {
+        const std::size_t cap = next() % 9;
+        const double age = kAges[next() % 3];
+        lru.configure(cap, age);
+        ref.configure(cap, age);
+      }
+      ASSERT_EQ(lru.size(), ref.size());
+      ASSERT_EQ(lru.hits(), ref.hits());
+      ASSERT_EQ(lru.misses(), ref.misses());
+      ASSERT_EQ(lru.inserts(), ref.inserts());
+      ASSERT_EQ(lru.evictions(), ref.evictions());
+      ASSERT_EQ(evicted.size(), refEvicted.size());
+      ASSERT_EQ(lru.inserts(), lru.evictions() + lru.size());
+    }
+    ASSERT_EQ(evicted, refEvicted) << "stream " << stream;
+  }
 }
 
 // ------------------------------------------------------------ ReadaWindow
