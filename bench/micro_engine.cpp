@@ -217,8 +217,7 @@ int main(int argc, char** argv) {
   // One shard per federation cell: each cell's queue drains to completion
   // with a hot cache instead of 1000 cells' state thrashing through one
   // interleaved queue, and worker threads (capped at the core count by
-  // ShardedEngine) pick shards off the pool. Cells are shallow, so a small
-  // per-shard arena first block avoids 1000 x 64 KiB of idle reservation.
+  // ShardedEngine) pick shards off the pool.
   std::printf("scale points (identical per-rank programs, one shard per cell):\n");
   pfs::ClusterSpec mono = pfs::scaledCluster(100);
   mono.cells = 1;  // the old engine's world: one monolithic event queue
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
       runScalePoint("1x", std::move(mono), sim::EngineOptions{}, chunks, repeats1x);
   const ScalePoint big = runScalePoint(
       "10x", pfs::scaledCluster(1000),
-      sim::EngineOptions{.arenaBytes = 8 * 1024, .shards = 1000}, chunks, repeats10x);
+      sim::EngineOptions{.shards = 1000}, chunks, repeats10x);
 
   const double perEventRatio = big.usPerEvent / base.usPerEvent;
   const double wallRatio = big.wallSeconds / base.wallSeconds;
@@ -256,7 +255,7 @@ int main(int argc, char** argv) {
   if (!quick) {
     const ScalePoint huge = runScalePoint(
         "100x", pfs::scaledCluster(10000),
-        sim::EngineOptions{.arenaBytes = 8 * 1024, .shards = 10000}, chunks, 1);
+        sim::EngineOptions{.shards = 10000}, chunks, 1);
     usPerEvent100x = huge.usPerEvent;
   }
 

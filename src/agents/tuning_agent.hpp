@@ -155,7 +155,6 @@ class TuningAgent {
   }
   [[nodiscard]] const pfs::PfsConfig& bestConfig() const noexcept { return bestConfig_; }
   [[nodiscard]] double bestSeconds() const noexcept { return bestSeconds_; }
-  [[nodiscard]] double defaultSeconds() const noexcept { return defaultSeconds_; }
 
   /// Reflect & Summarize (§4.4): distills the run into general rules.
   [[nodiscard]] std::vector<rules::Rule> reflectAndSummarize() const;

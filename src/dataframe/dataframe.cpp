@@ -103,13 +103,6 @@ const std::vector<double>& Column::doubles() const {
   return doubles_;
 }
 
-const std::vector<std::string>& Column::strings() const {
-  if (type_ != ColumnType::String) {
-    throw DataFrameError("not a string column");
-  }
-  return strings_;
-}
-
 // ------------------------------------------------------------- DataFrame --
 
 void DataFrame::addColumn(std::string name, ColumnType type) {

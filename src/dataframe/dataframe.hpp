@@ -44,7 +44,6 @@ class Column {
 
   [[nodiscard]] const std::vector<std::int64_t>& ints() const;
   [[nodiscard]] const std::vector<double>& doubles() const;
-  [[nodiscard]] const std::vector<std::string>& strings() const;
 
  private:
   ColumnType type_;

@@ -9,15 +9,6 @@ constexpr double kBackoffBaseSeconds = 1.0;
 
 }  // namespace
 
-const char* breakerStateName(BreakerState state) noexcept {
-  switch (state) {
-    case BreakerState::Closed: return "closed";
-    case BreakerState::Open: return "open";
-    case BreakerState::HalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 LlmClient::LlmClient(const LlmFaultModel* faults, TokenMeter& meter,
                      obs::CounterRegistry* counters, LlmClientOptions options)
     : faults_(faults), meter_(meter), counters_(counters), opts_(options) {}

@@ -48,8 +48,6 @@ struct CallOutcome {
 
 enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
 
-[[nodiscard]] const char* breakerStateName(BreakerState state) noexcept;
-
 class LlmClient {
  public:
   /// `faults` nullable (inert) and non-owning; `counters` nullable.

@@ -2,17 +2,6 @@
 
 namespace stellar::manual {
 
-const char* categoryName(ParamCategory cat) noexcept {
-  switch (cat) {
-    case ParamCategory::PerformanceTunable: return "performance-tunable";
-    case ParamCategory::BinaryTradeoff: return "binary-tradeoff";
-    case ParamCategory::NotRuntime: return "not-runtime";
-    case ParamCategory::NotPerformance: return "not-performance";
-    case ParamCategory::Undocumented: return "undocumented";
-  }
-  return "?";
-}
-
 namespace {
 
 std::vector<ParamFact> buildFacts() {

@@ -26,8 +26,6 @@ enum class ParamCategory {
   Undocumented,        ///< writable but absent from the manual
 };
 
-[[nodiscard]] const char* categoryName(ParamCategory cat) noexcept;
-
 struct ParamFact {
   std::string name;       ///< canonical dotted name ("osc.max_rpcs_in_flight")
   std::string procPath;   ///< /proc or /sys exposure

@@ -89,6 +89,7 @@ inline constexpr std::string_view kMetricNames[] = {
     "service.store.absorbed",
     "service.store.shard_appends",
     "service.store.snapshot_swaps",
+    "sim.callbacks_spilled",
     "sim.drains",
     "sim.events_dispatched",
 };

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <atomic>
 #include <chrono>
 
 namespace stellar::obs {

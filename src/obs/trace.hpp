@@ -3,7 +3,7 @@
 //
 // Cost model:
 //  - no tracer attached      -> a null-pointer check at each site
-//  - attached but disabled   -> one relaxed atomic load per site
+//  - attached but disabled   -> one load per site (fixed at construction)
 //  - enabled                 -> record assembly + one mutex-guarded push
 //    (the harness runs repeats on a thread pool, so commits synchronize)
 //
@@ -13,7 +13,6 @@
 // an in-flight span costs nothing but stack space.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -56,10 +55,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void setEnabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// RAII span: records [construction, end()] while the owning tracer is
   /// enabled. A default-constructed (or disabled-at-begin) span is inert.
@@ -107,7 +103,7 @@ class Tracer {
  private:
   void commit(TraceRecord&& record);
 
-  std::atomic<bool> enabled_;
+  const bool enabled_;
   std::size_t capacity_;
   double epochUs_;  ///< steady-clock microseconds at construction
 

@@ -298,7 +298,7 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       blockRank(r, OpKind::Mkdir);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Mkdir, 1, true,
-                 sim::Callback{engine_.arena(), [this, &r] { completeOneWait(r); }});
+                 engine_.park([this, &r] { completeOneWait(r); }));
       return false;
     }
     case OpKind::Create: {
@@ -310,14 +310,12 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       blockRank(r, OpKind::Create);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Create, f.layout.stripeCount, true,
-                 sim::Callback{engine_.arena(), [this, &r, &f, file = op.file] {
+                 engine_.park([this, &r, &f, file = op.file] {
                    f.exists = true;
                    cacheLock(ranks_[r.id].node, file);
-                   NodeState& n = nodes_[r.node];
-                   ++n.openCount[file];
-                   r.fds[file].open = true;
+                   ++nodes_[r.node].openCount[file];
                    completeOneWait(r);
-                 }});
+                 }));
       return false;
     }
     case OpKind::Open: {
@@ -328,20 +326,17 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
         // Cached open lock: the open is satisfied from the client cache.
         r.accrued += syscall;
         ++node.openCount[op.file];
-        r.fds[op.file].open = true;
         return true;
       }
       blockRank(r, OpKind::Open);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Open, 1, false,
-                 sim::Callback{engine_.arena(),
-                               [this, &r, file = op.file, waitStart = engine_.now()] {
-                                 noteLockWait(engine_.now() - waitStart);
-                                 cacheLock(r.node, file);
-                                 ++nodes_[r.node].openCount[file];
-                                 r.fds[file].open = true;
-                                 completeOneWait(r);
-                               }});
+                 engine_.park([this, &r, file = op.file, waitStart = engine_.now()] {
+                   noteLockWait(engine_.now() - waitStart);
+                   cacheLock(r.node, file);
+                   ++nodes_[r.node].openCount[file];
+                   completeOneWait(r);
+                 }));
       return false;
     }
     case OpKind::Unlink: {
@@ -367,12 +362,12 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       blockRank(r, OpKind::Unlink);
       r.pendingWaits = 1;
       submitMeta(r.node, MetaOpKind::Unlink, f.layout.stripeCount, true,
-                 sim::Callback{engine_.arena(), [this, &r, &f] {
+                 engine_.park([this, &r, &f] {
                    f.exists = false;
                    f.size = 0;
                    f.writerNodeMask = 0;
                    completeOneWait(r);
-                 }});
+                 }));
       return false;
     }
     case OpKind::Fsync: {
@@ -387,8 +382,7 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       }
       blockRank(r, OpKind::Fsync);
       r.pendingWaits = 1;
-      node.fsyncWaiters[op.file].emplace_back(engine_.arena(),
-                                              [this, &r] { completeOneWait(r); });
+      node.fsyncWaiters[op.file].emplace_back([this, &r] { completeOneWait(r); });
       return false;
     }
     default:
@@ -402,8 +396,10 @@ bool ClientRuntime::execStat(RankState& r, const IoOp& op) {
   ++fs.stats;
   fs.rankMask |= 1ULL << (r.id % 64);
 
-  // Valid cached lock => attributes served from the client cache.
+  // Valid cached lock => attributes served from the client cache. A
+  // statahead entry for this op, ready or in flight, is then never read.
   if (lockCached(r.node, op.file)) {
+    r.statEntries.erase(r.ip);
     r.accrued += cluster_.clientSyscallCost;
     return true;
   }
@@ -450,12 +446,11 @@ bool ClientRuntime::execStat(RankState& r, const IoOp& op) {
   r.pendingWaits = 1;
   (void)node;
   submitMeta(r.node, MetaOpKind::Stat, 1, false,
-             sim::Callback{engine_.arena(),
-                           [this, &r, file = op.file, waitStart = engine_.now()] {
-                             noteLockWait(engine_.now() - waitStart);
-                             cacheLock(r.node, file);
-                             completeOneWait(r);
-                           }});
+             engine_.park([this, &r, file = op.file, waitStart = engine_.now()] {
+               noteLockWait(engine_.now() - waitStart);
+               cacheLock(r.node, file);
+               completeOneWait(r);
+             }));
   return false;
 }
 
@@ -494,8 +489,7 @@ void ClientRuntime::pumpStatahead(RankState& r) {
     ++counters_.lockMisses;
     r.statEntries[idx] = false;
     ++scan.inFlight;
-    submitMeta(r.node, MetaOpKind::Stat, 1, false,
-               sim::Callback{engine_.arena(), [this, &r, idx, file] {
+    submitMeta(r.node, MetaOpKind::Stat, 1, false, engine_.park([this, &r, idx, file] {
       cacheLock(r.node, file);
       auto it = r.statEntries.find(idx);
       if (it != r.statEntries.end()) {
@@ -516,7 +510,7 @@ void ClientRuntime::pumpStatahead(RankState& r) {
         r.statEntries.erase(idx);
         resumeRank(r);
       }
-    }});
+    }));
   }
   if (r.scan && scan.nextToIssue >= scan.endIndex && scan.inFlight == 0) {
     r.scan.reset();
@@ -590,7 +584,7 @@ void ClientRuntime::deliverRpc(RpcDelivery d) {
   });
 }
 
-void ClientRuntime::launchRpc(const RpcDelivery& d, sim::Callback served) {
+void ClientRuntime::launchRpc(const RpcDelivery& d, sim::Parked served) {
   const double latency = cluster_.network.messageLatency;
   if (d.ost < 0) {
     engine_.scheduleAfter(latency, [this, kind = d.metaKind, stripeCount = d.stripeCount,
@@ -635,7 +629,7 @@ void ClientRuntime::launchRpc(const RpcDelivery& d, sim::Callback served) {
 
 void ClientRuntime::submitMeta(std::uint32_t nodeIdx, MetaOpKind kind,
                                std::uint32_t stripeCount, bool modifying,
-                               sim::Callback onDone) {
+                               sim::Parked onDone) {
   ++counters_.metaRpcs;
   if (traceOn_) {
     tracer_->instant("rpc", std::string("meta:") + metaOpName(kind),
@@ -646,19 +640,18 @@ void ClientRuntime::submitMeta(std::uint32_t nodeIdx, MetaOpKind kind,
       .node = nodeIdx,
       .metaKind = kind,
       .stripeCount = stripeCount,
-      .complete = sim::Callback{engine_.arena(),
-                                [this, nodeIdx, modifying,
-                                 onDone = std::move(onDone)]() mutable {
-                                  mdcFlow_.release(nodeIdx);
-                                  if (modifying) {
-                                    modFlow_.release(nodeIdx);
-                                  }
-                                  onDone();
-                                }},
+      .complete = engine_.park([this, nodeIdx, modifying,
+                                onDone = std::move(onDone)]() mutable {
+        mdcFlow_.release(nodeIdx);
+        if (modifying) {
+          modFlow_.release(nodeIdx);
+        }
+        engine_.run(std::move(onDone));
+      }),
   };
-  auto issue = [this, nodeIdx, d = std::move(d)]() mutable {
-    mdcFlow_.acquire(nodeIdx,
-                     [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
+  auto issue = [this, d = std::move(d)]() mutable {
+    const std::uint32_t node = d.node;
+    mdcFlow_.acquire(node, [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
   };
   if (modifying) {
     modFlow_.acquire(nodeIdx, std::move(issue));
@@ -743,7 +736,7 @@ bool ClientRuntime::execWrite(RankState& r, const IoOp& op) {
     // No dirty budget: push current pending data out and wait for space.
     flushPending(r.node, seg.ost);
     blockRank(r, OpKind::Write);
-    dirty_.waitForSpace(l, seg.length, sim::Callback{engine_.arena(), [this, &r] {
+    dirty_.waitForSpace(l, seg.length, sim::Callback{[this, &r] {
       // The waiter's reservation is already charged; mark it so the
       // re-entered execWrite records the segment without re-reserving.
       r.reservedSegment = true;
@@ -796,7 +789,7 @@ void ClientRuntime::issueWriteRpc(std::uint32_t nodeIdx, std::uint32_t ost, File
       .file = file,
       .objectOffset = objectOffset,
       .bytes = bytes,
-      .complete = sim::Callback{engine_.arena(), [this, &node, l, file, bytes] {
+      .complete = engine_.park([this, &node, l, file, bytes] {
         oscFlow_.release(l);
         dirty_.release(l, bytes);
         auto it = node.flushInFlight.find(file);
@@ -813,14 +806,14 @@ void ClientRuntime::issueWriteRpc(std::uint32_t nodeIdx, std::uint32_t ost, File
             }
           }
         }
-      }},
+      }),
   };
   oscFlow_.acquire(l, [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
 }
 
 void ClientRuntime::issueReadRpc(std::uint32_t nodeIdx, std::uint32_t ost, FileId file,
                                  std::uint64_t objectOffset, std::uint64_t bytes,
-                                 sim::Callback onDone) {
+                                 sim::Parked onDone) {
   ++counters_.dataRpcs;
   counters_.readRpcBytes += bytes;
   const std::uint32_t globalOst = osts_.globalIndex(ost);
@@ -838,11 +831,10 @@ void ClientRuntime::issueReadRpc(std::uint32_t nodeIdx, std::uint32_t ost, FileI
       .file = file,
       .objectOffset = objectOffset,
       .bytes = bytes,
-      .complete = sim::Callback{engine_.arena(),
-                                [this, l, onDone = std::move(onDone)]() mutable {
-                                  oscFlow_.release(l);
-                                  onDone();
-                                }},
+      .complete = engine_.park([this, l, onDone = std::move(onDone)]() mutable {
+        oscFlow_.release(l);
+        engine_.run(std::move(onDone));
+      }),
   };
   oscFlow_.acquire(l, [this, d = std::move(d)]() mutable { deliverRpc(std::move(d)); });
 }
@@ -926,14 +918,14 @@ bool ClientRuntime::execRead(RankState& r, const IoOp& op) {
         const std::uint64_t len = std::min(rpcBytes(), piece.length - pos);
         ++waits;
         issueReadRpc(r.node, piece.ost, op.file, piece.objectOffset + pos, len,
-                     sim::Callback{engine_.arena(), [this, &r] { completeOneWait(r); }});
+                     engine_.park([this, &r] { completeOneWait(r); }));
         pos += len;
       }
     }
   }
   for (CacheChunk* chunk : cov.pending) {
     ++waits;
-    chunk->waiters.emplace_back(engine_.arena(), [this, &r] { completeOneWait(r); });
+    chunk->waiters.emplace_back([this, &r] { completeOneWait(r); });
   }
 
   if (waits == 0) {
@@ -966,8 +958,7 @@ void ClientRuntime::prefetchRange(RankState& r, FileId file, std::uint64_t begin
         const std::uint64_t chunkBegin = piece.fileOffset + pos;
         (void)node.readahead.insertPending(file, chunkBegin, chunkBegin + len);
         issueReadRpc(r.node, piece.ost, file, piece.objectOffset + pos, len,
-                     sim::Callback{engine_.arena(), [this, nodeIdx = r.node, file,
-                                                     chunkBegin] {
+                     engine_.park([this, nodeIdx = r.node, file, chunkBegin] {
                        NodeState& n = nodes_[nodeIdx];
                        CacheChunk* chunk = n.readahead.find(file, chunkBegin);
                        if (chunk == nullptr) {
@@ -979,7 +970,7 @@ void ClientRuntime::prefetchRange(RankState& r, FileId file, std::uint64_t begin
                        for (sim::Callback& w : waiters) {
                          w();
                        }
-                     }});
+                     }));
         pos += len;
       }
     }
@@ -994,9 +985,11 @@ void ClientRuntime::execCloseLocal(RankState& r, const IoOp& op) {
   ++fs.closes;
   r.accrued += cluster_.clientSyscallCost;
 
-  FdState& fd = r.fds[op.file];
-  fd.open = false;
-  fd.ra.close();
+  // Only reads and writes create an fd entry; closing a file the rank
+  // never read or wrote has no window to close.
+  if (const auto fd = r.fds.find(op.file); fd != r.fds.end()) {
+    fd->second.ra.close();
+  }
 
   std::uint32_t& open = node.openCount[op.file];
   if (open > 0 && --open == 0) {
@@ -1121,6 +1114,9 @@ RunAudit ClientRuntime::audit() const {
     a.readaConsumedBytes += node.readahead.consumedBytes();
     a.readaDiscardedBytes += node.readahead.discardedBytes();
     a.readaResidentBytes += node.readahead.residentBytes();
+  }
+  for (const RankState& rank : ranks_) {
+    a.stataheadPending += rank.statEntries.size();
   }
   a.readaWindowsOpened = readaOpened_;
   a.readaWindowsGrown = readaGrown_;

@@ -218,6 +218,10 @@ struct RunAudit {
   std::uint64_t readaConsumedBytes = 0;
   std::uint64_t readaDiscardedBytes = 0;
   std::uint64_t readaResidentBytes = 0;
+  /// Statahead entries still held when the snapshot was taken. Each entry
+  /// is dropped when its stat op runs, so a drained run holds none
+  /// (INV-STATAHEAD).
+  std::uint64_t stataheadPending = 0;
 
   /// Folds one cell's audit into this whole-run audit: the cell's OSTs
   /// land at `ostOffset`, high-water marks and the dirty budget (one
@@ -245,6 +249,7 @@ struct RunAudit {
     readaConsumedBytes += cell.readaConsumedBytes;
     readaDiscardedBytes += cell.readaDiscardedBytes;
     readaResidentBytes += cell.readaResidentBytes;
+    stataheadPending += cell.stataheadPending;
   }
   bool operator==(const RunAudit&) const = default;
 };
@@ -313,7 +318,6 @@ class ClientRuntime {
  private:
   // ---- internal state ----------------------------------------------------
   struct FdState {
-    bool open = false;
     bool everRead = false;
     std::uint64_t lastReadEnd = 0;
     std::uint64_t lastWriteEnd = 0;
@@ -406,12 +410,13 @@ class ClientRuntime {
 
   // metadata plumbing
   void submitMeta(std::uint32_t node, MetaOpKind kind, std::uint32_t stripeCount,
-                  bool modifying, sim::Callback onDone);
+                  bool modifying, sim::Parked onDone);
 
   // ---- fault-aware RPC delivery ------------------------------------------
   /// One retryable RPC, described by value so a retry or a stall window
   /// can relaunch it: an MDS op (ost < 0) or a bulk transfer to an OST.
-  /// `complete` releases client-side resources and resumes waiters.
+  /// `complete`, parked in the engine, releases client-side resources and
+  /// resumes waiters; as a handle it keeps `[this, d]` captures inline.
   struct RpcDelivery {
     std::int32_t ost = -1;  ///< target *global* OST id, or -1 for the MDS
     std::uint32_t node = 0;  ///< issuing client node
@@ -423,7 +428,7 @@ class ClientRuntime {
     std::uint64_t objectOffset = 0;
     std::uint64_t bytes = 0;
     std::uint32_t attempt = 0;
-    sim::Callback complete;
+    sim::Parked complete;
   };
   /// Iterative retry loop: lost attempts (outage window or sampled drop)
   /// wait rpcTimeout plus exponential backoff and redeliver; after
@@ -435,19 +440,18 @@ class ClientRuntime {
   /// One delivery attempt of `d`: request trip, MDS or OST service, reply
   /// trip (bulk data also crosses the client NIC); `served` runs when the
   /// reply arrives.
-  void launchRpc(const RpcDelivery& d, sim::Callback served);
+  void launchRpc(const RpcDelivery& d, sim::Parked served);
   void failRun(std::string reason);
 
   // data plumbing
   [[nodiscard]] std::uint64_t rpcBytes() const noexcept;
-  void acceptWriteSegment(RankState& rank, FileId file, const ObjectExtent& seg);
   void flushPending(std::uint32_t node, std::uint32_t ost, FileId onlyFile = kInvalidFile);
   void flushAllNodes();
   void issueWriteRpc(std::uint32_t node, std::uint32_t ost, FileId file,
                      std::uint64_t objectOffset, std::uint64_t bytes);
   void issueReadRpc(std::uint32_t node, std::uint32_t ost, FileId file,
                     std::uint64_t objectOffset, std::uint64_t bytes,
-                    sim::Callback onDone);
+                    sim::Parked onDone);
 
   // readahead
   void prefetchRange(RankState& rank, FileId file, std::uint64_t begin, std::uint64_t end);

@@ -41,7 +41,7 @@ double MdsModel::baseCost(MetaOpKind kind) const noexcept {
 }
 
 void MdsModel::submit(MetaOpKind kind, std::uint32_t stripeCount,
-                      sim::Callback onDone) {
+                      sim::Parked onDone) {
   ++opsServed_;
   double service = baseCost(kind);
   // Creating / destroying a striped file touches one object per stripe

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "pfs/topology.hpp"
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/service_center.hpp"
 #include "util/rng.hpp"
@@ -37,11 +36,11 @@ class MdsModel {
   /// Submits a metadata RPC that has arrived at the server.
   /// `stripeCount` scales create/unlink cost (object allocation/destroy
   /// on each stripe target).
-  void submit(MetaOpKind kind, std::uint32_t stripeCount, sim::Callback onDone);
+  void submit(MetaOpKind kind, std::uint32_t stripeCount, sim::Parked onDone);
 
   template <sim::EventCallable F>
   void submit(MetaOpKind kind, std::uint32_t stripeCount, F&& onDone) {
-    submit(kind, stripeCount, sim::Callback{engine_.arena(), std::forward<F>(onDone)});
+    submit(kind, stripeCount, engine_.park(std::forward<F>(onDone)));
   }
 
   [[nodiscard]] std::uint64_t opsServed() const noexcept { return opsServed_; }

@@ -27,7 +27,7 @@ OstBank::OstBank(sim::SimEngine& engine, const ClusterSpec& cluster,
 
 void OstBank::submitBulk(std::uint32_t ost, FileId objectKey,
                          std::uint64_t objectOffset, std::uint64_t bytes,
-                         bool isWrite, sim::Callback onDone) {
+                         bool isWrite, sim::Parked onDone) {
   ++rpcsServed_[ost];
   bytesServed_[ost] += bytes;
   if (isWrite) {

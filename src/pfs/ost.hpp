@@ -20,7 +20,6 @@
 
 #include "pfs/job.hpp"
 #include "pfs/topology.hpp"
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/service_center.hpp"
 #include "util/rng.hpp"
@@ -43,18 +42,18 @@ class OstBank {
 
   /// Submits a bulk data RPC that has *arrived at the server*. `objectKey`
   /// identifies the backing object: the client passes its file id (one
-  /// object per file per OST). `objectOffset` is object-local. Calls onDone
+  /// object per file per OST). `objectOffset` is object-local. Runs onDone
   /// when the server has completed the transfer + disk work.
   void submitBulk(std::uint32_t ost, FileId objectKey,
                   std::uint64_t objectOffset, std::uint64_t bytes, bool isWrite,
-                  sim::Callback onDone);
+                  sim::Parked onDone);
 
   template <sim::EventCallable F>
   void submitBulk(std::uint32_t ost, FileId objectKey,
                   std::uint64_t objectOffset, std::uint64_t bytes, bool isWrite,
                   F&& onDone) {
     submitBulk(ost, objectKey, objectOffset, bytes, isWrite,
-               sim::Callback{engine_.arena(), std::forward<F>(onDone)});
+               engine_.park(std::forward<F>(onDone)));
   }
 
   [[nodiscard]] std::uint32_t count() const noexcept {
@@ -73,9 +72,6 @@ class OstBank {
     return bytesServed_[ost] - bytesWritten_[ost];
   }
   [[nodiscard]] std::uint64_t seeks(std::uint32_t ost) const { return seeks_[ost]; }
-  [[nodiscard]] double diskBusyTime(std::uint32_t ost) const {
-    return transfer_.busyTime(ost);
-  }
 
   /// Simulated-time split of where an OST's disk spent its busy time:
   /// positioning (seek/setup) vs serialized media transfer (bandwidth).

@@ -15,6 +15,10 @@ struct FieldDescriptor {
   std::int64_t PfsConfig::*field;
 };
 
+/// Every tunable, in dependency order: a parameter whose bounds depend on
+/// another comes after it (the per-file readahead cap after the client
+/// cap, the whole-file cap after the per-file cap, the modifying-RPC cap
+/// after mdc.max_rpcs_in_flight), so clampConfig can clamp in this order.
 constexpr std::array<FieldDescriptor, 13> kFields{{
     {"lov.stripe_count", &PfsConfig::stripe_count},
     {"lov.stripe_size", &PfsConfig::stripe_size},
@@ -177,24 +181,9 @@ std::vector<std::string> validateConfig(const PfsConfig& cfg, const BoundsContex
 }
 
 PfsConfig clampConfig(PfsConfig cfg, const BoundsContext& ctx) {
-  // Clamp independent parameters first, then dependent ones so their
-  // bounds see the clamped independents.
-  static const std::vector<std::string> order = {
-      "lov.stripe_count",
-      "lov.stripe_size",
-      "osc.max_rpcs_in_flight",
-      "osc.max_pages_per_rpc",
-      "osc.max_dirty_mb",
-      "llite.max_read_ahead_mb",
-      "llite.max_read_ahead_per_file_mb",
-      "llite.max_read_ahead_whole_mb",
-      "llite.statahead_max",
-      "mdc.max_rpcs_in_flight",
-      "mdc.max_mod_rpcs_in_flight",
-      "ldlm.lru_size",
-      "ldlm.lru_max_age",
-  };
-  for (const std::string& name : order) {
+  // kFields is in dependency order, so each dependent parameter's bounds
+  // see the clamped values of the parameters they depend on.
+  for (const std::string& name : PfsConfig::tunableNames()) {
     const auto bounds = paramBounds(name, cfg, ctx);
     const auto value = cfg.get(name);
     if (!bounds || !value) {

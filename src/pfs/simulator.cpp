@@ -93,13 +93,6 @@ double RunResult::totalBytesWritten() const noexcept {
   return total;
 }
 
-double RunResult::aggregateBandwidth() const noexcept {
-  if (wallSeconds <= 0.0) {
-    return 0.0;
-  }
-  return (totalBytesRead() + totalBytesWritten()) / wallSeconds;
-}
-
 BoundsContext PfsSimulator::boundsContext() const noexcept {
   BoundsContext ctx;
   ctx.clientRamMb = cluster().clientRamMb();

@@ -62,7 +62,6 @@ struct RunResult {
   /// Aggregate convenience metrics.
   [[nodiscard]] double totalBytesRead() const noexcept;
   [[nodiscard]] double totalBytesWritten() const noexcept;
-  [[nodiscard]] double aggregateBandwidth() const noexcept;  ///< bytes/s
 };
 
 /// Per-run execution bounds (the measurement watchdog's knob).
@@ -88,9 +87,9 @@ struct SimulatorOptions {
   /// must outlive the simulator). Null or empty = fault-free: runs are
   /// bit-identical to a simulator without the faults layer.
   const faults::FaultPlan* faults = nullptr;
-  /// Event-engine construction knobs: arena sizing and shard fan-out for
-  /// federated clusters (cluster.cells > 1; the fan-out is clamped to the
-  /// cell count). Results are bit-identical across shard counts; only
+  /// Event-engine construction knobs: the shard fan-out for federated
+  /// clusters (cluster.cells > 1; the fan-out is clamped to the cell
+  /// count). Results are bit-identical across shard counts; only
   /// wall-clock performance changes.
   sim::EngineOptions engine{};
 };

@@ -21,7 +21,6 @@ class HashedTfIdfEmbedder {
   void fit(const std::vector<std::string>& corpus);
 
   [[nodiscard]] std::size_t dimensions() const noexcept { return dims_; }
-  [[nodiscard]] bool fitted() const noexcept { return documents_ > 0; }
 
   /// Embeds text into an L2-normalized vector. Usable before fit() (IDF
   /// defaults to 1), but retrieval quality comes from fitting first.

@@ -5,11 +5,11 @@
 
 namespace stellar::sim {
 
-SimEngine::SimEngine(EngineOptions options)
-    : options_(options), arena_(options.arenaBytes) {}
+SimEngine::SimEngine(EngineOptions options) : options_(options) {}
 
 void SimEngine::scheduleAt(SimTime at, Callback cb) {
   const std::uint32_t slot = acquireSlot();
+  spilled_ += static_cast<std::uint64_t>(cb.spilled());
   slotAt(slot) = std::move(cb);
   pushKey(at, slot);
 }
@@ -18,22 +18,16 @@ void SimEngine::scheduleAfter(SimTime delay, Callback cb) {
   scheduleAt(now_ + std::max(delay, 0.0), std::move(cb));
 }
 
-void SimEngine::scheduleWindow(SimTime begin, SimTime end, Callback onOpen,
-                               Callback onClose) {
+void SimEngine::queueWindowEdges(SimTime begin, SimTime end, WindowRecord& record) {
   if (end < begin) {
     end = begin;
   }
-  windows_.push_back(std::make_unique<WindowRecord>());
-  WindowRecord* record = windows_.back().get();
-  record->onClose = std::move(onClose);
-  scheduleAt(begin, [this, record, fn = std::move(onOpen)]() mutable {
-    record->opened = true;
+  scheduleAt(begin, [this, &record] {
+    record.opened = true;
     ++openWindows_;
-    if (fn) {
-      fn();
-    }
+    record.onOpen();
   });
-  scheduleAt(end, [this, record] { closeWindow(*record); });
+  scheduleAt(end, [this, &record] { closeWindow(record); });
 }
 
 void SimEngine::closeWindow(WindowRecord& record) {
@@ -42,9 +36,7 @@ void SimEngine::closeWindow(WindowRecord& record) {
   }
   record.closed = true;
   --openWindows_;
-  if (record.onClose) {
-    record.onClose();
-  }
+  record.onClose();
 }
 
 void SimEngine::cancelOpenWindows() {
@@ -60,12 +52,7 @@ void SimEngine::dispatchNext() {
   now_ = key.at;
   ++processed_;
   noteDispatch();
-  Callback& cb = slotAt(key.slot);
-  if (cb) {
-    cb();
-  }
-  cb.reset();
-  freeSlots_.push_back(key.slot);
+  invokeAndFree(key.slot);
 }
 
 void SimEngine::noteDispatch() {
@@ -91,8 +78,10 @@ void SimEngine::finishDrain(obs::Tracer::Span& span, std::uint64_t dispatched) {
   }
   if (counters_ != nullptr) {
     counters_->counter("sim.events_dispatched").add(static_cast<double>(dispatched));
+    counters_->counter("sim.callbacks_spilled").add(static_cast<double>(spilled_));
     counters_->counter("sim.drains").add(1.0);
   }
+  spilled_ = 0;
 }
 
 SimTime SimEngine::run() {

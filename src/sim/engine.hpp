@@ -5,15 +5,19 @@
 // config, seed) triple always produces the identical event trace. The
 // pending-event queue is a binary heap of slim (timestamp, seq, slot) keys;
 // each pending event's callback lives in an engine-owned slot store and
-// runs in place when its key reaches the front. The PFS model in src/pfs
-// builds client/server state machines on top of this; sim::ShardedEngine
-// runs several independent engines side by side for federated clusters.
+// runs in place when its key reaches the front. A continuation that one
+// closure hands on to another is parked in the same store (sim::Parked),
+// so the store alone holds every pending continuation. The PFS model in
+// src/pfs builds client/server state machines on top of this;
+// sim::ShardedEngine runs several independent engines side by side for
+// federated clusters.
 //
 // Construction goes through sim::EngineOptions — the options struct is the
 // only public constructor, mirroring pfs::SimulatorOptions.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -29,16 +33,44 @@ namespace stellar::sim {
 
 /// The single way to build an engine (and, via ShardedEngine, a shard
 /// fleet). Aggregate-initialize with designated fields:
-///   SimEngine engine{{.arenaBytes = 8 * 1024}};
+///   ShardedEngine fleet{{.shards = 4}};
 /// The engine draws no random numbers: models key their own streams by
 /// global component ids, so a run's seed never passes through here.
 struct EngineOptions {
-  /// First arena block size for event closures; the arena doubles from
-  /// here on demand.
-  std::size_t arenaBytes = 64 * 1024;
   /// Shard fan-out consumed by ShardedEngine (a bare SimEngine is always
   /// one shard).
   std::uint32_t shards = 1;
+};
+
+/// A continuation parked in the engine's slot store: built in a free slot
+/// but not queued. A closure that must hand on a continuation captures
+/// this 4-byte handle instead of the continuation itself, which keeps
+/// every capture list small enough to sit inline in its Callback. The
+/// handle is consumed once, by SimEngine::scheduleAt/After (which queues
+/// the slot, taking its FIFO seq at that call) or by SimEngine::run (which
+/// invokes it in place). A handle dropped unconsumed keeps its slot until
+/// the engine is destroyed, which releases the captures.
+class Parked {
+ public:
+  Parked() noexcept = default;
+  Parked(Parked&& other) noexcept : slot_(other.take()) {}
+  Parked& operator=(Parked&& other) noexcept {
+    slot_ = other.take();
+    return *this;
+  }
+  Parked(const Parked&) = delete;
+  Parked& operator=(const Parked&) = delete;
+
+  [[nodiscard]] explicit operator bool() const noexcept { return slot_ != kNone; }
+
+ private:
+  friend class SimEngine;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  explicit Parked(std::uint32_t slot) noexcept : slot_(slot) {}
+  std::uint32_t take() noexcept { return std::exchange(slot_, kNone); }
+
+  std::uint32_t slot_ = kNone;
 };
 
 class SimEngine {
@@ -57,13 +89,10 @@ class SimEngine {
   /// Schedules `cb` after `delay` seconds (clamped to non-negative).
   void scheduleAfter(SimTime delay, Callback cb);
 
-  /// Convenience: builds an arena-backed Callback for any callable,
-  /// directly in its slot.
+  /// Builds a Callback for any callable directly in its slot.
   template <EventCallable F>
   void scheduleAt(SimTime at, F&& fn) {
-    const std::uint32_t slot = acquireSlot();
-    slotAt(slot).assign(arena_, std::forward<F>(fn));
-    pushKey(at, slot);
+    pushKey(at, build(std::forward<F>(fn)));
   }
 
   template <EventCallable F>
@@ -71,17 +100,45 @@ class SimEngine {
     scheduleAt(now_ + std::max(delay, 0.0), std::forward<F>(fn));
   }
 
+  /// Builds `fn` in a free slot without queueing it; see Parked.
+  template <EventCallable F>
+  [[nodiscard]] Parked park(F&& fn) {
+    return Parked{build(std::forward<F>(fn))};
+  }
+
+  /// Queues a parked continuation. Its seq is taken here, exactly as if a
+  /// fresh callback were scheduled at this call.
+  void scheduleAt(SimTime at, Parked parked) {
+    assert(parked);
+    pushKey(at, parked.take());
+  }
+
+  void scheduleAfter(SimTime delay, Parked parked) {
+    scheduleAt(now_ + std::max(delay, 0.0), std::move(parked));
+  }
+
+  /// Invokes a parked continuation in place and frees its slot after it
+  /// returns, as dispatch does; the clock does not move.
+  void run(Parked parked) {
+    assert(parked);
+    invokeAndFree(parked.take());
+  }
+
   /// Schedules a [begin, end) time window: `onOpen` fires at begin and
   /// `onClose` at end, both dispatched through the ordinary event queue so
   /// they order deterministically (FIFO seq) against every other event.
-  /// The engine tracks how many windows are currently open; fault
-  /// injection (src/faults) builds its state machine on this hook.
-  void scheduleWindow(SimTime begin, SimTime end, Callback onOpen, Callback onClose);
-
+  /// The window's record holds both edges, so each queued edge captures
+  /// only the record. The engine tracks how many windows are currently
+  /// open; fault injection (src/faults) builds its state machine on this
+  /// hook.
   template <EventCallable FOpen, EventCallable FClose>
   void scheduleWindow(SimTime begin, SimTime end, FOpen&& onOpen, FClose&& onClose) {
-    scheduleWindow(begin, end, Callback{arena_, std::forward<FOpen>(onOpen)},
-                   Callback{arena_, std::forward<FClose>(onClose)});
+    WindowRecord& record = *windows_.emplace_back(std::make_unique<WindowRecord>());
+    record.onOpen.assign(std::forward<FOpen>(onOpen));
+    record.onClose.assign(std::forward<FClose>(onClose));
+    spilled_ += static_cast<std::uint64_t>(record.onOpen.spilled()) +
+                static_cast<std::uint64_t>(record.onClose.spilled());
+    queueWindowEdges(begin, end, record);
   }
 
   /// Windows opened but not yet closed. Close edges past a runUntil()
@@ -106,13 +163,11 @@ class SimEngine {
   [[nodiscard]] std::size_t queueDepth() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept { return processed_; }
 
-  /// Arena backing event closures; resets when the engine is destroyed.
-  [[nodiscard]] EventArena& arena() noexcept { return arena_; }
-
   /// Attaches (nullable) observability sinks. The drain loops emit one
   /// "sim" span per run()/runUntil() call plus a sampled queue-depth
-  /// instant every kSampleEvery dispatches; event totals land in the
-  /// registry. Costs a null check per event when detached.
+  /// instant every kSampleEvery dispatches; event totals and the count of
+  /// callbacks that spilled to the heap land in the registry. Costs a null
+  /// check per event when detached.
   void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters) noexcept {
     tracer_ = tracer;
     counters_ = counters;
@@ -126,6 +181,7 @@ class SimEngine {
 
  private:
   struct WindowRecord {
+    Callback onOpen;
     Callback onClose;
     bool opened = false;
     bool closed = false;
@@ -154,6 +210,17 @@ class SimEngine {
     return slotsUsed_++;
   }
 
+  /// Builds `fn` in a free slot; returns the slot.
+  template <EventCallable F>
+  std::uint32_t build(F&& fn) {
+    const std::uint32_t slot = acquireSlot();
+    slotAt(slot).assign(std::forward<F>(fn));
+    if constexpr (!Callback::storesInline<std::decay_t<F>>) {
+      ++spilled_;
+    }
+    return slot;
+  }
+
   /// Queues the event in `slot` at `at` (clamped to now).
   void pushKey(SimTime at, std::uint32_t slot) {
     if (at < now_) {
@@ -162,22 +229,33 @@ class SimEngine {
     queue_.push(EventKey{at, nextSeq_++, slot});
   }
 
+  /// Runs the callback in `slot` in place, then destroys it and recycles
+  /// the slot.
+  void invokeAndFree(std::uint32_t slot) {
+    Callback& cb = slotAt(slot);
+    if (cb) {
+      cb();
+    }
+    cb.reset();
+    freeSlots_.push_back(slot);
+  }
+
   /// Pops the next event, advances the clock, runs its callback in place
   /// and recycles its slot.
   void dispatchNext();
+  void queueWindowEdges(SimTime begin, SimTime end, WindowRecord& record);
   void closeWindow(WindowRecord& record);
   void noteDispatch();
   void finishDrain(obs::Tracer::Span& span, std::uint64_t dispatched);
 
   EngineOptions options_;
-  // The arena must outlive every pending Callback: declared before the
-  // slot store and window records so it is destroyed last.
-  EventArena arena_;
   HeapScheduler queue_;
-  /// Callbacks of pending events, in fixed-size chunks that never move: a
-  /// dispatched callback runs in place even when it schedules enough
-  /// events to grow the store. The slot is released after the callback
-  /// returns, so it cannot be reused while it runs.
+  /// Callbacks of pending events and parked continuations, in fixed-size
+  /// chunks that never move: a dispatched or run callback runs in place
+  /// even when it schedules enough events to grow the store. The slot is
+  /// released after the callback returns, so it cannot be reused while it
+  /// runs. Destroying the store releases whatever is still pending or
+  /// parked.
   std::vector<std::unique_ptr<Callback[]>> slotChunks_;
   std::vector<std::uint32_t> freeSlots_;
   std::uint32_t slotsUsed_ = 0;  ///< slots ever handed out
@@ -186,6 +264,7 @@ class SimEngine {
   std::uint64_t openWindows_ = 0;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t spilled_ = 0;  ///< spilled callbacks not yet flushed
   obs::Tracer* tracer_ = nullptr;
   obs::CounterRegistry* counters_ = nullptr;
   std::uint64_t sampleTick_ = 0;  ///< dispatches until the next sample; 0 = off

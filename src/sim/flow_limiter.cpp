@@ -10,15 +10,6 @@ FlowLimiterBank::FlowLimiterBank(SimEngine& engine, std::size_t lanes,
     : engine_(engine), limit_(std::max<std::uint32_t>(1, limit)),
       inFlight_(lanes, 0) {}
 
-void FlowLimiterBank::acquire(std::size_t lane, Callback onAcquired) {
-  if (inFlight_[lane] < limit_) {
-    ++inFlight_[lane];
-    onAcquired();
-  } else {
-    waiting_[lane].push_back(std::move(onAcquired));
-  }
-}
-
 void FlowLimiterBank::release(std::size_t lane) {
   if (inFlight_[lane] > 0) {
     --inFlight_[lane];
@@ -27,12 +18,11 @@ void FlowLimiterBank::release(std::size_t lane) {
   if (it == waiting_.end()) {
     return;
   }
-  std::deque<Callback>& queue = it->second;
+  std::deque<Parked>& queue = it->second;
   while (!queue.empty() && inFlight_[lane] < limit_) {
     ++inFlight_[lane];
-    Callback next = std::move(queue.front());
+    engine_.scheduleAfter(0.0, std::move(queue.front()));
     queue.pop_front();
-    engine_.scheduleAfter(0.0, std::move(next));
   }
   if (queue.empty()) {
     waiting_.erase(it);

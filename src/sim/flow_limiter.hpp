@@ -2,8 +2,10 @@
 //
 // Models Lustre's in-flight RPC caps: osc.max_rpcs_in_flight bounds data
 // RPCs per client-OST pair, mdc.max_rpcs_in_flight / max_mod_rpcs_in_flight
-// bound metadata RPCs per client node. Acquirers queue FIFO; release wakes
-// the head of the queue in the same simulated instant, as a fresh event.
+// bound metadata RPCs per client node. An acquirer under the cap runs at
+// once; the others are parked in the engine's slot store and queue FIFO;
+// release wakes the head of the queue in the same simulated instant, as a
+// fresh event.
 //
 // FlowLimiterBank packs one semaphore per "lane" (every client-node x OST
 // pair for the osc caps, every client node for the mdc caps) into
@@ -33,11 +35,14 @@ class FlowLimiterBank {
   FlowLimiterBank(const FlowLimiterBank&) = delete;
   FlowLimiterBank& operator=(const FlowLimiterBank&) = delete;
 
-  void acquire(std::size_t lane, Callback onAcquired);
-
   template <EventCallable F>
   void acquire(std::size_t lane, F&& onAcquired) {
-    acquire(lane, Callback{engine_.arena(), std::forward<F>(onAcquired)});
+    if (inFlight_[lane] < limit_) {
+      ++inFlight_[lane];
+      onAcquired();
+    } else {
+      waiting_[lane].push_back(engine_.park(std::forward<F>(onAcquired)));
+    }
   }
 
   void release(std::size_t lane);
@@ -52,7 +57,7 @@ class FlowLimiterBank {
   std::uint32_t limit_;
   std::vector<std::uint32_t> inFlight_;
   // Waiter queues exist only for backlogged lanes.
-  std::map<std::size_t, std::deque<Callback>> waiting_;
+  std::map<std::size_t, std::deque<Parked>> waiting_;
 };
 
 }  // namespace stellar::sim

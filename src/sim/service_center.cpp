@@ -10,7 +10,7 @@ ServiceCenterBank::ServiceCenterBank(SimEngine& engine, std::size_t lanes,
     : engine_(engine), servers_(std::max<std::uint32_t>(1, servers)),
       busy_(lanes, 0), busyTime_(lanes, 0.0), peakQueue_(lanes, 0), waiting_(lanes) {}
 
-void ServiceCenterBank::submit(std::size_t lane, SimTime serviceTime, Callback onDone) {
+void ServiceCenterBank::submit(std::size_t lane, SimTime serviceTime, Parked onDone) {
   if (serviceTime < 0.0) {
     serviceTime = 0.0;
   }
@@ -25,17 +25,16 @@ void ServiceCenterBank::submit(std::size_t lane, SimTime serviceTime, Callback o
 void ServiceCenterBank::start(std::size_t lane, Request request) {
   ++busy_[lane];
   busyTime_[lane] += request.serviceTime;
-  // Capture the completion by value; `this` outlives the engine run in all
-  // usage (each bank's owner lives as long as the run that drives it).
+  // The completion captures the parked handle, not the continuation;
+  // `this` outlives the engine run in all usage (each bank's owner lives
+  // as long as the run that drives it).
   engine_.scheduleAfter(request.serviceTime,
                         [this, lane, onDone = std::move(request.onDone)]() mutable {
                           --busy_[lane];
                           if (!waiting_[lane].empty()) {
                             start(lane, waiting_[lane].pop());
                           }
-                          if (onDone) {
-                            onDone();
-                          }
+                          engine_.run(std::move(onDone));
                         });
 }
 

@@ -35,12 +35,13 @@ class ServiceCenterBank {
   /// Enqueues a request on `lane` that occupies one of its servers for
   /// `serviceTime` seconds (a negative time counts as 0). A free server
   /// starts it at once; otherwise it waits FIFO. At completion one event
-  /// frees the server, starts the lane's next waiter, then runs `onDone`.
-  void submit(std::size_t lane, SimTime serviceTime, Callback onDone);
+  /// frees the server, starts the lane's next waiter, then runs `onDone`
+  /// in place.
+  void submit(std::size_t lane, SimTime serviceTime, Parked onDone);
 
   template <EventCallable F>
   void submit(std::size_t lane, SimTime serviceTime, F&& onDone) {
-    submit(lane, serviceTime, Callback{engine_.arena(), std::forward<F>(onDone)});
+    submit(lane, serviceTime, engine_.park(std::forward<F>(onDone)));
   }
 
   [[nodiscard]] std::size_t laneCount() const noexcept { return busy_.size(); }
@@ -58,7 +59,7 @@ class ServiceCenterBank {
  private:
   struct Request {
     SimTime serviceTime;
-    Callback onDone;
+    Parked onDone;
   };
 
   /// Allocation-free FIFO: a vector with a consumed-prefix cursor. Empty

@@ -30,7 +30,7 @@ const std::vector<std::string>& mutationNames() {
   static const std::vector<std::string> names = {
       "write-conservation", "read-partition", "rpc-balance",
       "dirty-bound",        "lock-balance",   "disk-bandwidth",
-      "reada-conservation",
+      "reada-conservation", "statahead-drain",
   };
   return names;
 }
@@ -52,6 +52,8 @@ void applyMutation(const std::string& name, pfs::RunResult& result) {
     result.audit.osts[0].bytesWritten += 100ULL * 1024 * 1024;
   } else if (name == "reada-conservation") {
     result.audit.readaPrefetchedBytes += 4096;
+  } else if (name == "statahead-drain") {
+    result.audit.stataheadPending += 1;
   }
 }
 
@@ -244,6 +246,14 @@ std::vector<Violation> checkRun(const GeneratedCase& cse, const pfs::RunResult& 
             " != consumed=" + std::to_string(a.readaConsumedBytes) +
             " + discarded=" + std::to_string(a.readaDiscardedBytes) +
             " + resident=" + std::to_string(a.readaResidentBytes));
+  }
+
+  // --- INV-STATAHEAD: statahead entries drain with their stat ops ----------
+  // A rank drops the entry for its stat op when it runs the op, whether the
+  // entry or a cached lock serves it, so a drained run holds none.
+  if (drained && a.stataheadPending != 0) {
+    add(v, "INV-STATAHEAD", std::to_string(a.stataheadPending) +
+                                " statahead entries outlived their stat ops");
   }
 
   // --- INV-L1: DLM lock lifecycle balance ----------------------------------

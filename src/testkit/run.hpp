@@ -18,8 +18,8 @@ namespace stellar::testkit {
 [[nodiscard]] pfs::RunResult runCase(const GeneratedCase& cse,
                                      obs::CounterRegistry* registry = nullptr);
 
-/// As above with explicit engine construction knobs (arena sizing, shard
-/// fan-out). The ML-SHARD law drives the same case through different
+/// As above with explicit engine construction knobs (the shard fan-out).
+/// The ML-SHARD law drives the same case through different
 /// engine configurations and demands bit-identity.
 [[nodiscard]] pfs::RunResult runCase(const GeneratedCase& cse,
                                      const sim::EngineOptions& engine,

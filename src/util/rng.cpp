@@ -91,14 +91,6 @@ bool Rng::chance(double probability) noexcept {
   return uniform() < probability;
 }
 
-double Rng::exponential(double mean) noexcept {
-  double u = uniform();
-  if (u < 1e-300) {
-    u = 1e-300;
-  }
-  return -mean * std::log(u);
-}
-
 Rng Rng::fork() noexcept {
   return Rng{next()};
 }

@@ -79,9 +79,6 @@ class Rng {
   /// Bernoulli draw.
   [[nodiscard]] bool chance(double probability) noexcept;
 
-  /// Exponential deviate with the given mean.
-  [[nodiscard]] double exponential(double mean) noexcept;
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {

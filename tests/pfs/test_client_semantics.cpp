@@ -163,6 +163,35 @@ TEST(ClientSemantics, StataheadServesPipelinedStats) {
   EXPECT_GT(off.rawWallSeconds, result.rawWallSeconds);
 }
 
+TEST(ClientSemantics, LockServedStatsDropTheirStataheadEntries) {
+  // A statahead scan records an entry for every stat it looks ahead to.
+  // When a cached lock serves the stat instead, its entry goes too. Here
+  // the scan starts on a file whose lock is not cached and marks the ten
+  // files behind it ready from the locks their creates cached; those
+  // locks then serve all ten stats.
+  JobSpec job;
+  job.name = "cached-scan";
+  job.ranks.resize(1);
+  auto& prog = job.ranks[0];
+  const FileId cold = job.addFile("/cold");
+  std::vector<FileId> warm;
+  for (int i = 0; i < 10; ++i) {
+    warm.push_back(job.addFile("/warm" + std::to_string(i)));
+    prog.push_back(IoOp::create(warm.back()));
+    prog.push_back(IoOp::close(warm.back()));
+  }
+  prog.push_back(IoOp::stat(cold));
+  for (const FileId f : warm) {
+    prog.push_back(IoOp::stat(f));
+  }
+
+  PfsConfig cfg;
+  cfg.llite_statahead_max = 32;
+  const RunResult result = runJob(job, cfg, soloCluster());
+  EXPECT_EQ(result.counters.stataheadServed, 1u);  // the cold file's stat
+  EXPECT_EQ(result.audit.stataheadPending, 0u);
+}
+
 TEST(ClientSemantics, BarriersSynchronizeRanks) {
   JobSpec job;
   job.name = "barrier";

@@ -2,6 +2,8 @@
 // validation errors, and basic stats plumbing.
 #include <gtest/gtest.h>
 
+#include "faults/fault_plan.hpp"
+#include "obs/counters.hpp"
 #include "pfs/simulator.hpp"
 #include "testkit/run.hpp"
 #include "workloads/workloads.hpp"
@@ -30,6 +32,30 @@ TEST(Simulator, DeterministicForSameSeed) {
   PfsSimulator sim;
   const JobSpec job = workloads::ior16m(tinyOpts());
   expectIdenticalResults(sim.run(job, PfsConfig{}, 7), sim.run(job, PfsConfig{}, 7));
+}
+
+TEST(Simulator, NoEventCallbackSpillsToTheHeap) {
+  // Every sim/pfs closure fits sim::Callback's inline buffer, because a
+  // continuation that another closure hands on travels as a parked
+  // handle. A closure that outgrows the buffer would allocate on every
+  // event; this catches it on the metadata and data paths, and on the
+  // timeout, retry and stall paths that only a fault plan drives.
+  const faults::FaultPlan flaky = faults::scenarioByName("flaky-network");
+  for (const char* name : {"MDWorkbench_8K", "IOR_64K"}) {
+    const JobSpec job = workloads::byName(name, tinyOpts());
+    for (const faults::FaultPlan* plan : {static_cast<const faults::FaultPlan*>(nullptr),
+                                          &flaky}) {
+      SCOPED_TRACE(std::string(name) + (plan != nullptr ? " under flaky-network" : ""));
+      obs::CounterRegistry registry;
+      const PfsSimulator sim{{.counters = &registry, .faults = plan}};
+      const pfs::RunResult result = sim.run(job, PfsConfig{}, 5);
+      EXPECT_GT(registry.counter("sim.events_dispatched").value(), 0.0);
+      EXPECT_EQ(registry.counter("sim.callbacks_spilled").value(), 0.0);
+      if (plan != nullptr) {
+        EXPECT_GT(result.counters.rpcRetries, 0u);  // the retry path ran
+      }
+    }
+  }
 }
 
 TEST(Simulator, SeedChangesOnlyPerturbTiming) {

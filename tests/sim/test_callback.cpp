@@ -1,5 +1,5 @@
-// sim::Callback storage semantics: inline small-buffer, arena spill, heap
-// fallback, move-only ownership, and arena recycling.
+// sim::Callback storage semantics: inline small-buffer, heap spill and
+// move-only ownership.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,27 +11,12 @@ namespace stellar::sim {
 namespace {
 
 TEST(Callback, SmallClosuresStayInline) {
-  EventArena arena;
-  const std::uint64_t before = arena.allocations();
   int hits = 0;
-  Callback cb{arena, [&hits] { ++hits; }};
+  Callback cb{[&hits] { ++hits; }};
   EXPECT_FALSE(cb.spilled());
-  EXPECT_EQ(arena.allocations(), before);
   cb();
   cb();
   EXPECT_EQ(hits, 2);
-}
-
-TEST(Callback, LargeClosuresSpillToArena) {
-  EventArena arena;
-  std::array<double, 16> payload{};
-  payload[7] = 42.0;
-  double seen = 0.0;
-  Callback cb{arena, [payload, &seen] { seen = payload[7]; }};
-  EXPECT_TRUE(cb.spilled());
-  EXPECT_EQ(arena.allocations(), 1u);
-  cb();
-  EXPECT_DOUBLE_EQ(seen, 42.0);
 }
 
 TEST(Callback, LargeClosuresWithoutArenaUseHeap) {
@@ -63,59 +48,19 @@ TEST(Callback, DestructionReleasesCapturedState) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(Callback, ArenaSpilledDestructionReleasesCapturedState) {
-  EventArena arena;
+TEST(Callback, SpilledDestructionReleasesCapturedState) {
+  // A spilled closure moves by handing over its heap pointer; the moved-to
+  // callback alone owns the captures and releases them once.
   auto token = std::make_shared<int>(5);
   std::array<double, 16> padding{};
   {
-    Callback cb{arena, [token, padding] { (void)*token; (void)padding; }};
+    Callback cb{[token, padding] { (void)*token; (void)padding; }};
     EXPECT_TRUE(cb.spilled());
+    Callback moved = std::move(cb);
+    EXPECT_TRUE(moved.spilled());
     EXPECT_EQ(token.use_count(), 2);
   }
   EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(EventArena, RecyclesFreedStorageThroughFreeLists) {
-  EventArena arena{1024};
-  void* first = arena.allocate(100);
-  arena.deallocate(first, 100);
-  void* second = arena.allocate(100);
-  EXPECT_EQ(first, second);  // same size class reuses the freed node
-  arena.deallocate(second, 100);
-}
-
-TEST(EventArena, SteadyStateChurnDoesNotGrowReservation) {
-  EventArena arena{1024};
-  const std::size_t baseline = arena.bytesReserved();
-  for (int i = 0; i < 100000; ++i) {
-    void* mem = arena.allocate(96);
-    arena.deallocate(mem, 96);
-  }
-  EXPECT_EQ(arena.bytesReserved(), baseline);
-}
-
-TEST(EventArena, OversizedRequestsFallBackToHeap) {
-  EventArena arena{1024};
-  const std::size_t reservedBefore = arena.bytesReserved();
-  void* big = arena.allocate(4096);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(arena.oversizedAllocations(), 1u);
-  EXPECT_EQ(arena.bytesReserved(), reservedBefore);
-  arena.deallocate(big, 4096);
-}
-
-TEST(EventArena, ResetReturnsToFirstBlock) {
-  EventArena arena{1024};
-  for (int i = 0; i < 64; ++i) {
-    (void)arena.allocate(512);  // force extra blocks
-  }
-  EXPECT_GT(arena.bytesReserved(), 1024u);
-  arena.reset();
-  EXPECT_EQ(arena.bytesReserved(), 1024u);
-  // Post-reset allocations come from the recycled first block.
-  void* mem = arena.allocate(64);
-  ASSERT_NE(mem, nullptr);
-  arena.deallocate(mem, 64);
 }
 
 }  // namespace

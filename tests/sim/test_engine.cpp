@@ -1,10 +1,12 @@
-// Discrete-event engine semantics: ordering, determinism, clamping, and
-// the callback slot store under growth from inside a running callback.
+// Discrete-event engine semantics: ordering, determinism, clamping, the
+// callback slot store under growth from inside a running callback, and
+// continuations parked in that store.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -107,7 +109,7 @@ TEST(SimEngine, CallbackKeepsItsCapturesWhileGrowingTheSlotStore) {
   // A dispatched callback runs in place in its slot. Scheduling 10,000
   // events from inside it grows the store; its captures must read back
   // intact afterwards, both when the closure sits inline in the slot and
-  // when it spilled into the arena.
+  // when it spilled to the heap.
   SimEngine engine{EngineOptions{}};
   int fired = 0;
   std::uint64_t inlineSeen = 0;
@@ -131,10 +133,94 @@ TEST(SimEngine, CallbackKeepsItsCapturesWhileGrowingTheSlotStore) {
   EXPECT_TRUE(engine.empty());
 }
 
+TEST(SimEngine, ParkedCallbackTakesItsSeqWhenScheduled) {
+  // Parking queues nothing: a continuation parked first but scheduled
+  // after a fresh callback at the same timestamp runs after it.
+  SimEngine engine{EngineOptions{}};
+  std::vector<int> order;
+  Parked parked = engine.park([&order] { order.push_back(1); });
+  engine.scheduleAt(1.0, [&order] { order.push_back(2); });
+  engine.scheduleAt(1.0, std::move(parked));
+  EXPECT_FALSE(static_cast<bool>(parked));  // NOLINT(bugprone-use-after-move)
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(engine.eventsProcessed(), 2u);
+}
+
+TEST(SimEngine, ParkedRunKeepsItsCapturesWhileGrowingTheSlotStore) {
+  // run() invokes a parked continuation in place in its slot, like
+  // dispatch; growing the store from inside it must leave its captures
+  // intact, inline or spilled, and run() itself does not move the clock.
+  SimEngine engine{EngineOptions{}};
+  int fired = 0;
+  std::uint64_t inlineSeen = 0;
+  std::uint64_t spilledSeen = 0;
+  Parked small = engine.park([&engine, &fired, &inlineSeen,
+                              marker = std::uint64_t{0xC0FFEE}] {
+    scheduleBurst(engine, fired);
+    inlineSeen = marker;
+  });
+  std::array<std::uint64_t, 16> big{};
+  big.fill(0xBEEF);
+  Parked large = engine.park([&engine, &fired, &spilledSeen, big] {
+    scheduleBurst(engine, fired);
+    spilledSeen = big.front() + big.back();
+  });
+  engine.scheduleAt(0.5, [&engine, &small, &large] {
+    engine.run(std::move(small));
+    engine.run(std::move(large));
+  });
+  engine.run();
+  EXPECT_EQ(fired, 2 * kBurst);
+  EXPECT_EQ(inlineSeen, 0xC0FFEEu);
+  EXPECT_EQ(spilledSeen, 2 * 0xBEEFu);
+  EXPECT_EQ(engine.eventsProcessed(), 1u + 2u * kBurst);
+  EXPECT_DOUBLE_EQ(engine.now(), 1.5);
+}
+
+TEST(SimEngine, ParkedContinuationsReleaseTheirCapturesAtTeardown) {
+  // A capped run can end with continuations still parked (an RPC whose
+  // reply lies past the cap). The engine owns them: destroying it
+  // releases their captures, inline and spilled alike.
+  auto token = std::make_shared<int>(7);
+  {
+    SimEngine engine{EngineOptions{}};
+    Parked small;
+    Parked large;
+    engine.scheduleAt(1.0, [&engine, &small, &large, token] {
+      small = engine.park([token] { (void)*token; });
+      std::array<double, 16> padding{};
+      large = engine.park([token, padding] { (void)*token; (void)padding; });
+    });
+    engine.scheduleAt(10.0, [&engine, &small, &large] {
+      engine.run(std::move(small));
+      engine.run(std::move(large));
+    });
+    engine.runUntil(5.0);
+    EXPECT_TRUE(static_cast<bool>(small));
+    EXPECT_TRUE(static_cast<bool>(large));
+    EXPECT_EQ(token.use_count(), 3);  // the two parked continuations
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimEngine, CountsSpilledCallbacksIntoTheRegistry) {
+  SimEngine engine{EngineOptions{}};
+  obs::CounterRegistry registry;
+  engine.attachObservability(nullptr, &registry);
+  std::array<double, 16> padding{};
+  engine.scheduleAt(1.0, [] {});
+  engine.scheduleAt(2.0, [padding] { (void)padding; });
+  Parked parked = engine.park([padding] { (void)padding; });
+  engine.scheduleAt(3.0, std::move(parked));
+  engine.run();
+  EXPECT_EQ(registry.counter("sim.callbacks_spilled").value(), 2.0);
+  EXPECT_EQ(registry.counter("sim.events_dispatched").value(), 3.0);
+}
+
 TEST(SimEngine, WindowCallbacksKeepTheirCapturesWhileGrowingTheSlotStore) {
-  // The same growth from a window's open and close edges: onOpen runs
-  // wrapped inside the engine's open-edge closure, onClose from the
-  // window record.
+  // The same growth from a window's open and close edges: both run from
+  // the window record, called by the engine's edge closures.
   SimEngine engine{EngineOptions{}};
   int fired = 0;
   std::uint64_t openSeen = 0;

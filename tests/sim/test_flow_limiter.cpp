@@ -23,7 +23,7 @@ class FlowLimiter {
 
   template <EventCallable F>
   void acquire(F&& onAcquired) {
-    Callback callback{engine_.arena(), std::forward<F>(onAcquired)};
+    Callback callback{std::forward<F>(onAcquired)};
     if (inFlight_ < limit_) {
       ++inFlight_;
       callback();

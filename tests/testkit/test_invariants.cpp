@@ -56,7 +56,7 @@ TEST(Invariants, MutationNamesAreStable) {
   const std::vector<std::string> expected = {
       "write-conservation", "read-partition", "rpc-balance",
       "dirty-bound",        "lock-balance",   "disk-bandwidth",
-      "reada-conservation"};
+      "reada-conservation", "statahead-drain"};
   EXPECT_EQ(mutationNames(), expected);
 }
 
