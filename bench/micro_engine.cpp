@@ -8,14 +8,15 @@
 // 1 MiB writes, fsync, close) on
 //   1x   — 500 OSTs /  5,000 ranks, one monolithic engine (the old
 //          engine's world), and
-//   10x  — 5,000 OSTs / 50,000 ranks across 1,000 federated cells on the
-//          sharded engine.
+//   10x  — 5,000 OSTs / 50,000 ranks across 1,000 federated cells, each
+//          run start to finish on an engine of its own by one of the
+//          simulator's worker threads.
 // The 10x point processes 10x the events, so raw wall time is machine-
 // bound: on a single-core box it cannot beat 10x no matter how good the
 // engine is. The machine-independent gate is therefore per-event wall
 // cost: the 10x cluster must cost < 2.0x the 1x heap baseline per event.
-// On a box with >= 5 cores, that bound plus free-run sharding (cells
-// never interact, shards run concurrently to completion) yields the
+// On a box with >= 4 cores, that bound plus one task per cell (cells
+// never interact, so they run concurrently to completion) yields the
 // headline claim: a 10x larger simulated cluster in < 2x the wall time.
 // Each point averages enough repeats to accumulate a comparable total
 // duration, so host frequency wander cancels instead of deciding the gate.
@@ -133,14 +134,13 @@ struct ScalePoint {
 // hosts short runs make per-event figures a lottery. Averaging totals over
 // a few seconds lets CPU-frequency wander cancel out.
 ScalePoint runScalePoint(const std::string& label, pfs::ClusterSpec cluster,
-                         const sim::EngineOptions& engine, std::uint32_t chunks,
-                         int repeats) {
+                         std::uint32_t workers, std::uint32_t chunks, int repeats) {
   ScalePoint point;
   point.label = label;
   point.osts = cluster.totalOsts();
   point.ranks = cluster.totalRanks();
   const pfs::JobSpec job = fppJob(point.ranks, chunks);
-  pfs::PfsSimulator sim{{.cluster = std::move(cluster), .engine = engine}};
+  pfs::PfsSimulator sim{{.cluster = std::move(cluster), .workers = workers}};
   double totalSeconds = 0.0;
   for (int i = 0; i < repeats; ++i) {
     const auto start = Clock::now();
@@ -170,7 +170,7 @@ bool checkBaseline(const std::string& path, double perEventRatio) {
   }
   // The ratio swings up to ~50% run to run (shared-machine load), so the
   // threshold pairs a wide relative tolerance with an absolute floor. The
-  // regression this is meant to catch is not subtle: losing shard cache
+  // regression this is meant to catch is not subtle: losing per-cell cache
   // locality cost ~3-4x.
   if (perEventRatio > std::max(base.value * 1.5, 1.2)) {
     std::printf("FAIL: scale10x_per_event_ratio regressed: %.3f -> %.3f "
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("micro_engine: event-engine + sharded-engine scale gate%s\n",
+  std::printf("micro_engine: event-engine + federated-cell scale gate%s\n",
               quick ? " (quick)" : "");
   bool ok = true;
 
@@ -214,18 +214,16 @@ int main(int argc, char** argv) {
   const int repeats1x = quick ? 8 : 16;
   const int repeats10x = quick ? 2 : 3;
 
-  // One shard per federation cell: each cell's queue drains to completion
+  // One engine per federation cell: each cell's queue drains to completion
   // with a hot cache instead of 1000 cells' state thrashing through one
-  // interleaved queue, and worker threads (capped at the core count by
-  // ShardedEngine) pick shards off the pool.
-  std::printf("scale points (identical per-rank programs, one shard per cell):\n");
+  // interleaved queue, and one worker thread per core takes cells in turn.
+  const std::uint32_t workers = std::max(std::thread::hardware_concurrency(), 1U);
+  std::printf("scale points (identical per-rank programs, one engine per cell):\n");
   pfs::ClusterSpec mono = pfs::scaledCluster(100);
   mono.cells = 1;  // the old engine's world: one monolithic event queue
-  const ScalePoint base =
-      runScalePoint("1x", std::move(mono), sim::EngineOptions{}, chunks, repeats1x);
-  const ScalePoint big = runScalePoint(
-      "10x", pfs::scaledCluster(1000),
-      sim::EngineOptions{.shards = 1000}, chunks, repeats10x);
+  const ScalePoint base = runScalePoint("1x", std::move(mono), 1, chunks, repeats1x);
+  const ScalePoint big =
+      runScalePoint("10x", pfs::scaledCluster(1000), workers, chunks, repeats10x);
 
   const double perEventRatio = big.usPerEvent / base.usPerEvent;
   const double wallRatio = big.wallSeconds / base.wallSeconds;
@@ -242,7 +240,7 @@ int main(int argc, char** argv) {
                 perEventRatio);
     ok = false;
   }
-  // With >= 4 cores the shard pool absorbs the 10x event volume, so the
+  // With >= 4 cores the worker threads absorb the 10x event volume, so the
   // headline wall-clock claim is directly checkable.
   if (std::thread::hardware_concurrency() >= 4 && wallRatio >= 2.0) {
     std::printf("FAIL: 10x cluster cost %.2fx wall time on %u cores (gate < 2.0x)\n",
@@ -253,9 +251,8 @@ int main(int argc, char** argv) {
   // Part 3: informational 100x point (full mode only; no gate).
   double usPerEvent100x = 0.0;
   if (!quick) {
-    const ScalePoint huge = runScalePoint(
-        "100x", pfs::scaledCluster(10000),
-        sim::EngineOptions{.shards = 10000}, chunks, 1);
+    const ScalePoint huge =
+        runScalePoint("100x", pfs::scaledCluster(10000), workers, chunks, 1);
     usPerEvent100x = huge.usPerEvent;
   }
 

@@ -108,7 +108,7 @@ void FaultInjector::recompute(FaultKind kind, std::int32_t /*target*/) {
       }
       break;
     case FaultKind::NoiseSpike:
-      break;  // applied post-run via noiseMultiplierOver()
+      break;  // applied post-run via FaultPlan::noiseMultiplierOver()
     case FaultKind::LlmTimeout:
     case FaultKind::LlmRateLimit:
     case FaultKind::LlmTruncated:
@@ -129,24 +129,6 @@ void FaultInjector::edgeInstant(const FaultEvent& event, bool open) {
                     {"target", util::Json(static_cast<std::int64_t>(event.target))},
                     {"magnitude", util::Json(event.magnitude)},
                     {"sim_time", util::Json(engine_.now())}});
-}
-
-double FaultInjector::noiseMultiplierOver(double wallSeconds) const noexcept {
-  if (wallSeconds <= 0.0) {
-    return 1.0;
-  }
-  double factor = 1.0;
-  for (const FaultEvent& event : plan_.events) {
-    if (event.kind != FaultKind::NoiseSpike) {
-      continue;
-    }
-    const double overlap =
-        std::min(event.end, wallSeconds) - std::max(event.begin, 0.0);
-    if (overlap > 0.0) {
-      factor += (overlap / wallSeconds) * (event.magnitude - 1.0);
-    }
-  }
-  return factor;
 }
 
 }  // namespace stellar::faults

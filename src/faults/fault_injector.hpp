@@ -73,13 +73,6 @@ class FaultInjector {
     return rpcDropProb_ > 0.0 && rng_.chance(rpcDropProb_);
   }
 
-  // ---- Post-run queries -------------------------------------------------
-
-  /// Measurement-noise sigma multiplier (>= 1) for a run spanning
-  /// [0, wallSeconds): 1 plus the overlap-weighted excess of every
-  /// noise-spike window. Pure function of the plan.
-  [[nodiscard]] double noiseMultiplierOver(double wallSeconds) const noexcept;
-
   [[nodiscard]] std::uint64_t windowsOpened() const noexcept { return windowsOpened_; }
 
  private:

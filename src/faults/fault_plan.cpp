@@ -231,6 +231,24 @@ void FaultPlan::validate() const {
   }
 }
 
+double FaultPlan::noiseMultiplierOver(double wallSeconds) const noexcept {
+  if (wallSeconds <= 0.0) {
+    return 1.0;
+  }
+  double factor = 1.0;
+  for (const FaultEvent& event : events) {
+    if (event.kind != FaultKind::NoiseSpike) {
+      continue;
+    }
+    const double overlap =
+        std::min(event.end, wallSeconds) - std::max(event.begin, 0.0);
+    if (overlap > 0.0) {
+      factor += (overlap / wallSeconds) * (event.magnitude - 1.0);
+    }
+  }
+  return factor;
+}
+
 util::Json FaultPlan::toJson() const {
   util::Json root = util::Json::makeObject();
   root.set("seed", static_cast<std::int64_t>(seed));

@@ -100,6 +100,11 @@ struct FaultPlan {
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
 
+  /// Measurement-noise sigma multiplier (>= 1) for a run spanning
+  /// [0, wallSeconds): 1 plus the overlap-weighted excess of every
+  /// noise-spike window.
+  [[nodiscard]] double noiseMultiplierOver(double wallSeconds) const noexcept;
+
   /// Throws FaultSpecError when any event is malformed (inverted window,
   /// kind-specific magnitude out of range).
   void validate() const;

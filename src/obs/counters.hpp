@@ -1,13 +1,17 @@
 // Hierarchical metric registry: counters, gauges, and histograms with
 // optional labels, addressed by dotted names ("pfs.rpc.data"). The
 // registry is the cross-run aggregation point of the observability layer:
-// every PfsSimulator::run flushes its RunCounters here, the tuning engine
-// adds cache-hit statistics, and the CLI renders/export the snapshot.
+// every PfsSimulator::run publishes its folded RunResult here once, from
+// the calling thread, the tuning engine adds cache-hit statistics, and the
+// CLI renders/export the snapshot.
 //
-// Concurrency: the experiment harness runs repeats on a thread pool, so
-// find-or-create is mutex-guarded and the metric cells themselves are
-// atomic. Returned references stay valid for the registry's lifetime
-// (cells are heap-allocated and never moved).
+// Concurrency: the experiment harness runs repeats on a thread pool, and a
+// federated run's cell tasks add their engines' sim.* and injectors'
+// faults.* counts from worker threads, so find-or-create is mutex-guarded
+// and the metric cells themselves are atomic. Those per-cell adds are
+// whole counts, so their sums do not depend on thread timing. Returned
+// references stay valid for the registry's lifetime (cells are
+// heap-allocated and never moved).
 #pragma once
 
 #include <atomic>

@@ -1018,71 +1018,11 @@ void ClientRuntime::cacheLock(std::uint32_t nodeIdx, FileId file) {
 }
 
 void ClientRuntime::noteLockWait(double seconds) {
-  lockWaitSeconds_ += seconds;
-  ++lockWaits_;
+  counters_.lockWaitSeconds += seconds;
+  ++counters_.lockWaits;
   if (traceOn_) {
     tracer_->instant("lock", "dlm-wait", {{"seconds", util::Json(seconds)}});
   }
-}
-
-void ClientRuntime::flushObservability(obs::CounterRegistry& registry) const {
-  const auto add = [&registry](const char* name, double value) {
-    registry.counter(name).add(value);
-  };
-  add("pfs.rpc.data", static_cast<double>(counters_.dataRpcs));
-  add("pfs.rpc.meta", static_cast<double>(counters_.metaRpcs));
-  add("pfs.lock.hits", static_cast<double>(counters_.lockHits));
-  add("pfs.lock.misses", static_cast<double>(counters_.lockMisses));
-  add("pfs.lock.wait_seconds", lockWaitSeconds_);
-  add("pfs.lock.waits", static_cast<double>(lockWaits_));
-  add("pfs.cache.readahead_hit_bytes", static_cast<double>(counters_.readaheadHitBytes));
-  add("pfs.cache.readahead_miss_bytes", static_cast<double>(counters_.readaheadMissBytes));
-  add("pfs.cache.page_hit_bytes", static_cast<double>(counters_.pageCacheHitBytes));
-  add("pfs.meta.statahead_served", static_cast<double>(counters_.stataheadServed));
-  add("pfs.lock.extent_conflicts", static_cast<double>(counters_.extentConflicts));
-
-  // Readahead window machine activity and the fate of every prefetched byte
-  // (the same numbers RunAudit carries; INV-READA cross-checks both).
-  std::uint64_t prefetched = 0;
-  std::uint64_t consumed = 0;
-  std::uint64_t discarded = 0;
-  std::uint64_t resident = 0;
-  for (const NodeState& node : nodes_) {
-    prefetched += node.readahead.prefetchedBytes();
-    consumed += node.readahead.consumedBytes();
-    discarded += node.readahead.discardedBytes();
-    resident += node.readahead.residentBytes();
-  }
-  add("pfs.reada.windows_opened", static_cast<double>(readaOpened_));
-  add("pfs.reada.windows_grown", static_cast<double>(readaGrown_));
-  add("pfs.reada.windows_reset", static_cast<double>(readaReset_));
-  add("pfs.reada.prefetched_bytes", static_cast<double>(prefetched));
-  add("pfs.reada.consumed_bytes", static_cast<double>(consumed));
-  add("pfs.reada.discarded_bytes", static_cast<double>(discarded));
-  add("pfs.reada.resident_bytes", static_cast<double>(resident));
-
-  add("pfs.rpc.timeouts", static_cast<double>(counters_.rpcTimeouts));
-  add("pfs.rpc.retries", static_cast<double>(counters_.rpcRetries));
-  add("pfs.rpc.gave_up", static_cast<double>(counters_.rpcGaveUp));
-
-  // Per-OST disk service split: positioning (seek/setup) vs serialized
-  // media transfer. Their ratio is the seek-bound vs bandwidth-bound
-  // signal a tuned configuration shifts.
-  double seekTime = 0.0;
-  double transferTime = 0.0;
-  std::uint64_t seeks = 0;
-  obs::Histogram& queueDepth = registry.histogram("pfs.ost.peak_queue");
-  for (std::uint32_t o = 0; o < osts_.count(); ++o) {
-    seekTime += osts_.positioningBusyTime(o);
-    transferTime += osts_.transferBusyTime(o);
-    seeks += osts_.seeks(o);
-    queueDepth.observe(static_cast<double>(osts_.peakQueue(o)));
-  }
-  add("pfs.ost.seek_seconds", seekTime);
-  add("pfs.ost.transfer_seconds", transferTime);
-  add("pfs.ost.seeks", static_cast<double>(seeks));
-  add("pfs.mds.ops", static_cast<double>(mds_.opsServed()));
-  add("pfs.mds.busy_seconds", mds_.busyTime());
 }
 
 RunAudit ClientRuntime::audit() const {

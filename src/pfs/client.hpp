@@ -24,8 +24,8 @@
 // queues — lives in struct-of-arrays banks indexed by the dense lane id
 // node * totalOsts + ost, so a datacenter-scale runtime costs flat vectors
 // instead of a heap object per pair. All randomness draws from streams
-// keyed by (run seed, global component id), never from the engine: results
-// are invariant under how federated cells are grouped onto engine shards.
+// keyed by (run seed, global component id), never from the engine: each
+// federated cell draws streams of its own, whichever thread runs it.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "pfs/client_cache.hpp"
 #include "pfs/job.hpp"
@@ -144,6 +143,10 @@ struct RunCounters {
   std::uint64_t pageCacheHitBytes = 0;
   std::uint64_t stataheadServed = 0;
   std::uint64_t extentConflicts = 0;
+  /// DLM lock acquisition waits: how many blocked a rank, and their total
+  /// simulated seconds.
+  std::uint64_t lockWaits = 0;
+  double lockWaitSeconds = 0.0;
   std::uint64_t events = 0;
   /// RPC resilience counters; nonzero only when a fault plan is active.
   std::uint64_t rpcTimeouts = 0;
@@ -166,6 +169,8 @@ struct RunCounters {
     pageCacheHitBytes += other.pageCacheHitBytes;
     stataheadServed += other.stataheadServed;
     extentConflicts += other.extentConflicts;
+    lockWaits += other.lockWaits;
+    lockWaitSeconds += other.lockWaitSeconds;
     events += other.events;
     rpcTimeouts += other.rpcTimeouts;
     rpcRetries += other.rpcRetries;
@@ -256,8 +261,8 @@ struct RunAudit {
 
 /// Placement of one runtime inside a (possibly federated) run: the run's
 /// seed plus this runtime's global node/OST id offsets. Random streams and
-/// fault targeting key off global ids, so a cell simulates identically no
-/// matter which engine shard hosts it.
+/// fault targeting key off global ids, so each cell draws streams of its own
+/// and simulates identically whichever thread runs it.
 struct RunScope {
   std::uint64_t runSeed = 0;
   std::uint32_t nodeOffset = 0;
@@ -267,8 +272,8 @@ struct RunScope {
 class ClientRuntime {
  public:
   /// `tracer` (nullable, non-owning) receives per-RPC and lock-wait
-  /// events while enabled; aggregate metrics flow through
-  /// flushObservability at end of run. `faults` (nullable, non-owning)
+  /// events while enabled; aggregate metrics are read back through
+  /// counters() and audit() at end of run. `faults` (nullable, non-owning)
   /// is the armed fault injector for this run: when attached, every RPC
   /// delivery consults it for loss/stall state and lost deliveries retry
   /// with exponential backoff under the NetworkSpec retry budget.
@@ -304,12 +309,6 @@ class ClientRuntime {
   [[nodiscard]] const std::vector<double>& barrierTimes() const noexcept {
     return barrierTimes_;
   }
-
-  /// Flushes this run's aggregate metrics into `registry`: the RunCounters
-  /// totals, the DLM lock-wait time, and the per-OST service split
-  /// (positioning/seek time vs media transfer time, RPCs, peak queue
-  /// depth). Called by PfsSimulator::run after the event queue drains.
-  void flushObservability(obs::CounterRegistry& registry) const;
 
   /// Collects the end-of-run audit snapshot (see RunAudit). Call after the
   /// event queue drains; earlier snapshots see in-flight state.
@@ -514,11 +513,6 @@ class ClientRuntime {
   std::uint32_t barrierArrived_ = 0;
   std::uint32_t doneRanks_ = 0;
   std::vector<double> barrierTimes_;
-
-  /// DLM lock acquisition waits (simulated seconds), accumulated where a
-  /// lock miss blocks a rank; flushed as a histogram.
-  double lockWaitSeconds_ = 0.0;
-  std::uint64_t lockWaits_ = 0;
 
   bool failed_ = false;
   std::string failureReason_;

@@ -2,8 +2,8 @@
 // congestion latency under backlog, and deterministic jitter.
 //
 // Jitter draws from the model's own random stream (keyed by the run seed
-// and the cell's OST offset), not the engine's: per-cell results stay
-// invariant under how cells are grouped onto engine shards.
+// and the cell's OST offset; the engine draws no random numbers), so
+// every cell of a federated run draws a stream of its own.
 #pragma once
 
 #include <cstdint>

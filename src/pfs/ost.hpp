@@ -1,6 +1,6 @@
 // Object storage target bank.
 //
-// Models every OST owned by one engine shard as struct-of-arrays indexed
+// Models every OST of one cell's engine as struct-of-arrays indexed
 // by dense OST id: a server NIC in front of a disk with bounded efficient
 // concurrency, per-object contiguity tracking (seek penalties), and
 // congestion latency past the efficient queue depth. Each OST runs three
@@ -10,8 +10,8 @@
 // sweeps stay cache-resident instead of chasing one heap object per OST.
 //
 // Service jitter draws from a per-OST random stream keyed by the OST's
-// *global* id and the run seed, never from the engine's stream: results
-// are therefore invariant under how cells are grouped onto engine shards.
+// *global* id and the run seed (the engine draws no random numbers), so
+// every cell of a federated run draws streams of its own.
 #pragma once
 
 #include <cstdint>

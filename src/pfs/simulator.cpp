@@ -4,10 +4,12 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "faults/fault_injector.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/engine.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 namespace stellar::pfs {
 
@@ -64,6 +66,69 @@ std::vector<std::optional<CellJob>> splitIntoCells(const JobSpec& job,
     slot->job.ranks.push_back(std::move(program));
   }
   return cellJobs;
+}
+
+/// What one cell's task keeps once its engine, injector and runtime are
+/// gone: everything the fold needs except the rank and file stats, which
+/// the task writes straight to their global slots.
+struct CellResult {
+  RunCounters counters;
+  RunAudit audit;
+  std::vector<double> barrierTimes;
+  bool finished = false;  ///< every rank ran to its end
+  bool failed = false;
+  std::string failureReason;
+  double wall = 0.0;  ///< latest rank finish time
+  double end = 0.0;   ///< the cell engine's clock when it stopped
+};
+
+/// Publishes a folded run to the registry. Names are registered in this
+/// order the first time a registry sees a run.
+void publish(obs::CounterRegistry& registry, const RunResult& result) {
+  const RunCounters& c = result.counters;
+  const RunAudit& a = result.audit;
+  const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+  registry.counter("pfs.rpc.data").add(count(c.dataRpcs));
+  registry.counter("pfs.rpc.meta").add(count(c.metaRpcs));
+  registry.counter("pfs.lock.hits").add(count(c.lockHits));
+  registry.counter("pfs.lock.misses").add(count(c.lockMisses));
+  registry.counter("pfs.lock.wait_seconds").add(c.lockWaitSeconds);
+  registry.counter("pfs.lock.waits").add(count(c.lockWaits));
+  registry.counter("pfs.cache.readahead_hit_bytes").add(count(c.readaheadHitBytes));
+  registry.counter("pfs.cache.readahead_miss_bytes").add(count(c.readaheadMissBytes));
+  registry.counter("pfs.cache.page_hit_bytes").add(count(c.pageCacheHitBytes));
+  registry.counter("pfs.meta.statahead_served").add(count(c.stataheadServed));
+  registry.counter("pfs.lock.extent_conflicts").add(count(c.extentConflicts));
+  // Readahead window machine activity and the fate of every prefetched
+  // byte (INV-READA checks the audit, INV-O1 that these match it).
+  registry.counter("pfs.reada.windows_opened").add(count(a.readaWindowsOpened));
+  registry.counter("pfs.reada.windows_grown").add(count(a.readaWindowsGrown));
+  registry.counter("pfs.reada.windows_reset").add(count(a.readaWindowsReset));
+  registry.counter("pfs.reada.prefetched_bytes").add(count(a.readaPrefetchedBytes));
+  registry.counter("pfs.reada.consumed_bytes").add(count(a.readaConsumedBytes));
+  registry.counter("pfs.reada.discarded_bytes").add(count(a.readaDiscardedBytes));
+  registry.counter("pfs.reada.resident_bytes").add(count(a.readaResidentBytes));
+  registry.counter("pfs.rpc.timeouts").add(count(c.rpcTimeouts));
+  registry.counter("pfs.rpc.retries").add(count(c.rpcRetries));
+  registry.counter("pfs.rpc.gave_up").add(count(c.rpcGaveUp));
+  // Per-OST disk service split: positioning (seek/setup) vs serialized
+  // media transfer. Their ratio is the seek-bound vs bandwidth-bound
+  // signal a tuned configuration shifts.
+  double seekTime = 0.0;
+  double transferTime = 0.0;
+  std::uint64_t seeks = 0;
+  obs::Histogram& queueDepth = registry.histogram("pfs.ost.peak_queue");
+  for (const OstAudit& ost : a.osts) {
+    seekTime += ost.positioningBusySeconds;
+    transferTime += ost.transferBusySeconds;
+    seeks += ost.seeks;
+    queueDepth.observe(static_cast<double>(ost.peakQueue));
+  }
+  registry.counter("pfs.ost.seek_seconds").add(seekTime);
+  registry.counter("pfs.ost.transfer_seconds").add(transferTime);
+  registry.counter("pfs.ost.seeks").add(count(seeks));
+  registry.counter("pfs.mds.ops").add(count(a.mdsOps));
+  registry.counter("pfs.mds.busy_seconds").add(a.mdsBusySeconds);
 }
 
 }  // namespace
@@ -142,86 +207,122 @@ RunResult PfsSimulator::run(const JobSpec& job, const PfsConfig& config,
   if (cells > 1) {
     cellJobs = splitIntoCells(job, cl, cells);
   }
-
-  sim::EngineOptions engineOptions = options_.engine;
-  engineOptions.shards = std::clamp<std::uint32_t>(engineOptions.shards, 1, cells);
-  sim::ShardedEngine engines{engineOptions};
-  engines.attachObservability(options_.tracer, options_.counters);
-  const std::size_t shardCount = engines.shardCount();
-
-  // Per-cell fault injectors and runtimes. Cells are assigned to engine
-  // shards in contiguous groups; because every stream of randomness is
-  // keyed by global ids, the grouping cannot change any cell's results.
-  // Each injector is armed before its runtime schedules its start-of-run
-  // events, so window edges hold stable FIFO positions against every
-  // client/server event — the determinism contract.
-  struct CellRun {
-    std::uint32_t cell = 0;
-    const std::vector<FileId>* localToGlobal = nullptr;  ///< null: ids are global
-    std::unique_ptr<faults::FaultInjector> injector;
-    std::unique_ptr<ClientRuntime> runtime;
-  };
-  const bool haveFaults = options_.faults != nullptr && !options_.faults->empty();
-  std::vector<CellRun> runs;
-  runs.reserve(cells);
+  std::vector<std::uint32_t> liveCells;  ///< cells some rank landed in
   for (std::uint32_t c = 0; c < cells; ++c) {
-    CellRun run;
-    run.cell = c;
-    const JobSpec* cellJob = &job;
-    if (cells > 1) {
-      if (!cellJobs[c]) {
-        continue;  // no ranks landed in this cell
-      }
-      cellJob = &cellJobs[c]->job;
-      run.localToGlobal = &cellJobs[c]->localToGlobal;
+    if (cells == 1 || cellJobs[c]) {
+      liveCells.push_back(c);
     }
-    sim::SimEngine& engine = engines.shard(static_cast<std::size_t>(c) * shardCount / cells);
-    if (haveFaults) {
-      run.injector = std::make_unique<faults::FaultInjector>(
-          engine, *options_.faults, cl.totalOsts(), seed);
-      run.injector->attachObservability(options_.tracer, options_.counters);
-      run.injector->arm();
-    }
-    run.runtime = std::make_unique<ClientRuntime>(
-        engine, cellCluster, config, *cellJob, options_.tracer, run.injector.get(),
-        RunScope{seed, c * cellCluster.clientNodes, c * ostsPerCell});
-    run.runtime->start();
-    runs.push_back(std::move(run));
   }
 
-  if (limits.maxSimSeconds > 0.0) {
-    (void)engines.runUntil(limits.maxSimSeconds);
-  } else {
-    (void)engines.run();  // drains trailing background writeout too
-  }
-
-  const bool allDone = std::all_of(runs.begin(), runs.end(), [](const CellRun& run) {
-    return run.runtime->allRanksDone();
-  });
-  if (!allDone) {
-    if (limits.maxSimSeconds <= 0.0) {
-      throw std::logic_error(
-          "simulation deadlock: event queue drained with ranks blocked (job '" +
-          job.name + "')");
-    }
-    // Watchdog tripped: the measurement is abandoned, not trusted. Retire
-    // still-open fault windows before counters and audits are read, so the
-    // injector's window ledger (and any window-scoped effect) resets
-    // cleanly before the caller's next measurement.
-    engines.cancelOpenWindows();
-  }
-
+  const bool haveFaults = options_.faults != nullptr && !options_.faults->empty();
+  const bool capped = limits.maxSimSeconds > 0.0;
   RunResult result;
-  result.audit.osts.resize(cl.totalOsts());
-  for (const CellRun& run : runs) {
-    result.counters += run.runtime->counters();
-    result.audit.foldCell(run.runtime->audit(),
-                          static_cast<std::size_t>(run.cell) * ostsPerCell);
-  }
-  result.counters.events = engines.eventsProcessed();
-  result.simEndSeconds = engines.now();
+  result.ranks.resize(job.rankCount());
+  result.files.resize(job.files.size());
+  std::vector<CellResult> kept(liveCells.size());
 
+  // One cell, start to finish, in one task. Its injector is armed before
+  // its runtime schedules its start-of-run events, so window edges hold
+  // stable FIFO positions against every client/server event — the
+  // determinism contract. Engine, injector and runtime die with the task;
+  // rank and file stats go to the cell's own global slots, so no two tasks
+  // write the same element.
+  const auto runCell = [&](std::size_t index) {
+    const std::uint32_t c = liveCells[index];
+    const JobSpec& cellJob = cells > 1 ? cellJobs[c]->job : job;
+    sim::SimEngine engine;
+    engine.attachObservability(options_.tracer, options_.counters);
+    std::unique_ptr<faults::FaultInjector> injector;
+    if (haveFaults) {
+      injector = std::make_unique<faults::FaultInjector>(engine, *options_.faults,
+                                                         cl.totalOsts(), seed);
+      injector->attachObservability(options_.tracer, options_.counters);
+      injector->arm();
+    }
+    ClientRuntime runtime{engine, cellCluster, config, cellJob, options_.tracer, injector.get(),
+                          RunScope{seed, c * cellCluster.clientNodes, c * ostsPerCell}};
+    runtime.start();
+    if (capped) {
+      (void)engine.runUntil(limits.maxSimSeconds);
+    } else {
+      (void)engine.run();  // drains trailing background writeout too
+    }
+    CellResult& cell = kept[index];
+    cell.finished = runtime.allRanksDone();
+    if (capped && !cell.finished) {
+      // Retire still-open fault windows, so each fires (and traces) its
+      // close edge before the injector dies with this task.
+      engine.cancelOpenWindows();
+    }
+    cell.counters = runtime.counters();
+    cell.counters.events = engine.eventsProcessed();
+    cell.audit = runtime.audit();
+    cell.barrierTimes = runtime.barrierTimes();
+    cell.failed = runtime.failed();
+    cell.failureReason = runtime.failureReason();
+    cell.end = engine.now();
+    const std::vector<RankStats>& rs = runtime.rankStats();
+    const std::size_t rankOffset = static_cast<std::size_t>(c) * cl.ranksPerCell();
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      result.ranks[rankOffset + i] = rs[i];
+      cell.wall = std::max(cell.wall, rs[i].finishTime);
+    }
+    const std::vector<FileStats>& fsv = runtime.fileStats();
+    for (std::size_t i = 0; i < fsv.size(); ++i) {
+      result.files[cells > 1 ? cellJobs[c]->localToGlobal[i] : i] = fsv[i];
+    }
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      {std::max<std::size_t>(options_.workers, 1), liveCells.size(),
+       std::max<std::size_t>(std::thread::hardware_concurrency(), 1)});
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < liveCells.size(); ++i) {
+      runCell(i);
+    }
+  } else {
+    util::ThreadPool pool{threads};
+    pool.parallelFor(liveCells.size(), runCell);
+  }
+
+  // The fold, in cell order on this thread: the one place cells combine.
+  // The measured wall time is when the application exits (the slowest rank
+  // finishes); background write-back continuing after exit is not part of
+  // the benchmark's wall clock — workloads that need the data on stable
+  // storage fsync before their final barrier, which is counted.
+  result.audit.osts.resize(cl.totalOsts());
+  bool allDone = true;
+  double wall = 0.0;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const CellResult& cell = kept[i];
+    result.counters += cell.counters;
+    result.audit.foldCell(cell.audit, static_cast<std::size_t>(liveCells[i]) * ostsPerCell);
+    result.simEndSeconds = std::max(result.simEndSeconds, cell.end);
+    allDone = allDone && cell.finished;
+    if (cell.failed && result.outcome == RunOutcome::Ok) {
+      result.outcome = RunOutcome::Failed;
+      result.failureReason = cell.failureReason;
+    }
+    wall = std::max(wall, cell.wall);
+    // Barriers are cell-scoped; the k-th "global" barrier is effectively
+    // released when the last cell releases its k-th barrier.
+    if (cell.barrierTimes.size() > result.barrierTimes.size()) {
+      result.barrierTimes.resize(cell.barrierTimes.size(), 0.0);
+    }
+    for (std::size_t b = 0; b < cell.barrierTimes.size(); ++b) {
+      result.barrierTimes[b] = std::max(result.barrierTimes[b], cell.barrierTimes[b]);
+    }
+  }
   if (!allDone) {
+    if (!capped) {
+      throw std::logic_error(
+          "simulation deadlock: event queue drained with ranks blocked (job '" + job.name +
+          "')");
+    }
+    // Watchdog tripped: the measurement is abandoned, and no per-rank,
+    // per-file or barrier figure of it is reported.
+    result.ranks.clear();
+    result.files.clear();
+    result.barrierTimes.clear();
     result.outcome = RunOutcome::TimedOut;
     result.failureReason = "simulated time cap of " +
                            std::to_string(limits.maxSimSeconds) +
@@ -229,63 +330,27 @@ RunResult PfsSimulator::run(const JobSpec& job, const PfsConfig& config,
     result.wallSeconds = limits.maxSimSeconds;
     result.rawWallSeconds = limits.maxSimSeconds;
   } else {
-    // The measured wall time is when the application exits (the slowest
-    // rank finishes); background write-back continuing after exit is not
-    // part of the benchmark's wall clock — workloads that need the data on
-    // stable storage fsync before their final barrier, which is counted.
-    double wall = 0.0;
-    result.files.resize(job.files.size());
-    result.ranks.resize(job.rankCount());
-    for (const CellRun& run : runs) {
-      if (run.runtime->failed() && result.outcome == RunOutcome::Ok) {
-        result.outcome = RunOutcome::Failed;
-        result.failureReason = run.runtime->failureReason();
-      }
-      const std::vector<RankStats>& rs = run.runtime->rankStats();
-      const std::size_t rankOffset = static_cast<std::size_t>(run.cell) * cl.ranksPerCell();
-      for (std::size_t i = 0; i < rs.size(); ++i) {
-        result.ranks[rankOffset + i] = rs[i];
-        wall = std::max(wall, rs[i].finishTime);
-      }
-      const std::vector<FileStats>& fsv = run.runtime->fileStats();
-      for (std::size_t i = 0; i < fsv.size(); ++i) {
-        result.files[run.localToGlobal != nullptr ? (*run.localToGlobal)[i] : i] = fsv[i];
-      }
-      // Barriers are cell-scoped; the k-th "global" barrier is effectively
-      // released when the last cell releases its k-th barrier.
-      const std::vector<double>& bt = run.runtime->barrierTimes();
-      if (bt.size() > result.barrierTimes.size()) {
-        result.barrierTimes.resize(bt.size(), 0.0);
-      }
-      for (std::size_t i = 0; i < bt.size(); ++i) {
-        result.barrierTimes[i] = std::max(result.barrierTimes[i], bt[i]);
-      }
-    }
     result.rawWallSeconds = wall;
     // Run-to-run variance: the paper repeats every case 8x and reports 90%
     // CIs; the multiplicative lognormal reproduces that spread. Noise-spike
-    // windows widen sigma by their overlap-weighted excess;
-    // noiseMultiplierOver is a pure function of the shared plan, so any
-    // cell's injector gives the same answer.
+    // windows widen sigma by their overlap-weighted excess.
     double sigma = kNoiseSigma;
-    if (!runs.empty() && runs.front().injector) {
-      sigma *= runs.front().injector->noiseMultiplierOver(wall);
+    if (haveFaults) {
+      sigma *= options_.faults->noiseMultiplierOver(wall);
     }
     util::Rng noiseRng{util::mix64(seed, kNoiseTag)};
     result.wallSeconds = wall * noiseRng.lognormalNoise(sigma);
   }
 
   if (options_.counters != nullptr) {
-    for (const CellRun& run : runs) {
-      run.runtime->flushObservability(*options_.counters);
-    }
+    publish(*options_.counters, result);
   }
   if (runSpan.active()) {
     runSpan.arg("sim_seconds", util::Json(result.wallSeconds));
     runSpan.arg("data_rpcs", util::Json(static_cast<std::int64_t>(result.counters.dataRpcs)));
     runSpan.arg("meta_rpcs", util::Json(static_cast<std::int64_t>(result.counters.metaRpcs)));
     runSpan.arg("cells", util::Json(static_cast<std::int64_t>(cells)));
-    runSpan.arg("shards", util::Json(static_cast<std::int64_t>(shardCount)));
+    runSpan.arg("workers", util::Json(static_cast<std::int64_t>(threads)));
     runSpan.arg("events", util::Json(static_cast<std::int64_t>(result.counters.events)));
   }
   return result;

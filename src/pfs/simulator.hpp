@@ -4,11 +4,12 @@
 // between-runs hygiene (delete data, drop caches, remount, settle) is
 // implicit because every run constructs fresh state.
 //
-// Every run takes one path: split the job into the cluster's cells, start
-// one ClientRuntime (and, under a fault plan, one FaultInjector) per cell
-// on a sim::ShardedEngine shard, drive the shards, and fold the cells'
-// results into one RunResult. The classic single-filesystem testbed is the
-// one-cell case: its cell runs the caller's job as given on one shard.
+// Every run takes one path: split the job into the cluster's cells, run
+// each cell start to finish in one task (its own engine, fault injector and
+// ClientRuntime, built and destroyed inside the task), then fold the cells'
+// kept results in cell order into one RunResult on the calling thread. The
+// classic single-filesystem testbed is the one-cell case: its cell runs the
+// caller's job as given, inline.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "pfs/job.hpp"
 #include "pfs/params.hpp"
 #include "pfs/topology.hpp"
-#include "sim/engine.hpp"
 
 namespace stellar::pfs {
 
@@ -87,11 +87,11 @@ struct SimulatorOptions {
   /// must outlive the simulator). Null or empty = fault-free: runs are
   /// bit-identical to a simulator without the faults layer.
   const faults::FaultPlan* faults = nullptr;
-  /// Event-engine construction knobs: the shard fan-out for federated
-  /// clusters (cluster.cells > 1; the fan-out is clamped to the cell
-  /// count). Results are bit-identical across shard counts; only
-  /// wall-clock performance changes.
-  sim::EngineOptions engine{};
+  /// Threads that run a federated cluster's cells (cluster.cells > 1),
+  /// capped at the cell and core counts; 1 runs them inline in cell
+  /// order. At most this many cells are alive at once. Results are
+  /// bit-identical for any value; only wall-clock time changes.
+  std::uint32_t workers = 1;
 };
 
 class PfsSimulator {
@@ -114,9 +114,11 @@ class PfsSimulator {
   /// agent proposes invalid values), the job is malformed (including a
   /// file touched from two cells), or the cell count does not divide the
   /// cluster's client and OSS nodes. Fault-induced failures do NOT throw:
-  /// they come back as outcome != Ok. Bit-identical for any shard count,
-  /// because cells never interact and all randomness is keyed by global
-  /// component ids.
+  /// they come back as outcome != Ok. A run whose event queues drain with
+  /// ranks still blocked throws std::logic_error naming the job.
+  /// Bit-identical for any worker count, because cells never interact,
+  /// all randomness is keyed by global component ids, and the cells'
+  /// results are folded in cell order.
   [[nodiscard]] RunResult run(const JobSpec& job, const PfsConfig& config,
                               std::uint64_t seed) const {
     return run(job, config, seed, RunLimits{});

@@ -77,8 +77,8 @@ struct ClusterSpec {
   /// own slice of the OST pool, and its own client-node group. Ranks on a
   /// cell's nodes only touch that cell's files, and barriers are
   /// cell-scoped. clientNodes and ossNodes must divide evenly by cells;
-  /// cells == 1 is the classic single-filesystem testbed. Cells are the
-  /// unit the sharded engine distributes across threads.
+  /// cells == 1 is the classic single-filesystem testbed. A cell is the
+  /// unit PfsSimulator::run hands to a worker thread: one engine, one task.
   std::uint32_t cells = 1;
   std::uint64_t clientRamBytes = 196ULL * util::kGiB;
   DiskSpec disk;

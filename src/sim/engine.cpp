@@ -5,8 +5,6 @@
 
 namespace stellar::sim {
 
-SimEngine::SimEngine(EngineOptions options) : options_(options) {}
-
 void SimEngine::scheduleAt(SimTime at, Callback cb) {
   const std::uint32_t slot = acquireSlot();
   spilled_ += static_cast<std::uint64_t>(cb.spilled());

@@ -6,14 +6,16 @@
 // pending-event queue is a binary heap of slim (timestamp, seq, slot) keys;
 // each pending event's callback lives in an engine-owned slot store and
 // runs in place when its key reaches the front. A continuation that one
-// closure hands on to another is parked in the same store (sim::Parked),
-// so the store alone holds every pending continuation. The PFS model in
-// src/pfs builds client/server state machines on top of this;
-// sim::ShardedEngine runs several independent engines side by side for
-// federated clusters.
+// closure hands on to another is parked in the same store (sim::Parked).
+// Callbacks that wait on model state rather than on time (the pfs
+// client's dirty-budget, readahead-chunk and fsync waiters) are held by
+// their model as sim::Callbacks outside the store, and run inline in the
+// event that releases them.
+// The PFS model in src/pfs builds client/server state machines on top of
+// this; a federated run gives each cell an engine of its own.
 //
-// Construction goes through sim::EngineOptions — the options struct is the
-// only public constructor, mirroring pfs::SimulatorOptions.
+// The engine draws no random numbers: models key their own streams by
+// global component ids, so a run's seed never passes through here.
 #pragma once
 
 #include <algorithm>
@@ -30,17 +32,6 @@
 #include "sim/scheduler.hpp"
 
 namespace stellar::sim {
-
-/// The single way to build an engine (and, via ShardedEngine, a shard
-/// fleet). Aggregate-initialize with designated fields:
-///   ShardedEngine fleet{{.shards = 4}};
-/// The engine draws no random numbers: models key their own streams by
-/// global component ids, so a run's seed never passes through here.
-struct EngineOptions {
-  /// Shard fan-out consumed by ShardedEngine (a bare SimEngine is always
-  /// one shard).
-  std::uint32_t shards = 1;
-};
 
 /// A continuation parked in the engine's slot store: built in a free slot
 /// but not queued. A closure that must hand on a continuation captures
@@ -75,12 +66,11 @@ class Parked {
 
 class SimEngine {
  public:
-  explicit SimEngine(EngineOptions options = {});
+  SimEngine() = default;
 
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
-  [[nodiscard]] const EngineOptions& options() const noexcept { return options_; }
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedules `cb` at absolute time `at` (clamped to now).
@@ -248,7 +238,6 @@ class SimEngine {
   void noteDispatch();
   void finishDrain(obs::Tracer::Span& span, std::uint64_t dispatched);
 
-  EngineOptions options_;
   HeapScheduler queue_;
   /// Callbacks of pending events and parked continuations, in fixed-size
   /// chunks that never move: a dispatched or run callback runs in place

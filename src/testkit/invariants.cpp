@@ -294,6 +294,10 @@ std::vector<Violation> checkObsConsistency(const obs::CounterRegistry& registry,
     }
     return -1.0;  // absent
   };
+  std::uint64_t ostSeeks = 0;
+  for (const pfs::OstAudit& ost : a.osts) {
+    ostSeeks += ost.seeks;
+  }
   const std::pair<const char*, double> expected[] = {
       {"pfs.rpc.data", static_cast<double>(c.dataRpcs)},
       {"pfs.rpc.meta", static_cast<double>(c.metaRpcs)},
@@ -304,6 +308,8 @@ std::vector<Violation> checkObsConsistency(const obs::CounterRegistry& registry,
       {"pfs.cache.page_hit_bytes", static_cast<double>(c.pageCacheHitBytes)},
       {"pfs.meta.statahead_served", static_cast<double>(c.stataheadServed)},
       {"pfs.lock.extent_conflicts", static_cast<double>(c.extentConflicts)},
+      {"pfs.lock.waits", static_cast<double>(c.lockWaits)},
+      {"pfs.lock.wait_seconds", c.lockWaitSeconds},
       {"pfs.rpc.timeouts", static_cast<double>(c.rpcTimeouts)},
       {"pfs.rpc.retries", static_cast<double>(c.rpcRetries)},
       {"pfs.rpc.gave_up", static_cast<double>(c.rpcGaveUp)},
@@ -314,6 +320,8 @@ std::vector<Violation> checkObsConsistency(const obs::CounterRegistry& registry,
       {"pfs.reada.consumed_bytes", static_cast<double>(a.readaConsumedBytes)},
       {"pfs.reada.discarded_bytes", static_cast<double>(a.readaDiscardedBytes)},
       {"pfs.reada.resident_bytes", static_cast<double>(a.readaResidentBytes)},
+      {"pfs.mds.ops", static_cast<double>(a.mdsOps)},
+      {"pfs.ost.seeks", static_cast<double>(ostSeeks)},
   };
   for (const auto& [name, want] : expected) {
     const double got = lookup(name);
@@ -323,7 +331,7 @@ std::vector<Violation> checkObsConsistency(const obs::CounterRegistry& registry,
     }
     if (std::abs(got - want) > relSlack(want)) {
       add(v, "INV-O1", std::string("obs counter '") + name + "'=" + num(got) +
-                           " disagrees with RunCounters value " + num(want));
+                           " disagrees with the RunResult value " + num(want));
     }
   }
   return v;

@@ -43,9 +43,9 @@ void applyMutation(const std::string& name, pfs::RunResult& result);
 [[nodiscard]] std::vector<Violation> checkRun(const GeneratedCase& cse,
                                               const pfs::RunResult& result);
 
-/// Cross-checks the RunCounters snapshot against the `pfs.*` counters the
-/// run flushed into `registry` (INV-O1). The registry must contain exactly
-/// one run's worth of flushes.
+/// Cross-checks the RunCounters and audit totals against the `pfs.*`
+/// counters the run published to `registry` (INV-O1). The registry must
+/// contain exactly one run's publish.
 [[nodiscard]] std::vector<Violation> checkObsConsistency(
     const obs::CounterRegistry& registry, const pfs::RunResult& result);
 

@@ -36,21 +36,27 @@ std::vector<Violation> checkMetamorphic(const CaseShape& shape,
   }
 
   // ML-SHARD: replicate the case into 4 shared-nothing federation cells
-  // and run on 1 / 2 / 4 engine shards. Randomness is keyed by global
-  // component ids, so the shard grouping cannot change any number. Bounded
-  // to small shapes: the cellified job is 4x the base work, times 3 runs.
+  // and run them on 1 / 2 / 4 worker threads. Each cell runs start to
+  // finish on an engine of its own, randomness is keyed by global component
+  // ids, and the cells' results fold in cell order, so the worker count
+  // cannot change any number. The 4-worker run also publishes to a
+  // registry, and INV-O1 checks that against the folded result. Bounded to
+  // small shapes: the cellified job is 4x the base work, times 3 runs.
   if (plan.shards && shape.ranks <= 8 &&
       std::uint64_t{shape.chunksPerFile} * shape.chunkBytes <= 8 * util::kMiB) {
     const GeneratedCase celled = cellify(base, 4);
-    const pfs::RunResult one = runCase(celled, sim::EngineOptions{.shards = 1});
-    const pfs::RunResult two = runCase(celled, sim::EngineOptions{.shards = 2});
-    const pfs::RunResult four = runCase(celled, sim::EngineOptions{.shards = 4});
+    obs::CounterRegistry registry;
+    const pfs::RunResult one = runCase(celled, 1);
+    const pfs::RunResult two = runCase(celled, 2);
+    const pfs::RunResult four = runCase(celled, 4, &registry);
     if (const auto diff = describeDifference(one, two)) {
-      v.push_back(Violation{"ML-SHARD", "1 vs 2 shards diverged: " + *diff});
+      v.push_back(Violation{"ML-SHARD", "1 vs 2 workers diverged: " + *diff});
     }
     if (const auto diff = describeDifference(one, four)) {
-      v.push_back(Violation{"ML-SHARD", "1 vs 4 shards diverged: " + *diff});
+      v.push_back(Violation{"ML-SHARD", "1 vs 4 workers diverged: " + *diff});
     }
+    const std::vector<Violation> obsViolations = checkObsConsistency(registry, four);
+    v.insert(v.end(), obsViolations.begin(), obsViolations.end());
   }
 
   // ML-FAULTFREE: an attached-but-empty plan must not perturb anything

@@ -5,8 +5,9 @@
 // survives when no closed-form oracle exists:
 //
 //   ML-DET       same (job, config, seed, plan) ⇒ bit-identical results
-//   ML-SHARD     a cellified case is bit-identical for 1 / 2 / 4 engine
-//                shards (shared-nothing cells + globally keyed randomness)
+//   ML-SHARD     a cellified case is bit-identical on 1 / 2 / 4 worker
+//                threads (one engine per cell, globally keyed randomness,
+//                cell-order fold); its 4-worker run must also pass INV-O1
 //   ML-FAULTFREE an *empty* fault plan ⇒ bit-identical to no plan at all
 //   ML-SCALE     doubling the client ranks never reduces aggregate work
 //   ML-RELAX     raising osc.max_rpcs_in_flight on a contention-free

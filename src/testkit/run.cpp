@@ -5,15 +5,15 @@
 namespace stellar::testkit {
 
 pfs::RunResult runCase(const GeneratedCase& cse, obs::CounterRegistry* registry) {
-  return runCase(cse, sim::EngineOptions{}, registry);
+  return runCase(cse, 1, registry);
 }
 
-pfs::RunResult runCase(const GeneratedCase& cse, const sim::EngineOptions& engine,
+pfs::RunResult runCase(const GeneratedCase& cse, std::uint32_t workers,
                        obs::CounterRegistry* registry) {
   pfs::SimulatorOptions options;
   options.cluster = cse.cluster;
   options.counters = registry;
-  options.engine = engine;
+  options.workers = workers;
   if (!cse.shape.faults.empty()) {
     options.faults = &cse.shape.faults;
   }

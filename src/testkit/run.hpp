@@ -3,6 +3,7 @@
 // same way every testkit consumer expects.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -14,15 +15,14 @@ namespace stellar::testkit {
 
 /// Runs the materialized case once. The shape's seed is the sim seed, the
 /// shape's fault plan is attached when non-empty, and `registry` (if
-/// given) receives exactly this run's observability flush.
+/// given) receives exactly this run's published metrics.
 [[nodiscard]] pfs::RunResult runCase(const GeneratedCase& cse,
                                      obs::CounterRegistry* registry = nullptr);
 
-/// As above with explicit engine construction knobs (the shard fan-out).
-/// The ML-SHARD law drives the same case through different
-/// engine configurations and demands bit-identity.
-[[nodiscard]] pfs::RunResult runCase(const GeneratedCase& cse,
-                                     const sim::EngineOptions& engine,
+/// As above on `workers` cell threads (pfs::SimulatorOptions::workers).
+/// The ML-SHARD law drives the same case at different worker counts and
+/// demands bit-identity.
+[[nodiscard]] pfs::RunResult runCase(const GeneratedCase& cse, std::uint32_t workers,
                                      obs::CounterRegistry* registry = nullptr);
 
 /// Bit-identity comparison of two whole run results; returns a description

@@ -84,15 +84,15 @@ TEST(FaultInjector, StallAndMdsQueriesTrackWindows) {
 }
 
 TEST(FaultInjector, NoiseMultiplierIsOverlapWeighted) {
-  sim::SimEngine engine;
+  // Noise spikes are applied after the run from the plan alone, so the
+  // multiplier is a FaultPlan function: no injector outlives its cell.
   const FaultPlan plan = parseFaultSpec("noise:spike:3@0-45");
-  FaultInjector injector{engine, plan, 1, 1};
   // Window covers half of a 90 s run: 1 + (3-1) * 45/90 = 2.
-  EXPECT_DOUBLE_EQ(injector.noiseMultiplierOver(90.0), 2.0);
+  EXPECT_DOUBLE_EQ(plan.noiseMultiplierOver(90.0), 2.0);
   // Window covers the whole of a 45 s run.
-  EXPECT_DOUBLE_EQ(injector.noiseMultiplierOver(45.0), 3.0);
+  EXPECT_DOUBLE_EQ(plan.noiseMultiplierOver(45.0), 3.0);
   // Zero-length run degrades to no scaling.
-  EXPECT_DOUBLE_EQ(injector.noiseMultiplierOver(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(plan.noiseMultiplierOver(0.0), 1.0);
 }
 
 TEST(FaultInjector, DropSamplingIsDeterministicPerRunSeed) {
@@ -165,7 +165,7 @@ TEST(FaultInjector, LlmKindsAreInvisibleToTheSimulator) {
   EXPECT_FALSE(injector.ostDown(0));
   EXPECT_DOUBLE_EQ(injector.rpcDropProbability(), 0.0);
   EXPECT_DOUBLE_EQ(injector.mdsSlowdown(), 1.0);
-  EXPECT_DOUBLE_EQ(injector.noiseMultiplierOver(100.0), 1.0);
+  EXPECT_DOUBLE_EQ(plan.noiseMultiplierOver(100.0), 1.0);
 }
 
 }  // namespace

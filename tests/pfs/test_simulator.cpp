@@ -2,6 +2,11 @@
 // validation errors, and basic stats plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "faults/fault_plan.hpp"
 #include "obs/counters.hpp"
 #include "pfs/simulator.hpp"
@@ -197,17 +202,76 @@ JobSpec fppJob(std::uint32_t ranks) {
 }
 
 TEST(SimulatorFederated, BitIdenticalAcrossSchedulersAndShardCounts) {
-  // One event queue shared by all four cells (1 shard) against per-shard
-  // queues (2 and 4 shards): the results must not differ in any bit.
+  // Four cells run inline in cell order (1 worker) or concurrently (2 and
+  // 4 workers): the results must not differ in any bit.
   const JobSpec job = fppJob(8);
-  const auto runWith = [&](std::uint32_t shards) {
-    PfsSimulator sim{{.cluster = tinyFederatedCluster(4), .engine = {.shards = shards}}};
+  const auto runWith = [&](std::uint32_t workers) {
+    PfsSimulator sim{{.cluster = tinyFederatedCluster(4), .workers = workers}};
     return sim.run(job, PfsConfig{}, 11);
   };
   const auto reference = runWith(1);
   EXPECT_EQ(reference.outcome, pfs::RunOutcome::Ok);
   expectIdenticalResults(reference, runWith(2));
   expectIdenticalResults(reference, runWith(4));
+}
+
+TEST(SimulatorFederated, FaultedCappedRunIsBitIdenticalAcrossWorkerCounts) {
+  // Under flaky-network at seed 9 four RPCs time out, and per-OST jitter
+  // makes the cells finish at different times; a cap between the first
+  // and the last cell's finish leaves some cells done and at least one
+  // unfinished.
+  const JobSpec job = fppJob(8);
+  const faults::FaultPlan plan = faults::scenarioByName("flaky-network");
+  const auto runWith = [&](std::uint32_t workers, double cap) {
+    PfsSimulator sim{{.cluster = tinyFederatedCluster(4), .faults = &plan, .workers = workers}};
+    return sim.run(job, PfsConfig{}, 9, pfs::RunLimits{.maxSimSeconds = cap});
+  };
+  const auto full = runWith(1, 0.0);
+  ASSERT_EQ(full.ranks.size(), 8u);
+  EXPECT_GT(full.counters.rpcRetries, 0u);  // the faults reached the run
+  expectIdenticalResults(full, runWith(4, 0.0));
+  std::vector<double> cellFinish(4, 0.0);  // two ranks per cell
+  for (std::size_t r = 0; r < full.ranks.size(); ++r) {
+    cellFinish[r / 2] = std::max(cellFinish[r / 2], full.ranks[r].finishTime);
+  }
+  const auto [first, last] = std::minmax_element(cellFinish.begin(), cellFinish.end());
+  ASSERT_LT(*first, *last);
+  const double cap = (*first + *last) / 2.0;
+
+  const auto capped = runWith(1, cap);
+  EXPECT_EQ(capped.outcome, pfs::RunOutcome::TimedOut);
+  EXPECT_DOUBLE_EQ(capped.wallSeconds, cap);
+  // An abandoned measurement reports no per-rank or per-file stats, even
+  // for the cells that finished before the cap.
+  EXPECT_TRUE(capped.ranks.empty());
+  EXPECT_TRUE(capped.files.empty());
+  expectIdenticalResults(capped, runWith(2, cap));
+  expectIdenticalResults(capped, runWith(4, cap));
+}
+
+TEST(SimulatorFederated, DeadlockedCellThrowsNamingTheJob) {
+  // Rank 5 skips the barrier its cell-mate (rank 4, cell 2) waits at, which
+  // JobSpec::validate accepts: cell 2's queue drains with rank 4 blocked.
+  JobSpec job = fppJob(8);
+  std::vector<IoOp>& program = job.ranks[5];
+  program.erase(std::find_if(program.begin(), program.end(), [](const IoOp& op) {
+    return op.kind == pfs::OpKind::Barrier;
+  }));
+  ASSERT_TRUE(job.validate().empty());
+  for (const std::uint32_t workers : {1U, 4U}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    PfsSimulator sim{{.cluster = tinyFederatedCluster(4), .workers = workers}};
+    try {
+      (void)sim.run(job, PfsConfig{}, 3);
+      ADD_FAILURE() << "a deadlocked cell did not throw";
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << "rejected as invalid instead: " << e.what();
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+      EXPECT_NE(what.find("'fpp-federated'"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(SimulatorFederated, ScattersStatsBackToGlobalIds) {

@@ -15,7 +15,7 @@ namespace stellar::sim {
 namespace {
 
 TEST(SimEngine, RunsEventsInTimeOrder) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   std::vector<int> order;
   engine.scheduleAt(3.0, [&] { order.push_back(3); });
   engine.scheduleAt(1.0, [&] { order.push_back(1); });
@@ -26,7 +26,7 @@ TEST(SimEngine, RunsEventsInTimeOrder) {
 }
 
 TEST(SimEngine, SimultaneousEventsAreFifo) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     engine.scheduleAt(1.0, [&order, i] { order.push_back(i); });
@@ -38,7 +38,7 @@ TEST(SimEngine, SimultaneousEventsAreFifo) {
 }
 
 TEST(SimEngine, EventsCanScheduleMoreEvents) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   int depth = 0;
   // Self-scheduling closure: each event schedules the next link of a chain
   // that lives outside the engine.
@@ -54,7 +54,7 @@ TEST(SimEngine, EventsCanScheduleMoreEvents) {
 }
 
 TEST(SimEngine, PastTimesClampToNow) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   double observed = -1.0;
   engine.scheduleAt(5.0, [&] {
     engine.scheduleAt(1.0, [&] { observed = engine.now(); });
@@ -64,7 +64,7 @@ TEST(SimEngine, PastTimesClampToNow) {
 }
 
 TEST(SimEngine, NegativeDelayClampsToZero) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   double observed = -1.0;
   engine.scheduleAfter(-3.0, [&] { observed = engine.now(); });
   engine.run();
@@ -72,7 +72,7 @@ TEST(SimEngine, NegativeDelayClampsToZero) {
 }
 
 TEST(SimEngine, RunUntilStopsAtLimit) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   int fired = 0;
   engine.scheduleAt(1.0, [&] { ++fired; });
   engine.scheduleAt(2.0, [&] { ++fired; });
@@ -87,7 +87,7 @@ TEST(SimEngine, RunUntilStopsAtLimit) {
 }
 
 TEST(SimEngine, CountsProcessedEvents) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   for (int i = 0; i < 7; ++i) {
     engine.scheduleAt(i, [] {});
   }
@@ -110,7 +110,7 @@ TEST(SimEngine, CallbackKeepsItsCapturesWhileGrowingTheSlotStore) {
   // events from inside it grows the store; its captures must read back
   // intact afterwards, both when the closure sits inline in the slot and
   // when it spilled to the heap.
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   int fired = 0;
   std::uint64_t inlineSeen = 0;
   std::uint64_t spilledSeen = 0;
@@ -136,7 +136,7 @@ TEST(SimEngine, CallbackKeepsItsCapturesWhileGrowingTheSlotStore) {
 TEST(SimEngine, ParkedCallbackTakesItsSeqWhenScheduled) {
   // Parking queues nothing: a continuation parked first but scheduled
   // after a fresh callback at the same timestamp runs after it.
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   std::vector<int> order;
   Parked parked = engine.park([&order] { order.push_back(1); });
   engine.scheduleAt(1.0, [&order] { order.push_back(2); });
@@ -151,7 +151,7 @@ TEST(SimEngine, ParkedRunKeepsItsCapturesWhileGrowingTheSlotStore) {
   // run() invokes a parked continuation in place in its slot, like
   // dispatch; growing the store from inside it must leave its captures
   // intact, inline or spilled, and run() itself does not move the clock.
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   int fired = 0;
   std::uint64_t inlineSeen = 0;
   std::uint64_t spilledSeen = 0;
@@ -184,7 +184,7 @@ TEST(SimEngine, ParkedContinuationsReleaseTheirCapturesAtTeardown) {
   // releases their captures, inline and spilled alike.
   auto token = std::make_shared<int>(7);
   {
-    SimEngine engine{EngineOptions{}};
+    SimEngine engine;
     Parked small;
     Parked large;
     engine.scheduleAt(1.0, [&engine, &small, &large, token] {
@@ -205,7 +205,7 @@ TEST(SimEngine, ParkedContinuationsReleaseTheirCapturesAtTeardown) {
 }
 
 TEST(SimEngine, CountsSpilledCallbacksIntoTheRegistry) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   obs::CounterRegistry registry;
   engine.attachObservability(nullptr, &registry);
   std::array<double, 16> padding{};
@@ -221,7 +221,7 @@ TEST(SimEngine, CountsSpilledCallbacksIntoTheRegistry) {
 TEST(SimEngine, WindowCallbacksKeepTheirCapturesWhileGrowingTheSlotStore) {
   // The same growth from a window's open and close edges: both run from
   // the window record, called by the engine's edge closures.
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   int fired = 0;
   std::uint64_t openSeen = 0;
   std::uint64_t closeSeen = 0;
@@ -244,7 +244,7 @@ TEST(SimEngine, WindowCallbacksKeepTheirCapturesWhileGrowingTheSlotStore) {
 }
 
 TEST(SimEngine, CancelOpenWindowsFiresOutstandingCloseHandlers) {
-  SimEngine engine{EngineOptions{}};
+  SimEngine engine;
   std::vector<int> closed;
   engine.scheduleWindow(1.0, 10.0, [] {}, [&] { closed.push_back(1); });
   engine.scheduleWindow(2.0, 20.0, [] {}, [&] { closed.push_back(2); });

@@ -28,17 +28,17 @@ TEST(Metamorphic, SameSeedIsBitIdentical) {
 }
 
 TEST(Metamorphic, CellifiedCaseIsBitIdenticalAcrossBackendsAndShards) {
-  // The determinism contract across every engine configuration: whether
-  // the cells share one event queue (1 shard) or run on per-shard queues
-  // (2, 4) is a pure performance choice. Compare full RunAudits via
-  // describeDifference, not just wall times.
+  // The determinism contract across worker counts: whether the cells run
+  // inline in cell order (1 worker) or concurrently (2, 4) is a pure
+  // performance choice. Compare full RunAudits via describeDifference, not
+  // just wall times.
   const GeneratedCase base = materialize(generateShape(0xCE11));
   const GeneratedCase celled = cellify(base, 4);
-  const pfs::RunResult reference = runCase(celled, sim::EngineOptions{.shards = 1});
-  for (const std::uint32_t shards : {2U, 4U}) {
-    const pfs::RunResult sharded = runCase(celled, sim::EngineOptions{.shards = shards});
-    const auto difference = describeDifference(reference, sharded);
-    EXPECT_FALSE(difference.has_value()) << shards << " shards: " << *difference;
+  const pfs::RunResult reference = runCase(celled, 1);
+  for (const std::uint32_t workers : {2U, 4U}) {
+    const pfs::RunResult parallel = runCase(celled, workers);
+    const auto difference = describeDifference(reference, parallel);
+    EXPECT_FALSE(difference.has_value()) << workers << " workers: " << *difference;
   }
 }
 
