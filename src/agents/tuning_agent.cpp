@@ -33,12 +33,12 @@ std::int64_t geometricMid(std::int64_t from, std::int64_t to) {
 TuningAgent::TuningAgent(TuningAgentOptions options,
                          std::map<std::string, llm::ParamKnowledge> knowledge,
                          pfs::BoundsContext bounds, const rules::RuleSet* globalRules,
-                         llm::TokenMeter& meter, Transcript& transcript)
+                         llm::LlmClient& llm, Transcript& transcript)
     : opts_(std::move(options)),
       knowledge_(std::move(knowledge)),
       bounds_(bounds),
       globalRules_(globalRules),
-      meter_(meter),
+      llm_(llm),
       transcript_(transcript),
       rng_(hashText(opts_.model.name, opts_.seed)) {
   // Static prompt prefix: the parameter sheet + global rules. This is what
@@ -622,12 +622,7 @@ bool TuningAgent::recordPromptedCall(const std::string& output) {
     prompt += attempt.rationale + " -> " +
               (attempt.valid ? util::formatSeconds(attempt.seconds) : "INVALID") + "\n";
   }
-  if (llm_ == nullptr) {
-    meter_.recordCall("tuning-agent", prompt, output);
-    lastOutcome_ = llm::CallOutcome{};
-    return true;
-  }
-  lastOutcome_ = llm_->call(opts_.model, "tuning-agent", prompt, output);
+  lastOutcome_ = llm_.call(opts_.model, "tuning-agent", prompt, output);
   return lastOutcome_.ok;
 }
 

@@ -31,7 +31,6 @@
 #include "llm/knowledge.hpp"
 #include "llm/llm_client.hpp"
 #include "llm/model_profile.hpp"
-#include "llm/token_meter.hpp"
 #include "pfs/params.hpp"
 #include "rules/rules.hpp"
 #include "util/rng.hpp"
@@ -99,16 +98,13 @@ class TuningAgent {
     bool staleAnalysis = false;
   };
 
+  /// Every model call goes through `llm` (non-owning), the fault-injection,
+  /// retry and circuit-breaker boundary; a client with no faults meters
+  /// each call and never fails one.
   TuningAgent(TuningAgentOptions options,
               std::map<std::string, llm::ParamKnowledge> knowledge,
               pfs::BoundsContext bounds, const rules::RuleSet* globalRules,
-              llm::TokenMeter& meter, Transcript& transcript);
-
-  /// Routes every model call through `client` (nullable, non-owning): the
-  /// fault-injection / retry / circuit-breaker boundary of ISSUE 7. Without
-  /// a client, calls are metered directly and always succeed — byte-for-
-  /// byte the pre-client behavior.
-  void attachLlm(llm::LlmClient* client) noexcept { llm_ = client; }
+              llm::LlmClient& llm, Transcript& transcript);
 
   /// Resilience-ladder model swap: subsequent calls bill and sample faults
   /// as `model`. The decision plan (already built, seeded by the original
@@ -210,9 +206,8 @@ class TuningAgent {
   std::map<std::string, llm::ParamKnowledge> knowledge_;
   pfs::BoundsContext bounds_;
   const rules::RuleSet* globalRules_;
-  llm::TokenMeter& meter_;
+  llm::LlmClient& llm_;
   Transcript& transcript_;
-  llm::LlmClient* llm_ = nullptr;
   llm::CallOutcome lastOutcome_;
   util::Rng rng_;
 

@@ -344,9 +344,8 @@ TuningRunResult StellarEngine::tune(const pfs::JobSpec& job,
                                           options_.sanitizer, registry};
 
   agents::TuningAgent agent{options_.agent, std::move(knowledge),
-                            simulator_.boundsContext(), agentRules, result.meter,
+                            simulator_.boundsContext(), agentRules, llmClient,
                             result.transcript};
-  agent.attachLlm(&llmClient);
   if (hint) {
     agent.primeWarmStart(hint->config,
                          "Begin from the best configuration recorded for a "

@@ -4,11 +4,25 @@
 
 namespace stellar::faults {
 
+namespace {
+
+/// Seed of `cell`'s drop stream. Cell 0, which every one-cell run is,
+/// draws from mix64(planSeed, runSeed) unmixed, so one-cell results stay
+/// stable; any other cell mixes in its index.
+std::uint64_t dropStreamSeed(std::uint64_t planSeed, std::uint64_t runSeed,
+                             std::uint32_t cell) {
+  const std::uint64_t base = util::mix64(planSeed, runSeed);
+  return cell == 0 ? base : util::mix64(base, cell);
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(sim::SimEngine& engine, const FaultPlan& plan,
-                             std::size_t ostCount, std::uint64_t runSeed)
+                             std::size_t ostCount, std::uint64_t runSeed,
+                             std::uint32_t cell)
     : engine_(engine),
       plan_(plan),
-      rng_(util::mix64(plan.seed, runSeed)),
+      rng_(dropStreamSeed(plan.seed, runSeed, cell)),
       ostSlowdown_(ostCount, 1.0),
       ostOutageDepth_(ostCount, 0) {}
 

@@ -6,10 +6,13 @@
 // order deterministically (FIFO sequence numbers) against client and server
 // events — the determinism contract in DESIGN.md rests on this.
 //
-// Determinism of drop sampling: the injector owns its own Rng seeded from
-// mix64(plan.seed, runSeed) and only draws while a drop window is open, so
-// a plan whose windows miss the run draws nothing and perturbs no other
-// stream — only its window edges add engine events.
+// Determinism of drop sampling: the injector owns its own Rng, keyed by
+// the plan seed, the run seed and the federation cell it serves, and only
+// draws while a drop window is open, so a plan whose windows miss the run
+// draws nothing and perturbs no other stream — only its window edges add
+// engine events. Cell 0 draws from mix64(plan.seed, runSeed), the stream
+// of a one-cell run; every other cell draws a stream of its own, so the
+// cells of a federated run lose different RPCs.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +30,10 @@ namespace stellar::faults {
 class FaultInjector {
  public:
   /// The plan must outlive the injector. `ostCount` sizes the per-OST
-  /// state tables; events targeting OSTs past it are ignored.
+  /// state tables; events targeting OSTs past it are ignored. `cell` is
+  /// the federation cell whose engine this injector drives.
   FaultInjector(sim::SimEngine& engine, const FaultPlan& plan, std::size_t ostCount,
-                std::uint64_t runSeed);
+                std::uint64_t runSeed, std::uint32_t cell = 0);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;

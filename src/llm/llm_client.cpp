@@ -10,8 +10,8 @@ constexpr double kBackoffBaseSeconds = 1.0;
 }  // namespace
 
 LlmClient::LlmClient(const LlmFaultModel* faults, TokenMeter& meter,
-                     obs::CounterRegistry* counters, LlmClientOptions options)
-    : faults_(faults), meter_(meter), counters_(counters), opts_(options) {}
+                     obs::CounterRegistry* counters)
+    : faults_(faults), meter_(meter), counters_(counters) {}
 
 void LlmClient::count(const char* name, const std::string& model, double delta) {
   if (counters_ != nullptr) {
@@ -32,8 +32,8 @@ CallOutcome LlmClient::call(const ModelProfile& profile,
   CallOutcome outcome;
   const std::uint64_t callIndex = nextCall_++;
 
-  // Fault-free fast path: exactly the pre-client accounting, no breaker
-  // bookkeeping, so attaching a client never perturbs clean runs.
+  // Fault-free fast path: exactly the bare meter's accounting, no breaker
+  // bookkeeping, so a fault-free client never perturbs clean runs.
   if (faults_ == nullptr || faults_->empty()) {
     meter_.recordCall(conversation, prompt, output);
     return outcome;
@@ -42,7 +42,7 @@ CallOutcome LlmClient::call(const ModelProfile& profile,
   Breaker& breaker = breakers_[profile.name];
   if (breaker.state == BreakerState::Open) {
     if (callIndex <
-        breaker.openedAtCall + static_cast<std::uint64_t>(opts_.breakerCooldownCalls)) {
+        breaker.openedAtCall + static_cast<std::uint64_t>(kBreakerCooldownCalls)) {
       // Cooling down: fail fast, nothing sent, nothing billed.
       outcome.ok = false;
       outcome.breakerOpen = true;
@@ -56,7 +56,7 @@ CallOutcome LlmClient::call(const ModelProfile& profile,
   // A half-open breaker grants a single probe attempt; retrying against a
   // provider that just tripped the breaker would defeat the point.
   const int attempts =
-      breaker.state == BreakerState::HalfOpen ? 1 : opts_.maxRetries + 1;
+      breaker.state == BreakerState::HalfOpen ? 1 : kMaxRetries + 1;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     const CallDirectives d =
         faults_->sample(profile.name, callIndex, static_cast<std::uint32_t>(attempt));
@@ -94,7 +94,7 @@ CallOutcome LlmClient::call(const ModelProfile& profile,
   ++failedCalls_;
   ++breaker.consecutiveFailures;
   if (breaker.state == BreakerState::HalfOpen ||
-      breaker.consecutiveFailures >= opts_.breakerThreshold) {
+      breaker.consecutiveFailures >= kBreakerThreshold) {
     if (breaker.state != BreakerState::Open) {
       ++breakerTrips_;
       count("agent.llm.breaker_trips", profile.name);

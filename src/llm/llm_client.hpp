@@ -10,8 +10,8 @@
 // breaker, failure re-opens it.
 //
 // With no fault model attached the clean path is byte-for-byte what
-// TokenMeter::recordCall alone would have done — attaching the client to
-// an agent never perturbs fault-free runs.
+// TokenMeter::recordCall alone would have done, so every agent calls its
+// model through a client and a fault-free client perturbs nothing.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +25,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace stellar::llm {
-
-struct LlmClientOptions {
-  /// Retries per logical call (total attempts = maxRetries + 1).
-  int maxRetries = 3;
-  /// Consecutive failed logical calls that trip a model's breaker.
-  int breakerThreshold = 2;
-  /// Logical calls short-circuited while open before the half-open probe.
-  int breakerCooldownCalls = 2;
-};
 
 /// Result of one logical call (after retries).
 struct CallOutcome {
@@ -50,9 +41,16 @@ enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
 
 class LlmClient {
  public:
+  /// Retries per logical call (total attempts = kMaxRetries + 1).
+  static constexpr int kMaxRetries = 3;
+  /// Consecutive failed logical calls that trip a model's breaker.
+  static constexpr int kBreakerThreshold = 2;
+  /// Logical calls short-circuited while open before the half-open probe.
+  static constexpr int kBreakerCooldownCalls = 2;
+
   /// `faults` nullable (inert) and non-owning; `counters` nullable.
   LlmClient(const LlmFaultModel* faults, TokenMeter& meter,
-            obs::CounterRegistry* counters, LlmClientOptions options = {});
+            obs::CounterRegistry* counters);
 
   /// One logical call. On success the prompt/output are metered as a normal
   /// call; every failed attempt is metered as wasted. An open breaker
@@ -94,7 +92,6 @@ class LlmClient {
   const LlmFaultModel* faults_;
   TokenMeter& meter_;
   obs::CounterRegistry* counters_;
-  LlmClientOptions opts_;
   /// One logical call is one critical section: a future multi-tenant
   /// stellard shares a client (and its breakers) across sessions, and the
   /// breaker state machine must advance atomically per call.

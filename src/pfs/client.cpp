@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "faults/fault_injector.hpp"
 
@@ -275,6 +276,22 @@ void ClientRuntime::completeOneWait(RankState& r) {
   }
 }
 
+void ClientRuntime::releaseDirty(std::size_t lane, std::uint64_t bytes) {
+  for (const RankId id : dirty_.release(lane, bytes)) {
+    // The waiter's reservation is already charged; mark it so the
+    // re-entered execWrite records the segment without re-reserving.
+    RankState& r = ranks_[id];
+    r.reservedSegment = true;
+    engine_.scheduleAfter(0.0, [this, &r] { resumeRank(r); });
+  }
+}
+
+void ClientRuntime::dropReadahead(NodeState& node, FileId file) {
+  for (const RankId id : node.readahead.dropFile(file)) {
+    engine_.scheduleAfter(0.0, [this, &r = ranks_[id]] { completeOneWait(r); });
+  }
+}
+
 void ClientRuntime::rankFinished(RankState& r) {
   if (r.done) {
     return;
@@ -350,13 +367,11 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
         const std::size_t l = lane(r.node, ost);
         const std::uint64_t discarded = writeback_.discardFile(l, op.file);
         if (discarded > 0) {
-          dirty_.release(l, discarded);
+          releaseDirty(l, discarded);
           counters_.dirtyDiscardedBytes += discarded;
         }
       });
-      for (sim::Callback& waiter : node.readahead.dropFile(op.file)) {
-        engine_.scheduleAfter(0.0, std::move(waiter));
-      }
+      dropReadahead(node, op.file);
       node.locks.erase(op.file);
       node.pageValid[op.file] = 0;
       blockRank(r, OpKind::Unlink);
@@ -382,7 +397,7 @@ bool ClientRuntime::execMeta(RankState& r, const IoOp& op) {
       }
       blockRank(r, OpKind::Fsync);
       r.pendingWaits = 1;
-      node.fsyncWaiters[op.file].emplace_back([this, &r] { completeOneWait(r); });
+      node.fsyncWaiters[op.file].push_back(r.id);
       return false;
     }
     default:
@@ -736,12 +751,7 @@ bool ClientRuntime::execWrite(RankState& r, const IoOp& op) {
     // No dirty budget: push current pending data out and wait for space.
     flushPending(r.node, seg.ost);
     blockRank(r, OpKind::Write);
-    dirty_.waitForSpace(l, seg.length, sim::Callback{[this, &r] {
-      // The waiter's reservation is already charged; mark it so the
-      // re-entered execWrite records the segment without re-reserving.
-      r.reservedSegment = true;
-      engine_.scheduleAfter(0.0, [this, &r] { resumeRank(r); });
-    }});
+    dirty_.waitForSpace(l, seg.length, r.id);
     return false;
   }
 
@@ -791,17 +801,14 @@ void ClientRuntime::issueWriteRpc(std::uint32_t nodeIdx, std::uint32_t ost, File
       .bytes = bytes,
       .complete = engine_.park([this, &node, l, file, bytes] {
         oscFlow_.release(l);
-        dirty_.release(l, bytes);
+        releaseDirty(l, bytes);
         auto it = node.flushInFlight.find(file);
         if (it != node.flushInFlight.end() && it->second > 0) {
           --it->second;
           if (it->second == 0) {
-            auto wit = node.fsyncWaiters.find(file);
-            if (wit != node.fsyncWaiters.end()) {
-              std::vector<sim::Callback> waiters = std::move(wit->second);
-              node.fsyncWaiters.erase(wit);
-              for (sim::Callback& w : waiters) {
-                w();
+            if (auto waiters = node.fsyncWaiters.extract(file)) {
+              for (const RankId id : waiters.mapped()) {
+                completeOneWait(ranks_[id]);
               }
             }
           }
@@ -925,7 +932,7 @@ bool ClientRuntime::execRead(RankState& r, const IoOp& op) {
   }
   for (CacheChunk* chunk : cov.pending) {
     ++waits;
-    chunk->waiters.emplace_back([this, &r] { completeOneWait(r); });
+    chunk->waiters.push_back(r.id);
   }
 
   if (waits == 0) {
@@ -965,10 +972,10 @@ void ClientRuntime::prefetchRange(RankState& r, FileId file, std::uint64_t begin
                          return;  // dropped (close/unlink) while in flight
                        }
                        n.readahead.markReady(chunk);
-                       std::vector<sim::Callback> waiters = std::move(chunk->waiters);
-                       chunk->waiters.clear();
-                       for (sim::Callback& w : waiters) {
-                         w();
+                       // A woken rank can consume and erase the chunk, so
+                       // take its waiters out first.
+                       for (const RankId id : std::exchange(chunk->waiters, {})) {
+                         completeOneWait(ranks_[id]);
                        }
                      }));
         pos += len;
@@ -993,9 +1000,7 @@ void ClientRuntime::execCloseLocal(RankState& r, const IoOp& op) {
 
   std::uint32_t& open = node.openCount[op.file];
   if (open > 0 && --open == 0) {
-    for (sim::Callback& waiter : node.readahead.dropFile(op.file)) {
-      engine_.scheduleAfter(0.0, std::move(waiter));
-    }
+    dropReadahead(node, op.file);
   }
   // Note: close does NOT flush dirty data. Lustre's background writeout
   // period is far longer than these workloads; dirty pages stay cached

@@ -45,7 +45,6 @@
 #include "pfs/params.hpp"
 #include "pfs/readahead.hpp"
 #include "pfs/topology.hpp"
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/flow_limiter.hpp"
 #include "sim/service_center.hpp"
@@ -367,7 +366,8 @@ class ClientRuntime {
     /// must visit files in FileId order for bit-identical replay
     /// (stellar-lint DET-UNORDERED-ITER; pinned by the ML-DET law).
     std::map<FileId, std::uint32_t> flushInFlight;
-    std::map<FileId, std::vector<sim::Callback>> fsyncWaiters;
+    /// Ranks blocked in fsync until the file's in-flight flushes complete.
+    std::map<FileId, std::vector<RankId>> fsyncWaiters;
     /// Open FDs on this node, per file.
     std::vector<std::uint32_t> openCount;
     /// Nonzero while the file's written pages are still cached on this
@@ -394,6 +394,12 @@ class ClientRuntime {
   void resumeRank(RankState& rank);
   void completeOneWait(RankState& rank);
   void rankFinished(RankState& rank);
+  /// Returns dirty budget to a lane; each rank the lane admits resumes its
+  /// write as a fresh event.
+  void releaseDirty(std::size_t lane, std::uint64_t bytes);
+  /// Drops the file's readahead chunks on `node`; each wait on a dropped
+  /// in-flight chunk completes as a fresh event.
+  void dropReadahead(NodeState& node, FileId file);
 
   /// True if the op was fully handled locally (advance continues the
   /// loop); false if the rank blocked.

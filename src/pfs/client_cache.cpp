@@ -41,38 +41,31 @@ bool DirtyBank::tryReserve(std::size_t lane, std::uint64_t bytes) {
   return false;
 }
 
-void DirtyBank::waitForSpace(std::size_t lane, std::uint64_t bytes,
-                             sim::Callback onSpace) {
-  waiters_[lane].push_back(Waiter{bytes, std::move(onSpace)});
+void DirtyBank::waitForSpace(std::size_t lane, std::uint64_t bytes, RankId rank) {
+  waiters_[lane].push_back(Waiter{bytes, rank});
 }
 
-void DirtyBank::release(std::size_t lane, std::uint64_t bytes) {
+std::span<const RankId> DirtyBank::release(std::size_t lane, std::uint64_t bytes) {
   dirty_[lane] = bytes >= dirty_[lane] ? 0 : dirty_[lane] - bytes;
-  admitWaiters(lane);
-}
-
-void DirtyBank::admitWaiters(std::size_t lane) {
+  admitted_.clear();
   const auto it = waiters_.find(lane);
   if (it == waiters_.end()) {
-    return;
+    return admitted_;
   }
-  // Mapped deques stay put under map growth, but `it` may not: onSpace()
-  // can re-enter and add waiters on other lanes. Hold the reference, erase
-  // by key.
   std::deque<Waiter>& queue = it->second;
   while (!queue.empty()) {
-    Waiter& head = queue.front();
+    const Waiter& head = queue.front();
     const bool oversized = head.bytes > budget_;
     if (oversized ? dirty_[lane] != 0 : dirty_[lane] + head.bytes > budget_) {
-      return;
+      return admitted_;
     }
     dirty_[lane] += head.bytes;
     noteReserve(lane, head.bytes);
-    auto onSpace = std::move(head.onSpace);
+    admitted_.push_back(head.rank);
     queue.pop_front();
-    onSpace();
   }
-  waiters_.erase(lane);
+  waiters_.erase(it);
+  return admitted_;
 }
 
 // ------------------------------------------------------------ Readahead --
@@ -124,8 +117,6 @@ CacheChunk* ReadAheadCache::insertPending(FileId file, std::uint64_t begin,
 
 void ReadAheadCache::markReady(CacheChunk* chunk) {
   chunk->ready = true;
-  // Waiters are fired by the owner after markReady (it needs to reschedule
-  // them as simulation events); nothing else to do here.
 }
 
 void ReadAheadCache::consume(FileId file, std::uint64_t begin, std::uint64_t end) {
@@ -164,8 +155,8 @@ void ReadAheadCache::consume(FileId file, std::uint64_t begin, std::uint64_t end
   }
 }
 
-std::vector<sim::Callback> ReadAheadCache::dropFile(FileId file) {
-  std::vector<sim::Callback> orphans;
+std::vector<RankId> ReadAheadCache::dropFile(FileId file) {
+  std::vector<RankId> orphans;
   auto fileIt = files_.find(file);
   if (fileIt == files_.end()) {
     return orphans;
@@ -176,9 +167,7 @@ std::vector<sim::Callback> ReadAheadCache::dropFile(FileId file) {
     const std::uint64_t unconsumed = span - std::min(span, chunk.consumed);
     outstanding_ = unconsumed >= outstanding_ ? 0 : outstanding_ - unconsumed;
     discardedTotal_ += unconsumed;
-    for (auto& waiter : chunk.waiters) {
-      orphans.push_back(std::move(waiter));
-    }
+    orphans.insert(orphans.end(), chunk.waiters.begin(), chunk.waiters.end());
   }
   files_.erase(fileIt);
   return orphans;

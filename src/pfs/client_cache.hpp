@@ -6,19 +6,20 @@
 //                    (llite.max_read_ahead_mb) and chunk readiness/waiters
 //  - LockLru       : per-client DLM lock cache (ldlm.lru_size/lru_max_age)
 //
-// These run in *simulated* time; waiter callbacks are invoked by the owner
-// (pfs/client.cpp) when simulated events complete.
+// These run in *simulated* time. Only a blocked rank ever waits on them,
+// so their waiter queues hold rank ids, and the owner (pfs/client.cpp)
+// wakes those ranks when a simulated event releases them.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "pfs/job.hpp"
-#include "sim/callback.hpp"
 
 namespace stellar::pfs {
 
@@ -48,16 +49,19 @@ class DirtyBank {
   [[nodiscard]] std::size_t waiterCount(std::size_t lane) const;
 
   [[nodiscard]] bool tryReserve(std::size_t lane, std::uint64_t bytes);
-  void waitForSpace(std::size_t lane, std::uint64_t bytes, sim::Callback onSpace);
-  void release(std::size_t lane, std::uint64_t bytes);
+  /// Queues `rank` on the lane until `bytes` fit.
+  void waitForSpace(std::size_t lane, std::uint64_t bytes, RankId rank);
+  /// Returns `bytes` to the lane, then charges the reservations of the
+  /// waiters that now fit and dequeues them, FIFO. Returns the admitted
+  /// ranks in admission order; the span is valid until the next release.
+  [[nodiscard]] std::span<const RankId> release(std::size_t lane, std::uint64_t bytes);
 
  private:
   struct Waiter {
     std::uint64_t bytes;
-    sim::Callback onSpace;
+    RankId rank;
   };
 
-  void admitWaiters(std::size_t lane);
   void noteReserve(std::size_t lane, std::uint64_t bytes) noexcept {
     if (bytes > maxReservation_[lane]) {
       maxReservation_[lane] = bytes;
@@ -73,6 +77,7 @@ class DirtyBank {
   std::vector<std::uint64_t> maxReservation_;
   /// Waiter queues exist only for backlogged lanes.
   std::unordered_map<std::size_t, std::deque<Waiter>> waiters_;
+  std::vector<RankId> admitted_;  ///< release's result, reused across calls
 };
 
 /// One prefetched (or in-flight) contiguous range of a file.
@@ -81,7 +86,7 @@ struct CacheChunk {
   std::uint64_t end = 0;        ///< exclusive
   std::uint64_t consumed = 0;   ///< bytes of [begin,end) already read back
   bool ready = false;           ///< RPC completed, data present
-  std::vector<sim::Callback> waiters;
+  std::vector<RankId> waiters;  ///< ranks blocked until the chunk is ready
 };
 
 /// Result of a coverage query for a wanted range.
@@ -130,17 +135,18 @@ class ReadAheadCache {
   /// must not overlap existing chunks (callers fetch only missing ranges).
   CacheChunk* insertPending(FileId file, std::uint64_t begin, std::uint64_t end);
 
-  /// Marks a chunk ready and fires its waiters (callers drain via owner).
+  /// Marks a chunk ready. The owner wakes the chunk's waiters itself, in
+  /// the same event.
   void markReady(CacheChunk* chunk);
 
   /// Consumes [begin,end): erases fully-consumed chunks, refunds budget.
   void consume(FileId file, std::uint64_t begin, std::uint64_t end);
 
   /// Drops all chunks of a file (close/unlink); refunds their unconsumed
-  /// bytes. Returns any waiters that were attached to dropped in-flight
-  /// chunks so the owner can fire them (treating the data as unavailable
-  /// but the waiter as unblocked).
-  [[nodiscard]] std::vector<sim::Callback> dropFile(FileId file);
+  /// bytes. Returns the ranks that waited on dropped in-flight chunks, one
+  /// entry per wait, so the owner can wake them (treating the data as
+  /// unavailable but the wait as over).
+  [[nodiscard]] std::vector<RankId> dropFile(FileId file);
 
   /// Looks up the chunk starting exactly at `begin`, or nullptr. RPC
   /// completions resolve their chunk through this instead of holding a

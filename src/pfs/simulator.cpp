@@ -235,7 +235,7 @@ RunResult PfsSimulator::run(const JobSpec& job, const PfsConfig& config,
     std::unique_ptr<faults::FaultInjector> injector;
     if (haveFaults) {
       injector = std::make_unique<faults::FaultInjector>(engine, *options_.faults,
-                                                         cl.totalOsts(), seed);
+                                                         cl.totalOsts(), seed, c);
       injector->attachObservability(options_.tracer, options_.counters);
       injector->arm();
     }

@@ -117,8 +117,8 @@ class PfsSimulator {
   /// they come back as outcome != Ok. A run whose event queues drain with
   /// ranks still blocked throws std::logic_error naming the job.
   /// Bit-identical for any worker count, because cells never interact,
-  /// all randomness is keyed by global component ids, and the cells'
-  /// results are folded in cell order.
+  /// every random stream is keyed by a global node or OST id or by the
+  /// cell index, and the cells' results are folded in cell order.
   [[nodiscard]] RunResult run(const JobSpec& job, const PfsConfig& config,
                               std::uint64_t seed) const {
     return run(job, config, seed, RunLimits{});

@@ -1,20 +1,8 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace stellar::sim {
-
-void SimEngine::scheduleAt(SimTime at, Callback cb) {
-  const std::uint32_t slot = acquireSlot();
-  spilled_ += static_cast<std::uint64_t>(cb.spilled());
-  slotAt(slot) = std::move(cb);
-  pushKey(at, slot);
-}
-
-void SimEngine::scheduleAfter(SimTime delay, Callback cb) {
-  scheduleAt(now_ + std::max(delay, 0.0), std::move(cb));
-}
 
 void SimEngine::queueWindowEdges(SimTime begin, SimTime end, WindowRecord& record) {
   if (end < begin) {
@@ -23,7 +11,7 @@ void SimEngine::queueWindowEdges(SimTime begin, SimTime end, WindowRecord& recor
   scheduleAt(begin, [this, &record] {
     record.opened = true;
     ++openWindows_;
-    record.onOpen();
+    run(std::move(record.onOpen));
   });
   scheduleAt(end, [this, &record] { closeWindow(record); });
 }
@@ -34,7 +22,7 @@ void SimEngine::closeWindow(WindowRecord& record) {
   }
   record.closed = true;
   --openWindows_;
-  record.onClose();
+  run(std::move(record.onClose));
 }
 
 void SimEngine::cancelOpenWindows() {

@@ -6,11 +6,11 @@
 // pending-event queue is a binary heap of slim (timestamp, seq, slot) keys;
 // each pending event's callback lives in an engine-owned slot store and
 // runs in place when its key reaches the front. A continuation that one
-// closure hands on to another is parked in the same store (sim::Parked).
-// Callbacks that wait on model state rather than on time (the pfs
-// client's dirty-budget, readahead-chunk and fsync waiters) are held by
-// their model as sim::Callbacks outside the store, and run inline in the
-// event that releases them.
+// closure hands on to another, and each edge of a time window, is parked
+// in the same store (sim::Parked), so the store holds every pending
+// continuation. What waits on model state rather than on time (a pfs rank
+// blocked on a dirty budget, a readahead chunk or an fsync) is a rank id
+// in its model's queue, not a closure.
 // The PFS model in src/pfs builds client/server state machines on top of
 // this; a federated run gives each cell an engine of its own.
 //
@@ -73,18 +73,14 @@ class SimEngine {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `cb` at absolute time `at` (clamped to now).
-  void scheduleAt(SimTime at, Callback cb);
-
-  /// Schedules `cb` after `delay` seconds (clamped to non-negative).
-  void scheduleAfter(SimTime delay, Callback cb);
-
-  /// Builds a Callback for any callable directly in its slot.
+  /// Schedules `fn` at absolute time `at` (clamped to now), building it
+  /// directly in its slot.
   template <EventCallable F>
   void scheduleAt(SimTime at, F&& fn) {
     pushKey(at, build(std::forward<F>(fn)));
   }
 
+  /// Schedules `fn` after `delay` seconds (clamped to non-negative).
   template <EventCallable F>
   void scheduleAfter(SimTime delay, F&& fn) {
     scheduleAt(now_ + std::max(delay, 0.0), std::forward<F>(fn));
@@ -117,17 +113,15 @@ class SimEngine {
   /// Schedules a [begin, end) time window: `onOpen` fires at begin and
   /// `onClose` at end, both dispatched through the ordinary event queue so
   /// they order deterministically (FIFO seq) against every other event.
-  /// The window's record holds both edges, so each queued edge captures
-  /// only the record. The engine tracks how many windows are currently
-  /// open; fault injection (src/faults) builds its state machine on this
-  /// hook.
+  /// The window's record holds both edges parked in the slot store, so
+  /// each queued edge captures only the record. The engine tracks how many
+  /// windows are currently open; fault injection (src/faults) builds its
+  /// state machine on this hook.
   template <EventCallable FOpen, EventCallable FClose>
   void scheduleWindow(SimTime begin, SimTime end, FOpen&& onOpen, FClose&& onClose) {
     WindowRecord& record = *windows_.emplace_back(std::make_unique<WindowRecord>());
-    record.onOpen.assign(std::forward<FOpen>(onOpen));
-    record.onClose.assign(std::forward<FClose>(onClose));
-    spilled_ += static_cast<std::uint64_t>(record.onOpen.spilled()) +
-                static_cast<std::uint64_t>(record.onClose.spilled());
+    record.onOpen = park(std::forward<FOpen>(onOpen));
+    record.onClose = park(std::forward<FClose>(onClose));
     queueWindowEdges(begin, end, record);
   }
 
@@ -170,9 +164,11 @@ class SimEngine {
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
+  /// A window's edges, parked until they fire. An edge that never fires
+  /// (a capped run) stays parked until the engine is destroyed.
   struct WindowRecord {
-    Callback onOpen;
-    Callback onClose;
+    Parked onOpen;
+    Parked onClose;
     bool opened = false;
     bool closed = false;
   };

@@ -37,9 +37,10 @@ std::vector<Violation> checkMetamorphic(const CaseShape& shape,
 
   // ML-SHARD: replicate the case into 4 shared-nothing federation cells
   // and run them on 1 / 2 / 4 worker threads. Each cell runs start to
-  // finish on an engine of its own, randomness is keyed by global component
-  // ids, and the cells' results fold in cell order, so the worker count
-  // cannot change any number. The 4-worker run also publishes to a
+  // finish on an engine of its own, its jitter streams are keyed by global
+  // node and OST ids and its RPC-drop stream by its cell index, and the
+  // cells' results fold in cell order, so the worker count cannot change
+  // any number. The 4-worker run also publishes to a
   // registry, and INV-O1 checks that against the folded result. Bounded to
   // small shapes: the cellified job is 4x the base work, times 3 runs.
   if (plan.shards && shape.ranks <= 8 &&

@@ -6,6 +6,8 @@
 
 #include "agents/tuning_agent.hpp"
 #include "llm/knowledge.hpp"
+#include "llm/llm_client.hpp"
+#include "llm/token_meter.hpp"
 #include "manual/param_facts.hpp"
 
 namespace stellar::agents {
@@ -60,6 +62,7 @@ IoReport streamingReport() {
 
 struct Fixture {
   llm::TokenMeter meter;
+  llm::LlmClient client{nullptr, meter, nullptr};  ///< fault-free
   Transcript transcript;
   TuningAgentOptions options;
 
@@ -83,7 +86,7 @@ TEST(MisguidedMoves, WrongLruDefinitionShrinksTheLockCache) {
   Fixture fx;
   TuningAgent agent{fx.options,
                     knowledgeWith("ldlm.lru_size", llm::CorruptionKind::WrongDefinition),
-                    pfs::BoundsContext{}, nullptr, fx.meter, fx.transcript};
+                    pfs::BoundsContext{}, nullptr, fx.client, fx.transcript};
   const auto action = firstRunConfig(agent, metadataReport());
   ASSERT_EQ(action.kind, TuningAgent::ActionKind::RunConfig);
   // §5.4-style misconception: the agent *shrinks* the lock cache instead
@@ -97,7 +100,7 @@ TEST(MisguidedMoves, FlippedStataheadDisablesIt) {
   TuningAgent agent{
       fx.options,
       knowledgeWith("llite.statahead_max", llm::CorruptionKind::FlippedDirection),
-      pfs::BoundsContext{}, nullptr, fx.meter, fx.transcript};
+      pfs::BoundsContext{}, nullptr, fx.client, fx.transcript};
   const auto action = firstRunConfig(agent, metadataReport());
   ASSERT_EQ(action.kind, TuningAgent::ActionKind::RunConfig);
   EXPECT_EQ(action.config.llite_statahead_max, 0);
@@ -113,7 +116,7 @@ TEST(MisguidedMoves, WrongStripeSemanticsWidenStripesOnMetadataWorkload) {
   Fixture fx;
   TuningAgent corrupted{
       fx.options, knowledgeWith("lov.stripe_count", llm::CorruptionKind::WrongDefinition),
-      pfs::BoundsContext{}, nullptr, fx.meter, fx.transcript};
+      pfs::BoundsContext{}, nullptr, fx.client, fx.transcript};
   const auto action = firstRunConfig(corrupted, streamingReport());
   ASSERT_EQ(action.kind, TuningAgent::ActionKind::RunConfig);
   // Misguided variant fires (SetMax with the flawed rationale). On the
@@ -134,7 +137,7 @@ TEST(MisguidedMoves, InflatedRangePassesOversizedValuesToValidation) {
   TuningAgent agent{
       fx.options,
       knowledgeWith("osc.max_pages_per_rpc", llm::CorruptionKind::WrongRange),
-      pfs::BoundsContext{}, nullptr, fx.meter, fx.transcript};
+      pfs::BoundsContext{}, nullptr, fx.client, fx.transcript};
   TuningAgent::Action action = firstRunConfig(agent, streamingReport());
   ASSERT_EQ(action.kind, TuningAgent::ActionKind::RunConfig);
   const auto problems = pfs::validateConfig(action.config, pfs::BoundsContext{});
@@ -158,7 +161,7 @@ TEST(MisguidedMoves, AgentTerminatesUnderAnyCorruption) {
       for (const bool metadata : {true, false}) {
         Fixture fx;
         TuningAgent agent{fx.options, knowledgeWith(param, kind),
-                          pfs::BoundsContext{}, nullptr, fx.meter, fx.transcript};
+                          pfs::BoundsContext{}, nullptr, fx.client, fx.transcript};
         const IoReport report = metadata ? metadataReport() : streamingReport();
         TuningAgent::Action action = firstRunConfig(agent, report);
         int guard = 0;

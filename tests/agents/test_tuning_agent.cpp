@@ -4,6 +4,8 @@
 
 #include "agents/tuning_agent.hpp"
 #include "llm/knowledge.hpp"
+#include "llm/llm_client.hpp"
+#include "llm/token_meter.hpp"
 #include "manual/param_facts.hpp"
 #include "util/units.hpp"
 
@@ -54,6 +56,7 @@ IoReport streamingReport() {
 
 struct Fixture {
   llm::TokenMeter meter;
+  llm::LlmClient client{nullptr, meter, nullptr};  ///< fault-free
   Transcript transcript;
   TuningAgentOptions options;
 
@@ -64,7 +67,7 @@ struct Fixture {
 
   TuningAgent make(const rules::RuleSet* rules = nullptr) {
     return TuningAgent{options, groundedKnowledge(), pfs::BoundsContext{}, rules,
-                       meter, transcript};
+                       client, transcript};
   }
 };
 

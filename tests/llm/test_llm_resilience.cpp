@@ -107,24 +107,24 @@ TEST(LlmClient, CleanPathMatchesBareMeter) {
 
 TEST(LlmClient, RetriesFlakyCallAndBillsWaste) {
   // Call 0 sits in a p=1 timeout window: every retry attempt fails, the
-  // logical call is abandoned after maxRetries, and each attempt is billed.
+  // logical call is abandoned after kMaxRetries, and each attempt is billed.
   const faults::FaultPlan plan = faults::parseFaultSpec("llm:timeout:1@0-1");
   const LlmFaultModel faults{plan};
   TokenMeter meter;
   obs::CounterRegistry registry;
-  LlmClient client{&faults, meter, &registry, {.maxRetries = 3}};
+  LlmClient client{&faults, meter, &registry};
 
   const ModelProfile model = claude37Sonnet();
   // Call 0: inside the p=1 window — all 4 attempts fail.
   const CallOutcome failed = client.call(model, "conv", "prompt", "output");
   EXPECT_FALSE(failed.ok);
   EXPECT_EQ(failed.lastFault, CallFault::Timeout);
-  EXPECT_EQ(failed.retries, 3);
+  EXPECT_EQ(failed.retries, LlmClient::kMaxRetries);
   EXPECT_GT(failed.backoffSeconds, 0.0);
 
   const UsageTotals t = meter.totals();
   EXPECT_EQ(t.calls, 0u);
-  EXPECT_EQ(t.wastedCalls, 4u);       // every attempt billed
+  EXPECT_EQ(t.wastedCalls, 4u);       // every attempt billed (3 retries)
   EXPECT_GT(t.wastedInputTokens, 0u);
   // Timeouts produce no output, so nothing lands in wasted output.
   EXPECT_EQ(t.wastedOutputTokens, 0u);
@@ -133,23 +133,29 @@ TEST(LlmClient, RetriesFlakyCallAndBillsWaste) {
 }
 
 TEST(LlmClient, TruncatedAttemptsBillPartialOutput) {
+  // The window covers call 0, so each of its attempts is truncated.
   const LlmFaultModel faults{faults::parseFaultSpec("llm:truncate:1@0-1")};
   TokenMeter meter;
-  LlmClient client{&faults, meter, nullptr, {.maxRetries = 0}};
+  LlmClient client{&faults, meter, nullptr};
   (void)client.call(claude37Sonnet(), "conv", "prompt", "a long output payload");
+  EXPECT_EQ(meter.totals().wastedCalls, 1u + LlmClient::kMaxRetries);
   EXPECT_GT(meter.totals().wastedOutputTokens, 0u);
 }
 
 TEST(LlmClient, BreakerLifecycle) {
-  // Calls 0-4 time out hard; later calls are clean.
+  // Calls 0-4 time out hard, every attempt of them; later calls are clean.
+  // The breaker trips after 2 failed calls and cools down for 2.
+  static_assert(LlmClient::kBreakerThreshold == 2 &&
+                LlmClient::kBreakerCooldownCalls == 2);
   const LlmFaultModel faults{faults::parseFaultSpec("llm:timeout:1@0-5")};
   TokenMeter meter;
-  LlmClient client{&faults, meter, nullptr,
-                   {.maxRetries = 0, .breakerThreshold = 2, .breakerCooldownCalls = 2}};
+  LlmClient client{&faults, meter, nullptr};
   const ModelProfile model = claude37Sonnet();
 
   EXPECT_EQ(client.breakerState(model.name), BreakerState::Closed);
-  EXPECT_FALSE(client.call(model, "c", "p", "o").ok);  // call 0: failure 1
+  const CallOutcome first = client.call(model, "c", "p", "o");  // call 0: failure 1
+  EXPECT_FALSE(first.ok);
+  EXPECT_EQ(first.retries, LlmClient::kMaxRetries);  // a closed breaker retries
   EXPECT_EQ(client.breakerState(model.name), BreakerState::Closed);
   EXPECT_FALSE(client.call(model, "c", "p", "o").ok);  // call 1: failure 2 -> trips
   EXPECT_EQ(client.breakerState(model.name), BreakerState::Open);
@@ -181,7 +187,7 @@ TEST(LlmClient, BreakerLifecycle) {
 TEST(LlmClient, BreakersArePerModel) {
   const LlmFaultModel faults{faults::parseFaultSpec("llm:timeout:1:claude@0-99")};
   TokenMeter meter;
-  LlmClient client{&faults, meter, nullptr, {.maxRetries = 0, .breakerThreshold = 2}};
+  LlmClient client{&faults, meter, nullptr};
 
   (void)client.call(claude37Sonnet(), "c", "p", "o");
   (void)client.call(claude37Sonnet(), "c", "p", "o");

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,30 +45,32 @@ class DirtyTracker {
     return true;
   }
 
-  void waitForSpace(std::uint64_t bytes, sim::Callback onSpace) {
-    waiters_.push_back(Waiter{bytes, std::move(onSpace)});
+  void waitForSpace(std::uint64_t bytes, RankId rank) {
+    waiters_.push_back(Waiter{bytes, rank});
   }
 
-  /// Returns `bytes` of budget and admits waiters FIFO while they fit.
-  void release(std::uint64_t bytes) {
+  /// Returns `bytes` of budget and admits waiters FIFO while they fit;
+  /// returns the admitted ranks in order.
+  std::vector<RankId> release(std::uint64_t bytes) {
     dirty_ = bytes >= dirty_ ? 0 : dirty_ - bytes;
+    std::vector<RankId> admitted;
     while (!waiters_.empty()) {
-      Waiter& head = waiters_.front();
+      const Waiter& head = waiters_.front();
       const bool oversized = head.bytes > budget_;
       if (oversized ? dirty_ != 0 : dirty_ + head.bytes > budget_) {
-        return;
+        break;
       }
       charge(head.bytes);
-      auto onSpace = std::move(head.onSpace);
+      admitted.push_back(head.rank);
       waiters_.pop_front();
-      onSpace();
     }
+    return admitted;
   }
 
  private:
   struct Waiter {
     std::uint64_t bytes;
-    sim::Callback onSpace;
+    RankId rank;
   };
 
   void charge(std::uint64_t bytes) noexcept {
@@ -95,13 +98,11 @@ TEST(DirtyTracker, ReservesWithinBudget) {
 TEST(DirtyTracker, ReleaseWakesWaitersFifo) {
   DirtyTracker d{100};
   ASSERT_TRUE(d.tryReserve(100));
-  std::vector<int> fired;
-  d.waitForSpace(50, sim::Callback{[&] { fired.push_back(1); }});
-  d.waitForSpace(50, sim::Callback{[&] { fired.push_back(2); }});
-  d.release(40);  // only 40 free: nobody admitted
-  EXPECT_TRUE(fired.empty());
-  d.release(60);  // 100 free: both admitted in order
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  d.waitForSpace(50, 1);
+  d.waitForSpace(50, 2);
+  EXPECT_TRUE(d.release(40).empty());  // only 40 free: nobody admitted
+  // 100 free: both admitted in order.
+  EXPECT_EQ(d.release(60), (std::vector<RankId>{1, 2}));
   EXPECT_EQ(d.dirtyBytes(), 100u);  // both reservations charged
 }
 
@@ -109,21 +110,18 @@ TEST(DirtyTracker, OversizedWriteAdmittedWhenEmpty) {
   DirtyTracker d{10};
   EXPECT_TRUE(d.tryReserve(50));  // empty tracker: oversized allowed
   EXPECT_FALSE(d.tryReserve(1));
-  bool fired = false;
-  d.waitForSpace(50, sim::Callback{[&] { fired = true; }});
-  d.release(50);
-  EXPECT_TRUE(fired);  // oversized waiter admitted once drained
+  d.waitForSpace(50, 7);
+  // The oversized waiter is admitted once the tracker drains.
+  EXPECT_EQ(d.release(50), (std::vector<RankId>{7}));
 }
 
 TEST(DirtyTracker, NewRequestsQueueBehindWaiters) {
   DirtyTracker d{100};
   ASSERT_TRUE(d.tryReserve(90));
-  bool fired = false;
-  d.waitForSpace(20, sim::Callback{[&] { fired = true; }});
+  d.waitForSpace(20, 7);
   // 10 bytes are free, but FIFO fairness blocks late arrivals.
   EXPECT_FALSE(d.tryReserve(5));
-  d.release(90);
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(d.release(90), (std::vector<RankId>{7}));
 }
 
 // -------------------------------------------------------------- DirtyBank
@@ -138,7 +136,7 @@ TEST(DirtyBank, LanesShareBudgetScalarButNotState) {
   EXPECT_EQ(bank.dirtyBytes(0), 100u);
   EXPECT_EQ(bank.dirtyBytes(1), 0u);
   EXPECT_EQ(bank.dirtyBytes(2), 100u);
-  bank.release(0, 100);
+  EXPECT_TRUE(bank.release(0, 100).empty());
   EXPECT_EQ(bank.dirtyBytes(0), 0u);
   EXPECT_EQ(bank.peakDirtyBytes(0), 100u);
   EXPECT_EQ(bank.maxReservationBytes(2), 100u);
@@ -149,34 +147,14 @@ TEST(DirtyBank, ReleaseOnOneLaneNeverWakesAnother) {
   bank.configure(2, 100);
   ASSERT_TRUE(bank.tryReserve(0, 100));
   ASSERT_TRUE(bank.tryReserve(1, 100));
-  bool laneOneWoke = false;
-  bank.waitForSpace(1, 50, sim::Callback{[&] { laneOneWoke = true; }});
-  bank.release(0, 100);
-  EXPECT_FALSE(laneOneWoke);
+  bank.waitForSpace(1, 50, 4);
+  EXPECT_TRUE(bank.release(0, 100).empty());
   EXPECT_EQ(bank.waiterCount(1), 1u);
-  bank.release(1, 100);
-  EXPECT_TRUE(laneOneWoke);
+  const std::span<const RankId> admitted = bank.release(1, 100);
+  EXPECT_EQ(std::vector<RankId>(admitted.begin(), admitted.end()),
+            (std::vector<RankId>{4}));
   EXPECT_EQ(bank.waiterCount(1), 0u);
-}
-
-TEST(DirtyBank, AdmissionSurvivesCrossLaneReentrancy) {
-  // A woken waiter immediately queues on a *different* lane — the map of
-  // waiter queues grows mid-admission. Both admissions must still land.
-  DirtyBank bank;
-  bank.configure(4, 100);
-  ASSERT_TRUE(bank.tryReserve(0, 100));
-  ASSERT_TRUE(bank.tryReserve(3, 100));
-  std::vector<int> fired;
-  bank.waitForSpace(0, 60, sim::Callback{[&] {
-    fired.push_back(0);
-    bank.waitForSpace(3, 60, sim::Callback{[&] { fired.push_back(3); }});
-  }});
-  bank.release(0, 100);
-  EXPECT_EQ(fired, (std::vector<int>{0}));
-  bank.release(3, 100);
-  EXPECT_EQ(fired, (std::vector<int>{0, 3}));
-  EXPECT_EQ(bank.dirtyBytes(0), 60u);
-  EXPECT_EQ(bank.dirtyBytes(3), 60u);
+  EXPECT_EQ(bank.dirtyBytes(1), 50u);  // the admitted reservation is charged
 }
 
 TEST(DirtyBank, DifferentialAgainstScalarTrackerOnEveryLane) {
@@ -187,13 +165,11 @@ TEST(DirtyBank, DifferentialAgainstScalarTrackerOnEveryLane) {
   constexpr std::uint64_t kBudget = 128;
   DirtyBank bank;
   bank.configure(kLanes, kBudget);
-  std::deque<DirtyTracker> scalars;  // trackers own move-only waiters; never relocated
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    scalars.emplace_back(kBudget);
-  }
-  std::vector<std::vector<int>> bankWakes(kLanes);
-  std::vector<std::vector<int>> scalarWakes(kLanes);
+  std::vector<DirtyTracker> scalars(kLanes, DirtyTracker{kBudget});
+  std::vector<std::vector<RankId>> bankWakes(kLanes);
+  std::vector<std::vector<RankId>> scalarWakes(kLanes);
   std::vector<std::vector<std::uint64_t>> outstanding(kLanes);  // for releases
+  std::vector<std::uint64_t> waiterBytes;  // indexed by waiter id
 
   std::uint64_t x = 0x9E3779B97F4A7C15ULL;  // fixed-seed xorshift trace
   const auto next = [&x] {
@@ -216,22 +192,23 @@ TEST(DirtyBank, DifferentialAgainstScalarTrackerOnEveryLane) {
         break;
       }
       case 1: {
-        bank.waitForSpace(lane, bytes,
-                          sim::Callback{[&bankWakes, &outstanding, lane, bytes, step] {
-                            bankWakes[lane].push_back(step);
-                            outstanding[lane].push_back(bytes);
-                          }});
-        scalars[lane].waitForSpace(bytes, sim::Callback{[&scalarWakes, lane, step] {
-                                     scalarWakes[lane].push_back(step);
-                                   }});
+        const auto id = static_cast<RankId>(waiterBytes.size());
+        waiterBytes.push_back(bytes);
+        bank.waitForSpace(lane, bytes, id);
+        scalars[lane].waitForSpace(bytes, id);
         break;
       }
       default: {
         if (!outstanding[lane].empty()) {
           const std::uint64_t freed = outstanding[lane].back();
           outstanding[lane].pop_back();
-          bank.release(lane, freed);
-          scalars[lane].release(freed);
+          for (const RankId id : bank.release(lane, freed)) {
+            bankWakes[lane].push_back(id);
+            outstanding[lane].push_back(waiterBytes[id]);
+          }
+          const std::vector<RankId> admitted = scalars[lane].release(freed);
+          scalarWakes[lane].insert(scalarWakes[lane].end(), admitted.begin(),
+                                   admitted.end());
         }
         break;
       }
@@ -294,15 +271,14 @@ TEST(ReadAheadCache, ConsumeRefundsBudgetAndErasesChunks) {
 
 TEST(ReadAheadCache, DropFileRefundsAndReturnsOrphans) {
   ReadAheadCache ra{1000};
-  CacheChunk* chunk = ra.insertPending(1, 0, 500);
-  bool waiterCalled = false;
-  chunk->waiters.emplace_back([&] { waiterCalled = true; });
-  auto orphans = ra.dropFile(1);
+  CacheChunk* first = ra.insertPending(1, 0, 500);
+  CacheChunk* second = ra.insertPending(1, 500, 700);
+  first->waiters = {3, 5};
+  second->waiters = {3};
+  // One orphan per wait, in chunk order.
+  EXPECT_EQ(ra.dropFile(1), (std::vector<RankId>{3, 5, 3}));
   EXPECT_EQ(ra.outstanding(), 0u);
-  ASSERT_EQ(orphans.size(), 1u);
-  EXPECT_FALSE(waiterCalled);
-  orphans[0]();
-  EXPECT_TRUE(waiterCalled);
+  EXPECT_EQ(ra.discardedBytes(), 700u);
   EXPECT_EQ(ra.find(1, 0), nullptr);
 }
 

@@ -192,6 +192,35 @@ TEST(ClientSemantics, LockServedStatsDropTheirStataheadEntries) {
   EXPECT_EQ(result.audit.stataheadPending, 0u);
 }
 
+TEST(ClientSemantics, UnlinkWakesARankWaitingOnAnInFlightPrefetch) {
+  // Rank 0 reads a file it created and nobody wrote, so no page cache
+  // serves the read: it waits on the readahead chunk it just put in
+  // flight. Rank 1, on the same node, unlinks the file in that instant.
+  // Dropping the file orphans rank 0's wait, which must still complete
+  // (the data is gone, the wait is over); otherwise rank 0 never resumes
+  // and the run deadlocks.
+  JobSpec job;
+  job.name = "orphaned-prefetch";
+  job.ranks.resize(2);
+  const auto f = job.addFile("/f");
+  job.ranks[0] = {IoOp::create(f), IoOp::barrier(), IoOp::read(f, 0, util::kMiB),
+                  IoOp::close(f)};
+  job.ranks[1] = {IoOp::barrier(), IoOp::unlink(f)};
+  ASSERT_GE(defaultCluster().ranksPerNode, 2u);  // both ranks on node 0
+  const RunResult result = runJob(job);
+  EXPECT_EQ(result.outcome, RunOutcome::Ok);
+  EXPECT_EQ(result.files[0].unlinks, 1u);
+  EXPECT_GT(result.ranks[0].readTime, 0.0);
+  const RunAudit& a = result.audit;
+  // The in-flight chunks went with the file, unread.
+  EXPECT_GT(a.readaPrefetchedBytes, 0u);
+  EXPECT_EQ(a.readaConsumedBytes, 0u);
+  EXPECT_EQ(a.readaDiscardedBytes, a.readaPrefetchedBytes);
+  // INV-READA: every prefetched byte is consumed, discarded or resident.
+  EXPECT_EQ(a.readaPrefetchedBytes,
+            a.readaConsumedBytes + a.readaDiscardedBytes + a.readaResidentBytes);
+}
+
 TEST(ClientSemantics, BarriersSynchronizeRanks) {
   JobSpec job;
   job.name = "barrier";

@@ -201,6 +201,49 @@ JobSpec fppJob(std::uint32_t ranks) {
   return job;
 }
 
+// Each rank writes its own file, 16 x 1 MiB, then fsyncs and closes it.
+JobSpec writeFsyncJob(std::uint32_t ranks) {
+  JobSpec job;
+  job.name = "write-fsync";
+  job.ranks.resize(ranks);
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    const auto f = job.addFile("/wf/rank" + std::to_string(r));
+    auto& prog = job.ranks[r];
+    prog.push_back(IoOp::create(f));
+    for (int i = 0; i < 16; ++i) {
+      prog.push_back(IoOp::write(f, static_cast<std::uint64_t>(i) * util::kMiB,
+                                 util::kMiB));
+    }
+    prog.push_back(IoOp::fsync(f));
+    prog.push_back(IoOp::close(f));
+  }
+  return job;
+}
+
+TEST(SimulatorFederated, EachCellDrawsItsOwnRpcDrops) {
+  // Every cell of an 8-cell run holds the same 2-rank job. Cells sharing
+  // one drop stream would lose the same RPCs, so the 8-cell run would
+  // count exactly 8x the one-cell timeouts. Cell 0 keeps the one-cell
+  // stream, so its ranks replay the one-cell run exactly.
+  for (const int planSeed : {3, 11}) {
+    SCOPED_TRACE("plan seed " + std::to_string(planSeed));
+    const faults::FaultPlan plan =
+        faults::parseFaultSpec("rpc:drop:0.05@0-90,seed:" + std::to_string(planSeed));
+    const auto runCells = [&](std::uint32_t cells) {
+      const PfsSimulator sim{{.cluster = tinyFederatedCluster(cells), .faults = &plan}};
+      return sim.run(writeFsyncJob(2 * cells), PfsConfig{}, 9);
+    };
+    const pfs::RunResult one = runCells(1);
+    const pfs::RunResult eight = runCells(8);
+    ASSERT_EQ(one.outcome, pfs::RunOutcome::Ok);
+    ASSERT_EQ(eight.outcome, pfs::RunOutcome::Ok);
+    EXPECT_GT(one.counters.rpcTimeouts, 0u);
+    EXPECT_NE(eight.counters.rpcTimeouts, 8 * one.counters.rpcTimeouts);
+    EXPECT_EQ(eight.ranks[0], one.ranks[0]);
+    EXPECT_EQ(eight.ranks[1], one.ranks[1]);
+  }
+}
+
 TEST(SimulatorFederated, BitIdenticalAcrossSchedulersAndShardCounts) {
   // Four cells run inline in cell order (1 worker) or concurrently (2 and
   // 4 workers): the results must not differ in any bit.
@@ -216,8 +259,9 @@ TEST(SimulatorFederated, BitIdenticalAcrossSchedulersAndShardCounts) {
 }
 
 TEST(SimulatorFederated, FaultedCappedRunIsBitIdenticalAcrossWorkerCounts) {
-  // Under flaky-network at seed 9 four RPCs time out, and per-OST jitter
-  // makes the cells finish at different times; a cap between the first
+  // Under flaky-network at seed 9 six RPCs time out, each cell losing
+  // RPCs from its own drop stream, and those losses and per-OST jitter
+  // make the cells finish at different times; a cap between the first
   // and the last cell's finish leaves some cells done and at least one
   // unfinished.
   const JobSpec job = fppJob(8);

@@ -180,8 +180,9 @@ TEST(SimEngine, ParkedRunKeepsItsCapturesWhileGrowingTheSlotStore) {
 
 TEST(SimEngine, ParkedContinuationsReleaseTheirCapturesAtTeardown) {
   // A capped run can end with continuations still parked (an RPC whose
-  // reply lies past the cap). The engine owns them: destroying it
-  // releases their captures, inline and spilled alike.
+  // reply lies past the cap, or a window that never opened). The engine
+  // owns them: destroying it releases their captures, inline and spilled
+  // alike.
   auto token = std::make_shared<int>(7);
   {
     SimEngine engine;
@@ -196,10 +197,12 @@ TEST(SimEngine, ParkedContinuationsReleaseTheirCapturesAtTeardown) {
       engine.run(std::move(small));
       engine.run(std::move(large));
     });
+    engine.scheduleWindow(
+        20.0, 30.0, [token] { (void)*token; }, [token] { (void)*token; });
     engine.runUntil(5.0);
     EXPECT_TRUE(static_cast<bool>(small));
     EXPECT_TRUE(static_cast<bool>(large));
-    EXPECT_EQ(token.use_count(), 3);  // the two parked continuations
+    EXPECT_EQ(token.use_count(), 5);  // two parked continuations, two edges
   }
   EXPECT_EQ(token.use_count(), 1);
 }

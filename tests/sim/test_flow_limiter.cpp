@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -15,20 +16,19 @@ namespace {
 
 /// Single-semaphore reference for one lane of FlowLimiterBank: the plain
 /// FIFO counting semaphore the bank's per-lane semantics must match, with
-/// a waiter admitted on release as a fresh event.
+/// a waiter admitted on release as a fresh event. Its waiters queue as
+/// std::functions, where the bank parks them in the engine's slot store.
 class FlowLimiter {
  public:
   FlowLimiter(SimEngine& engine, std::uint32_t limit)
       : engine_(engine), limit_(std::max<std::uint32_t>(1, limit)) {}
 
-  template <EventCallable F>
-  void acquire(F&& onAcquired) {
-    Callback callback{std::forward<F>(onAcquired)};
+  void acquire(std::function<void()> onAcquired) {
     if (inFlight_ < limit_) {
       ++inFlight_;
-      callback();
+      onAcquired();
     } else {
-      waiting_.push_back(std::move(callback));
+      waiting_.push_back(std::move(onAcquired));
     }
   }
 
@@ -47,16 +47,15 @@ class FlowLimiter {
   void admitWaiters() {
     while (!waiting_.empty() && inFlight_ < limit_) {
       ++inFlight_;
-      Callback next = std::move(waiting_.front());
+      engine_.scheduleAfter(0.0, std::move(waiting_.front()));
       waiting_.pop_front();
-      engine_.scheduleAfter(0.0, std::move(next));
     }
   }
 
   SimEngine& engine_;
   std::uint32_t limit_;
   std::uint32_t inFlight_ = 0;
-  std::deque<Callback> waiting_;
+  std::deque<std::function<void()>> waiting_;
 };
 
 TEST(FlowLimiter, AdmitsUpToLimitImmediately) {
